@@ -87,6 +87,10 @@ class SpaceTimeGrid:
         object.__setattr__(self, "space_min", lo)
         object.__setattr__(self, "space_max", hi)
         object.__setattr__(self, "space_nodes", n)
+        axes = tuple(np.linspace(lo[k], hi[k], n[k]) for k in range(lo.size))
+        for ax in axes:
+            ax.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dimension(self) -> int:
@@ -101,11 +105,9 @@ class SpaceTimeGrid:
         return float(self.times[-1])
 
     @property
-    def axes(self) -> list[np.ndarray]:
-        return [
-            np.linspace(self.space_min[k], self.space_max[k], self.space_nodes[k])
-            for k in range(self.dimension)
-        ]
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates per axis, built once; read-only."""
+        return self._axes
 
     def nodes(self) -> np.ndarray:
         """All spatial nodes as an (n_nodes, d) array, C-order over the axes."""
@@ -189,7 +191,7 @@ class ScalarField:
         return _multilinear(self.grid.axes, self.values[time_index], points)
 
 
-def _multilinear(axes: list[np.ndarray], table: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of table (shape per axes) at points (n, d)."""
     d = len(axes)
     if d == 1:

@@ -9,6 +9,13 @@ with all expectations read from one frozen ensemble cache (common random
 numbers), so the iteration map is deterministic and its geometric contraction
 is directly observable in the delta history.
 
+Every sweep runs per origin block: the paths of all nodes started at one
+grid time are read together, so each step interpolates a field row and
+evaluates the driver once over n_nodes*M positions (a working set of
+n_nodes*M*d floats) and keeps one running sum per path.  Each path's sum is
+accumulated in step order, so the estimates equal a per-cell loop exactly;
+the tests compare against ``semigroup.terminal_plus_running``.
+
 Two v-identification schemes are provided: ``volterra`` solves the second
 line backward in time for w = v^2 (left-endpoint quadrature makes the r = s
 term explicit); ``variance`` estimates w as the conditional variance rate of
@@ -24,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import ProblemSpec, ScalarField, field_distance
 from .errors import ConfigurationError, NumericalError
 from .semigroup import EnsembleCache
@@ -92,54 +100,73 @@ def _unflat(grid, arr: np.ndarray) -> ScalarField:
 
 def _interp_row(grid, row_values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of one time row (flat node values) at points."""
-    from .core import _multilinear
-
-    return _multilinear(grid.axes, row_values.reshape(grid.space_shape), points)
+    return core._multilinear(grid.axes, row_values.reshape(grid.space_shape), points)
 
 
-def _driver_along_paths(problem, cache, u_rows, v_rows, s_index, node_index):
-    """Per-path sums  sum_j f(t_j, X_j, u(t_j,X_j), v(t_j,X_j)) dV_j  over [s, T).
+def _block_positions(cache: EnsembleCache, i: int, j: int) -> np.ndarray:
+    """Positions at grid time j of every path started at grid time i, as one
+    (n_nodes*M, d) array, node-major."""
+    return cache.blocks[i][:, :, j - i, :].reshape(-1, cache.grid.dimension)
 
-    ``v_rows = None`` declares the driver z-independent (K_Z = 0) and skips
-    the v interpolation entirely.
+
+def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
+    """The path-sum kernel: steps j = first..N-1 of origin block i.
+
+    Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and each flat
+    field of ``rows`` interpolated at them in one call (None passes through).
+    Steps with dV_j = 0 are skipped; they add nothing to a left-endpoint sum.
     """
-    grid = cache.grid
-    paths = cache.cell(s_index, node_index)
-    acc = np.zeros(paths.shape[0])
-    for j_local in range(paths.shape[1] - 1):
-        j = s_index + j_local
+    for j in range(first, cache.grid.n_times - 1):
         if cache.dvs[j] == 0.0:
             continue
-        xs = paths[:, j_local, :]
-        uu = _interp_row(grid, u_rows[j], xs)
-        vv = _interp_row(grid, v_rows[j], xs) if v_rows is not None else np.zeros(1)
-        acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
-    return acc
+        xs = _block_positions(cache, i, j)
+        yield j, xs, [None if r is None else _interp_row(cache.grid, r[j], xs) for r in rows]
+
+
+def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.ndarray:
+    """g(X_T) on every path of origin block i, node-major."""
+    return problem.g(_block_positions(cache, i, cache.grid.n_times - 1))
+
+
+def _node_stats(vals: np.ndarray, n_nodes: int):
+    """Per-node sample mean and stderr of node-major per-path values."""
+    per_node = vals.reshape(n_nodes, -1)
+    m = per_node.shape[1]
+    mean = np.mean(per_node, axis=1)
+    if m < 2:
+        return mean, np.zeros(n_nodes)
+    return mean, np.std(per_node, axis=1, ddof=1) / np.sqrt(m)
+
+
+def _scalar_square(a: np.ndarray) -> np.ndarray:
+    """Elementwise x**2 through libm pow, as Python and numpy scalars square.
+
+    Array ``a**2`` multiplies instead and differs in the last bit for ~0.1%
+    of inputs; the 1/dV of the Volterra row solve amplifies that, and the
+    v and residual outputs are kept bit-stable across versions.
+    """
+    return np.array([x**2 for x in a.tolist()])
 
 
 def update_u(u_k: ScalarField, v_k: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
     """One sweep of the first line: terminal expectation plus running driver term.
 
     Returns the updated field and its per-cell stderr (pathwise combined).
+    ``v`` is not read when the driver is z-independent (K_Z = 0).
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    u_rows = _flat(u_k)
-    v_rows = _flat(v_k) if problem.driver.K_Z > 0 else None
+    rows = (_flat(u_k), _flat(v_k) if problem.driver.K_Z > 0 else None)
     out = np.empty((n_t, n_nodes))
     se = np.zeros((n_t, n_nodes))
-    for i in range(n_t):
-        for nd in range(n_nodes):
-            paths = cache.cell(i, nd)
-            vals = problem.g(paths[:, -1, :])
-            if i < n_t - 1:
-                vals = vals + _driver_along_paths(problem, cache, u_rows, v_rows, i, nd)
-            out[i, nd] = np.mean(vals)
-            if vals.size > 1:
-                se[i, nd] = np.std(vals, ddof=1) / np.sqrt(vals.size)
+    for i in range(n_t - 1):
+        acc = np.zeros(n_nodes * cache.M)
+        for j, xs, (uu, vv) in _block_steps(cache, i, rows, i):
+            vv = vv if vv is not None else np.zeros(1)
+            acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
+        out[i], se[i] = _node_stats(_terminal_values(problem, cache, i) + acc, n_nodes)
     # terminal row is exact: the running integral vanishes at s = T
     out[-1] = problem.g(cache.nodes)
-    se[-1] = 0.0
     if not np.all(np.isfinite(out)):
         raise NumericalError("u update produced non-finite values")
     return _unflat(grid, out), se
@@ -195,16 +222,12 @@ def update_v_variance(
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
-        t_i = grid.times[i]
-        f_row = problem.driver(t_i, cache.nodes, u_rows[i], v_rows[i])
-        for nd in range(n_nodes):
-            paths = cache.cell(i, nd)
-            u_then = _interp_row(grid, u_rows[i + 1], paths[:, 1, :])
-            incr = u_then - u_rows[i, nd] + f_row[nd] * dv
-            sq = incr * incr
-            w[i, nd] = np.mean(sq) / dv
-            if sq.size > 1:
-                se_w[i, nd] = np.std(sq, ddof=1) / np.sqrt(sq.size) / dv
+        f_row = problem.driver(grid.times[i], cache.nodes, u_rows[i], v_rows[i])
+        u_then = _interp_row(grid, u_rows[i + 1], _block_positions(cache, i, i + 1))
+        incr = u_then.reshape(n_nodes, -1) - u_rows[i][:, None] + (f_row * dv)[:, None]
+        mean_sq, se_sq = _node_stats(incr * incr, n_nodes)
+        w[i] = mean_sq / dv
+        se_w[i] = se_sq / dv
         computed[i] = True
     _fill_carries(w, se_w, computed)
     w = _clamp_w(w, telemetry)
@@ -242,26 +265,15 @@ def update_v_volterra(
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
-        t_i = grid.times[i]
-        f_here = problem.driver(t_i, cache.nodes, u_rows[i], v_rows[i])
+        f_here = problem.driver(grid.times[i], cache.nodes, u_rows[i], v_rows[i])
         sys_var = float(np.sum((cache.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
-        for nd in range(n_nodes):
-            paths = cache.cell(i, nd)
-            vals = problem.g(paths[:, -1, :]) ** 2
-            for j_local in range(1, paths.shape[1] - 1):
-                j = i + j_local
-                if cache.dvs[j] == 0.0:
-                    continue
-                xs = paths[:, j_local, :]
-                uu = _interp_row(grid, u_rows[j], xs)
-                vv = _interp_row(grid, v_rows[j], xs)
-                ww = _interp_row(grid, w[j], xs)
-                ff = problem.driver(grid.times[j], xs, uu, vv)
-                vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
-            est = float(np.mean(vals))
-            se_path = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-            w[i, nd] = (est - u_rows[i, nd] ** 2) / dv + 2.0 * u_rows[i, nd] * f_here[nd]
-            se_w[i, nd] = np.sqrt(se_path**2 + sys_var) / dv
+        vals = _terminal_values(problem, cache, i) ** 2
+        for j, xs, (uu, vv, ww) in _block_steps(cache, i, (u_rows, v_rows, w), i + 1):
+            ff = problem.driver(grid.times[j], xs, uu, vv)
+            vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
+        est, se_path = _node_stats(vals, n_nodes)
+        w[i] = (est - _scalar_square(u_rows[i])) / dv + 2.0 * u_rows[i] * f_here
+        se_w[i] = np.sqrt(_scalar_square(se_path) + sys_var) / dv
         # clamp this row before later (earlier-time) rows consume it
         w[i] = _clamp_w(w[i], telemetry)
         row_mean_se[i] = float(np.mean(se_w[i]))
@@ -284,25 +296,17 @@ def mild_residuals(u: ScalarField, v: ScalarField, problem: ProblemSpec, cache: 
     floor1 = np.zeros((n_t, n_nodes))
     floor2 = np.zeros((n_t, n_nodes))
     for i in range(n_t):
-        for nd in range(n_nodes):
-            paths = cache.cell(i, nd)
-            g_vals = problem.g(paths[:, -1, :])
-            vals1 = g_vals.copy()
-            vals2 = g_vals**2
-            for j_local in range(paths.shape[1] - 1):
-                j = i + j_local
-                xs = paths[:, j_local, :]
-                uu = _interp_row(grid, u_rows[j], xs)
-                vv = _interp_row(grid, v_rows[j], xs)
-                ff = problem.driver(grid.times[j], xs, uu, vv)
-                vals1 += ff * cache.dvs[j]
-                vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]
-            m = vals1.size
-            res1[i, nd] = abs(u_rows[i, nd] - np.mean(vals1))
-            res2[i, nd] = abs(u_rows[i, nd] ** 2 - np.mean(vals2))
-            if m > 1:
-                floor1[i, nd] = np.std(vals1, ddof=1) / np.sqrt(m)
-                floor2[i, nd] = np.std(vals2, ddof=1) / np.sqrt(m)
+        g_vals = _terminal_values(problem, cache, i)
+        vals1 = g_vals.copy()
+        vals2 = g_vals**2
+        for j, xs, (uu, vv) in _block_steps(cache, i, (u_rows, v_rows), i):
+            ff = problem.driver(grid.times[j], xs, uu, vv)
+            vals1 += ff * cache.dvs[j]
+            vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]
+        mean1, floor1[i] = _node_stats(vals1, n_nodes)
+        mean2, floor2[i] = _node_stats(vals2, n_nodes)
+        res1[i] = np.abs(u_rows[i] - mean1)
+        res2[i] = np.abs(_scalar_square(u_rows[i]) - mean2)
     return ResidualReport(
         residual_1=float(res1.max()),
         residual_2=float(res2.max()),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ClockV, SpaceTimeGrid, v_increments
 from .errors import ConfigurationError, InputError, ResourceError
-from .processes import PathEnsemble, evolve_paths, simulate, _rng
+from .processes import evolve_paths, simulate, _rng
 
 
 def derive_cell_seed(master_seed: int, s_index: int, node_index: int) -> int:
@@ -35,7 +35,9 @@ class EnsembleCache:
 
     ``blocks[i]`` has shape (n_nodes, M, n_times - i, d): the ensembles of all
     spatial nodes started at grid time index i, sharing the grid times i..N.
-    Read-only after construction.
+    The mild sweeps read one origin block at a time: at each step they take
+    the positions of all its paths at once, a working set of n_nodes*M*d
+    floats.  Read-only after construction.
     """
 
     grid: SpaceTimeGrid
@@ -59,16 +61,6 @@ class EnsembleCache:
         if not 0 <= node_index < self.n_nodes:
             raise InputError(f"node index {node_index} out of range")
         return self.blocks[s_index][node_index]
-
-    def ensemble(self, s_index: int, node_index: int) -> PathEnsemble:
-        return PathEnsemble(
-            origin_time=float(self.grid.times[s_index]),
-            origin_x=self.nodes[node_index],
-            times=self.grid.times[s_index:],
-            paths=self.cell(s_index, node_index),
-            seed=derive_cell_seed(self.master_seed, s_index, node_index),
-            generator_fingerprint=self.generator_fingerprint,
-        )
 
 
 def cache_memory_estimate(grid: SpaceTimeGrid, M: int) -> int:
@@ -102,7 +94,7 @@ def build_cache(
     if need > memory_budget_mb * 2**20:
         raise ResourceError(
             f"path cache needs {need / 2**20:.0f} MiB > budget {memory_budget_mb:.0f} MiB; "
-            "reduce cache paths or grid resolution, or stream per time index"
+            "lower mild.cache_paths, use a coarser grid, or raise mild.memory_budget_mb"
         )
     nodes = grid.nodes()
     n_t = grid.n_times

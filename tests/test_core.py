@@ -73,6 +73,15 @@ def test_grid_invariants():
         SpaceTimeGrid.regular(1.0, 2, [-1.0], [1.0], [1])
 
 
+def test_grid_axes_built_once():
+    grid = SpaceTimeGrid.regular(1.0, 2, [-1.0, 0.0], [1.0, 3.0], [5, 4])
+    assert grid.axes is grid.axes
+    np.testing.assert_array_equal(grid.axes[0], np.linspace(-1.0, 1.0, 5))
+    np.testing.assert_array_equal(grid.axes[1], np.linspace(0.0, 3.0, 4))
+    with pytest.raises(ValueError):
+        grid.axes[0][0] = 7.0
+
+
 def test_interpolate_constant_field(grid_1d):
     fld = ScalarField.constant(grid_1d, 3.5)
     assert interpolate(fld, 0, [0.123]) == 3.5

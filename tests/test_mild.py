@@ -280,3 +280,49 @@ def test_flat_clock_suffix_sets_v_zero_with_warning(grid):
     with pytest.warns(UserWarning):
         sol = picard_solve(prob, cache, PicardConfig(tolerance=1e-9))
     np.testing.assert_allclose(sol.v.values, 0.0, atol=1e-12)
+
+
+def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
+    # block sweeps must reproduce the per-cell semigroup estimator bit for bit:
+    # 2-d grid, a clock with one flat step (dV = 0), a driver in x, y and z
+    from pseudopde.core import ClockV
+    from pseudopde.semigroup import terminal_plus_running
+
+    grid = SpaceTimeGrid.regular(1.0, 4, [-2.0, -1.5], [2.0, 1.5], [3, 4])
+    clock = ClockV(
+        kind="tabulated", times=grid.times, values=np.array([0.0, 0.3, 0.3, 0.7, 1.2])
+    )
+    gen = Diffusion(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.8, dimension=2)
+    cache = build_cache(gen, grid, 64, master_seed=11, clock=clock)
+    assert cache.dvs[1] == 0.0
+    prob = ProblemSpec(
+        generator=gen,
+        driver=LipschitzDriver(
+            fn=lambda t, x, y, z: np.sin(x[:, 0]) * x[:, 1] - 0.3 * y + 0.2 * z * (1.0 + t),
+            K_Y=0.3, K_Z=0.4,
+        ),
+        terminal_g=lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2,
+        horizon_T=1.0, clock=clock,
+    )
+    u = ScalarField.from_function(grid, lambda t, p: p[:, 0] * p[:, 1] + t)
+    v = ScalarField.from_function(grid, lambda t, p: 1.0 + 0.5 * np.abs(p[:, 1]) + t)
+
+    def psi(j, xs):
+        return prob.driver(grid.times[j], xs, u.at_points(j, xs), v.at_points(j, xs))
+
+    n_t, n_nodes = grid.n_times, cache.n_nodes
+    ref = np.empty((n_t, n_nodes))
+    ref_se = np.zeros((n_t, n_nodes))
+    for i in range(n_t):
+        for nd in range(n_nodes):
+            ref[i, nd], ref_se[i, nd] = terminal_plus_running(cache, i, nd, prob.g, psi)
+
+    res = mild_residuals(u, v, prob, cache)
+    assert res.residual_1 == np.max(np.abs(u.values.reshape(n_t, -1) - ref))
+
+    # update_u sets the terminal row to g at the nodes, exactly
+    ref[-1] = prob.g(cache.nodes)
+    ref_se[-1] = 0.0
+    got, got_se = update_u(u, v, prob, cache)
+    np.testing.assert_array_equal(got.values.reshape(n_t, -1), ref)
+    np.testing.assert_array_equal(got_se, ref_se)

@@ -57,7 +57,8 @@ def test_cache_thread_count_does_not_change_bits(small_grid):
 def test_cache_preconditions(small_grid):
     with pytest.raises(ConfigurationError):
         build_cache(brownian(), small_grid, 0, master_seed=1)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"lower mild\.cache_paths.*coarser grid"
+                       r".*raise mild\.memory_budget_mb"):
         build_cache(brownian(), small_grid, 10**7, master_seed=1, memory_budget_mb=1.0)
 
 
