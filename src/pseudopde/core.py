@@ -219,11 +219,6 @@ def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.nda
     return out
 
 
-def interpolate(fld: ScalarField, time_index: int, x) -> float:
-    """Field value at a grid time and an arbitrary spatial point."""
-    return fld.at(time_index, x)
-
-
 def field_distance(a: ScalarField, b: ScalarField) -> float:
     """Sup norm over grid nodes of |a - b|; the fixed-point stopping metric."""
     if a.grid is not b.grid and (

@@ -182,7 +182,9 @@ def lsmc_solve(
     Z_i^2 regresses the squared innovation (Y_{i+1} - C_i)^2 divided by dV_i,
     clamped nonnegative; Y_i solves the implicit one-step equation
     Y = C_i + f(t_i, X, Y, Z_i) dV_i by damped fixed point (contraction is
-    guaranteed by K_Y * dV_i < 1, enforced up front).  The degenerate initial
+    guaranteed by K_Y * dV_i < 1, enforced up front); a step still above
+    ``inner_tolerance`` after ``inner_iterations`` keeps its last iterate, and
+    one warning names the worst such step.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean.
     """
     dvs_all = v_increments(grid, problem.clock)
@@ -205,6 +207,7 @@ def lsmc_solve(
     z0 = 0.0
     y0_se = float(np.std(y, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     z0_se = 0.0
+    unconverged = []  # (last change, step) of inner solves that hit the cap
 
     for i in range(n_t - 2, -1, -1):
         dv = float(dvs[i])
@@ -240,12 +243,15 @@ def lsmc_solve(
 
         y_new = cx.copy()
         if dv > 0:
+            change = np.inf
             for _ in range(inner_iterations):
                 y_try = cx + problem.driver(t_i, xs, y_new, zx) * dv
-                if np.max(np.abs(y_try - y_new)) < inner_tolerance:
-                    y_new = y_try
-                    break
+                change = np.max(np.abs(y_try - y_new))
                 y_new = y_try
+                if change < inner_tolerance:
+                    break
+            else:
+                unconverged.append((change, i))
             driver_sums += problem.driver(t_i, xs, y_new, zx) * dv
         y = y_new
         z_prev = zx
@@ -253,6 +259,13 @@ def lsmc_solve(
             y0 = float(y[0])
             z0 = float(zx[0])
 
+    if unconverged:
+        change, step = max(unconverged)
+        warnings.warn(
+            f"LSMC inner fixed point did not converge within {inner_iterations} iterations "
+            f"at {len(unconverged)} backward steps; worst at backward step {step}: "
+            f"last change {change:.3g} >= tolerance {inner_tolerance:.3g}"
+        )
     y_fits.reverse()
     z_fits.reverse()
     rms.reverse()

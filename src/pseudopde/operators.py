@@ -351,20 +351,14 @@ def gamma_from_generator(a_action: Callable, phi: SmoothTestFunction, psi: Smoot
 
 def gamma_for_generator(gen) -> Callable:
     """The natural Gamma(phi, psi) route for each generator family."""
-    if isinstance(gen, Diffusion):
-        alpha_mat = lambda t, x: np.einsum(
-            "nik,njk->nij",
-            _vol_matrix(gen.sigma, t, np.atleast_2d(x), np.atleast_2d(x).shape[1]),
-            _vol_matrix(gen.sigma, t, np.atleast_2d(x), np.atleast_2d(x).shape[1]),
-        )
-        return lambda phi, psi: gamma_local(phi, psi, alpha_mat)
-    if isinstance(gen, JumpDiffusion):
-        alpha_mat = lambda t, x: np.einsum(
-            "nik,njk->nij",
-            _vol_matrix(gen.sigma, t, np.atleast_2d(x), np.atleast_2d(x).shape[1]),
-            _vol_matrix(gen.sigma, t, np.atleast_2d(x), np.atleast_2d(x).shape[1]),
-        )
-        return lambda phi, psi: gamma_local(phi, psi, alpha_mat, levy=gen.levy)
+    if isinstance(gen, (Diffusion, JumpDiffusion)):
+        def alpha_mat(t, x):
+            x = np.atleast_2d(x)
+            sig = _vol_matrix(gen.sigma, t, x, x.shape[1])
+            return np.einsum("nik,njk->nij", sig, sig)
+
+        levy = gen.levy if isinstance(gen, JumpDiffusion) else None
+        return lambda phi, psi: gamma_local(phi, psi, alpha_mat, levy=levy)
     if isinstance(gen, Stable):
         def make(phi, psi):
             if phi is not psi:
@@ -497,46 +491,48 @@ def martingale_test(
     )
 
 
+def _stf(f, ft, fx, fxx) -> SmoothTestFunction:
+    """1-d test function from scalar callables ``(t, v)`` of its value and partials."""
+    return SmoothTestFunction(
+        value=lambda t, x: f(t, x[:, 0]),
+        dt=lambda t, x: ft(t, x[:, 0]),
+        grad=lambda t, x: fx(t, x[:, 0])[:, None],
+        hess=lambda t, x: fxx(t, x[:, 0])[:, None, None],
+    )
+
+
 def bounded_test_functions(dimension: int = 1) -> list[SmoothTestFunction]:
     """Five bounded smooth test functions with closed-form partials (d = 1)."""
     if dimension != 1:
         raise UnsupportedFeatureError("the built-in test set is 1-d")
 
-    def stf(f, ft, fx, fxx):
-        return SmoothTestFunction(
-            value=lambda t, x: f(t, x[:, 0]),
-            dt=lambda t, x: ft(t, x[:, 0]),
-            grad=lambda t, x: fx(t, x[:, 0])[:, None],
-            hess=lambda t, x: fxx(t, x[:, 0])[:, None, None],
-        )
-
     sech2 = lambda v: 1.0 / np.cosh(v) ** 2
     return [
-        stf(
+        _stf(
             lambda t, v: np.tanh(v),
             lambda t, v: np.zeros_like(v),
             lambda t, v: sech2(v),
             lambda t, v: -2.0 * np.tanh(v) * sech2(v),
         ),
-        stf(
+        _stf(
             lambda t, v: np.exp(-(v**2)),
             lambda t, v: np.zeros_like(v),
             lambda t, v: -2.0 * v * np.exp(-(v**2)),
             lambda t, v: (4.0 * v**2 - 2.0) * np.exp(-(v**2)),
         ),
-        stf(
+        _stf(
             lambda t, v: np.sin(v) * np.exp(-0.3 * t),
             lambda t, v: -0.3 * np.sin(v) * np.exp(-0.3 * t),
             lambda t, v: np.cos(v) * np.exp(-0.3 * t),
             lambda t, v: -np.sin(v) * np.exp(-0.3 * t),
         ),
-        stf(
+        _stf(
             lambda t, v: 1.0 / (1.0 + v**2),
             lambda t, v: np.zeros_like(v),
             lambda t, v: -2.0 * v / (1.0 + v**2) ** 2,
             lambda t, v: (6.0 * v**2 - 2.0) / (1.0 + v**2) ** 3,
         ),
-        stf(
+        _stf(
             lambda t, v: np.cos(2.0 * v) * (1.0 + 0.5 * t),
             lambda t, v: 0.5 * np.cos(2.0 * v),
             lambda t, v: -2.0 * np.sin(2.0 * v) * (1.0 + 0.5 * t),
@@ -552,34 +548,26 @@ def decaying_test_functions(dimension: int = 1) -> list[SmoothTestFunction]:
     if dimension != 1:
         raise UnsupportedFeatureError("the built-in test set is 1-d")
 
-    def stf(f, ft, fx, fxx):
-        return SmoothTestFunction(
-            value=lambda t, x: f(t, x[:, 0]),
-            dt=lambda t, x: ft(t, x[:, 0]),
-            grad=lambda t, x: fx(t, x[:, 0])[:, None],
-            hess=lambda t, x: fxx(t, x[:, 0])[:, None, None],
-        )
-
     return [
-        stf(
+        _stf(
             lambda t, v: np.exp(-(v**2)),
             lambda t, v: np.zeros_like(v),
             lambda t, v: -2.0 * v * np.exp(-(v**2)),
             lambda t, v: (4.0 * v**2 - 2.0) * np.exp(-(v**2)),
         ),
-        stf(
+        _stf(
             lambda t, v: v * np.exp(-(v**2) / 2.0),
             lambda t, v: np.zeros_like(v),
             lambda t, v: (1.0 - v**2) * np.exp(-(v**2) / 2.0),
             lambda t, v: v * (v**2 - 3.0) * np.exp(-(v**2) / 2.0),
         ),
-        stf(
+        _stf(
             lambda t, v: 1.0 / (1.0 + v**2),
             lambda t, v: np.zeros_like(v),
             lambda t, v: -2.0 * v / (1.0 + v**2) ** 2,
             lambda t, v: (6.0 * v**2 - 2.0) / (1.0 + v**2) ** 3,
         ),
-        stf(
+        _stf(
             lambda t, v: np.exp(-(v**2)) * np.cos(2.0 * v) * np.exp(-0.2 * t),
             lambda t, v: -0.2 * np.exp(-(v**2)) * np.cos(2.0 * v) * np.exp(-0.2 * t),
             lambda t, v: np.exp(-0.2 * t)
@@ -589,7 +577,7 @@ def decaying_test_functions(dimension: int = 1) -> list[SmoothTestFunction]:
             * np.exp(-(v**2))
             * ((4.0 * v**2 - 6.0) * np.cos(2.0 * v) + 8.0 * v * np.sin(2.0 * v)),
         ),
-        stf(
+        _stf(
             lambda t, v: (1.0 + 0.5 * t) / (1.0 + v**2) ** 2,
             lambda t, v: 0.5 / (1.0 + v**2) ** 2,
             lambda t, v: (1.0 + 0.5 * t) * (-4.0 * v) / (1.0 + v**2) ** 3,

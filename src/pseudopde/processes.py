@@ -13,9 +13,12 @@ Four generator families are supported:
                        driftless SDE dY = sigma0(Y) dW, mapped back via h^-1
                        at every grid time.
 
-Path generation is deterministic given (seed, path index): each ensemble
-draws from one counter-based Philox stream with a fixed (path, step) layout,
-so results are independent of scheduling and of the worker count.
+Path generation is deterministic given (seed, path index): each cache cell
+(one origin time and node) draws from its own counter-based Philox stream with
+a fixed (path, step) layout, so results are independent of scheduling and of
+the worker count.  A cache block (one origin time, every node) is evolved in
+one call: each cell's rows draw from the cell's own stream, then all rows of
+the block step together.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -226,9 +230,31 @@ class HTransform:
     def sigma0(self, y):
         return np.interp(y, self.h_table, self.sigma0_table)
 
-    @property
-    def image_interval(self):
-        return float(self.h_table[0]), float(self.h_table[-1])
+    def h_inv_and_sigma0(self, y):
+        """``(h_inv(y), sigma0(y))`` from one search of ``h_table``.
+
+        Equal to the two ``np.interp`` calls bit for bit: ``y`` is clamped to
+        the table, a node value is returned exactly (its offset is 0), the
+        last node uses a zero slope, and NaN stays NaN.
+        """
+        H = self.h_table
+        y = np.clip(y, H[0], H[-1])
+        j = np.searchsorted(H, y, side="right") - 1
+        dy = y - H[j]
+        x_slope, s0_slope = self._slopes
+        return (
+            x_slope[j] * dy + self.x_table[j],
+            s0_slope[j] * dy + self.sigma0_table[j],
+        )
+
+    @cached_property
+    def _slopes(self):
+        """Per-interval slopes of x and sigma0 over ``h_table``, as
+        ``np.interp`` forms them, with a zero slope appended for the last node."""
+        dh = np.diff(self.h_table)
+        return tuple(
+            np.append(np.diff(fp) / dh, 0.0) for fp in (self.x_table, self.sigma0_table)
+        )
 
 
 def build_h_transform(b_x, b_values, sigma_fn: Callable, ta_ratio_warn: float = 1e4) -> HTransform:
@@ -351,50 +377,87 @@ def _cms_standard(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     )
 
 
-def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def check_dimension(gen, dimension: int) -> None:
+    """Reject a grid dimension the generator family cannot simulate."""
+    if isinstance(gen, (Stable, DistributionalDrift)) and dimension != 1:
+        raise ConfigurationError(f"{type(gen).__name__} requires dimension 1")
+
+
+def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -> tuple:
+    """All random numbers of ``n`` paths from one stream, in the fixed layout.
+
+    Stable: uniform angles and unit exponentials (n, n_steps); distributional
+    drift: normals (n, n_steps); otherwise normals (n, n_steps, d), then, for
+    jumps, Poisson counts (n, n_steps) and their jump sums.
+    """
+    n_steps = dts.size
+    if isinstance(gen, Stable):
+        u = rng.uniform(-np.pi / 2, np.pi / 2, (n, n_steps))
+        e = rng.exponential(1.0, (n, n_steps))
+        return u, e
+    if isinstance(gen, DistributionalDrift):
+        return (rng.standard_normal((n, n_steps)),)
+    z = rng.standard_normal((n, n_steps, d))
+    if isinstance(gen, JumpDiffusion) and gen.levy.rate > 0:
+        counts = rng.poisson(gen.levy.rate * dvs[None, :], (n, n_steps))
+        return z, gen.levy.law.sample_sums(rng, counts)
+    return (z,)
+
+
+def evolve_paths(gen, times, dvs, starts: np.ndarray, rng) -> np.ndarray:
     """Evolve one path per row of ``starts`` (n, d) over ``times``; returns (n, n_times, d).
 
     ``dvs`` are the clock increments over the steps of ``times`` (used by the
-    jump intensity). The random draw layout per (path, step) is fixed, so the
-    output is a deterministic function of (rng state, row index).
+    jump intensity). ``rng`` is one Generator or a list of Generators; with a
+    list the rows split into equal consecutive groups, one per Generator, and
+    each group draws exactly what a one-Generator call on that group alone
+    would. The random draw layout per (path, step) is fixed, so each row is a
+    deterministic function of (its Generator's state, its index in its group).
     """
     times = np.asarray(times, dtype=float)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, d = starts.shape
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if not rngs or n % len(rngs):
+        raise InputError(f"{n} paths do not split into {len(rngs)} equal groups")
+    m = n // len(rngs)
     n_steps = times.size - 1
     dts = np.diff(times)
     paths = np.empty((n, times.size, d))
     paths[:, 0, :] = starts
 
     if isinstance(gen, Stable):
-        u = rng.uniform(-np.pi / 2, np.pi / 2, (n, n_steps))
-        e = rng.exponential(1.0, (n, n_steps))
-        if n_steps:
-            incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
-            paths[:, 1:, 0] = starts[:, 0:1] + np.cumsum(incr, axis=1)
-    elif isinstance(gen, DistributionalDrift):
-        tr = gen.transform
-        z = rng.standard_normal((n, n_steps))
-        y = np.asarray(tr.h(starts[:, 0]), dtype=float)
-        for k in range(n_steps):
-            y = y + tr.sigma0(y) * np.sqrt(dts[k]) * z[:, k]
-            paths[:, k + 1, 0] = tr.h_inv(y)
+        # no step loop: each group's draws are transformed as they are drawn
+        for g, r in enumerate(rngs):
+            rows = slice(g * m, (g + 1) * m)
+            u, e = _draw(gen, r, m, dts, dvs, d)
+            if n_steps:
+                incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
+                paths[rows, 1:, 0] = starts[rows, 0:1] + np.cumsum(incr, axis=1)
     else:
-        z = rng.standard_normal((n, n_steps, d))
-        jumps = None
-        if isinstance(gen, JumpDiffusion) and gen.levy.rate > 0:
-            counts = rng.poisson(gen.levy.rate * dvs[None, :], (n, n_steps))
-            jumps = gen.levy.law.sample_sums(rng, counts)
-        cur = starts.copy()
-        for k in range(n_steps):
-            t_k = times[k]
-            drift = _drift_array(gen.mu, t_k, cur, d)
-            vol = _vol_matrix(gen.sigma, t_k, cur, d)
-            step = drift * dts[k] + np.sqrt(dts[k]) * np.einsum("nij,nj->ni", vol, z[:, k, :])
-            cur = cur + step
-            if jumps is not None:
-                cur = cur + jumps[:, k, None]
-            paths[:, k + 1, :] = cur
+        groups = [_draw(gen, r, m, dts, dvs, d) for r in rngs]
+        draws = groups[0] if len(groups) == 1 else [np.concatenate(a) for a in zip(*groups)]
+        if isinstance(gen, DistributionalDrift):
+            tr = gen.transform
+            (z,) = draws
+            y = np.asarray(tr.h(starts[:, 0]), dtype=float)
+            s0 = tr.sigma0(y)
+            for k in range(n_steps):
+                y = y + s0 * np.sqrt(dts[k]) * z[:, k]
+                paths[:, k + 1, 0], s0 = tr.h_inv_and_sigma0(y)
+        else:
+            z = draws[0]
+            jumps = draws[1] if len(draws) > 1 else None
+            cur = starts.copy()
+            for k in range(n_steps):
+                t_k = times[k]
+                drift = _drift_array(gen.mu, t_k, cur, d)
+                vol = _vol_matrix(gen.sigma, t_k, cur, d)
+                step = drift * dts[k] + np.sqrt(dts[k]) * np.einsum("nij,nj->ni", vol, z[:, k, :])
+                cur = cur + step
+                if jumps is not None:
+                    cur = cur + jumps[:, k, None]
+                paths[:, k + 1, :] = cur
 
     if not np.all(np.isfinite(paths)):
         raise InternalError("simulation produced non-finite path values")
@@ -415,8 +478,7 @@ def simulate(
         raise ConfigurationError("path count M must be >= 1")
     clock = clock if clock is not None else ClockV()
     d = grid.dimension
-    if isinstance(gen, (Stable, DistributionalDrift)) and d != 1:
-        raise ConfigurationError(f"{type(gen).__name__} requires dimension 1")
+    check_dimension(gen, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (d,) or not np.all(np.isfinite(x)):
         raise InputError(f"origin point must be finite with shape ({d},)")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ClockV, SpaceTimeGrid, v_increments
 from .errors import ConfigurationError, InputError, ResourceError
-from .processes import evolve_paths, simulate, _rng
+from .processes import check_dimension, evolve_paths, simulate, _rng
 
 
 def derive_cell_seed(master_seed: int, s_index: int, node_index: int) -> int:
@@ -83,12 +83,15 @@ def build_cache(
 ) -> EnsembleCache:
     """One ensemble per (grid time, grid node), seeds derived per cell.
 
-    Cell contents are independent of the thread count: each cell's Philox key
-    depends only on (master seed, time index, node index) and results are
-    written into preallocated blocks by index.
+    Each origin block is evolved in one ``evolve_paths`` call: its rows are
+    the nodes repeated M times, node-major, and each node's rows draw from
+    that cell's own Philox stream.  Cell contents are independent of the
+    thread count: each cell's key depends only on (master seed, time index,
+    node index).
     """
     if M < 1:
         raise ConfigurationError("cache path count M must be >= 1")
+    check_dimension(gen, grid.dimension)
     clock = clock if clock is not None else ClockV()
     need = cache_memory_estimate(grid, M)
     if need > memory_budget_mb * 2**20:
@@ -97,26 +100,21 @@ def build_cache(
             "lower mild.cache_paths, use a coarser grid, or raise mild.memory_budget_mb"
         )
     nodes = grid.nodes()
+    n_nodes, d = nodes.shape
     n_t = grid.n_times
-    d = grid.dimension
     dvs = v_increments(grid, clock)
-    blocks = {i: np.empty((nodes.shape[0], M, n_t - i, d)) for i in range(n_t)}
+    starts = np.repeat(nodes, M, axis=0)
 
-    def fill(cell):
-        i, j = cell
-        ens = simulate(
-            gen, grid.times[i], nodes[j], grid, M,
-            derive_cell_seed(master_seed, i, j), clock,
-        )
-        blocks[i][j] = ens.paths
+    def block(i):
+        rngs = [_rng(derive_cell_seed(master_seed, i, j)) for j in range(n_nodes)]
+        paths = evolve_paths(gen, grid.times[i:], dvs[i:], starts, rngs)
+        return paths.reshape(n_nodes, M, n_t - i, d)
 
-    cells = [(i, j) for i in range(n_t) for j in range(nodes.shape[0])]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, cells))
+            blocks = dict(enumerate(pool.map(block, range(n_t))))
     else:
-        for cell in cells:
-            fill(cell)
+        blocks = {i: block(i) for i in range(n_t)}
 
     return EnsembleCache(
         grid=grid,

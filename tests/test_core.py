@@ -9,7 +9,6 @@ from pseudopde.core import (
     ScalarField,
     SpaceTimeGrid,
     field_distance,
-    interpolate,
     v_increments,
 )
 from pseudopde.errors import ConfigurationError, InputError
@@ -84,23 +83,23 @@ def test_grid_axes_built_once():
 
 def test_interpolate_constant_field(grid_1d):
     fld = ScalarField.constant(grid_1d, 3.5)
-    assert interpolate(fld, 0, [0.123]) == 3.5
-    assert interpolate(fld, 2, [-0.9]) == 3.5
+    assert fld.at(0, [0.123]) == 3.5
+    assert fld.at(2, [-0.9]) == 3.5
 
 
 def test_interpolate_linear_between_nodes(grid_1d):
     # nodes at -1, 0, 1 with values x^2: between 0 and 1 the interpolant is linear
     vals = np.tile(np.array([1.0, 0.0, 1.0]), (3, 1))
     fld = ScalarField(grid_1d, vals)
-    assert interpolate(fld, 0, [0.5]) == pytest.approx(0.5)
-    assert interpolate(fld, 0, [-0.25]) == pytest.approx(0.25)
+    assert fld.at(0, [0.5]) == pytest.approx(0.5)
+    assert fld.at(0, [-0.25]) == pytest.approx(0.25)
 
 
 def test_interpolate_clamps_out_of_bounds(grid_1d):
     vals = np.tile(np.array([2.0, 0.0, 7.0]), (3, 1))
     fld = ScalarField(grid_1d, vals)
-    assert interpolate(fld, 1, [10.0]) == 7.0
-    assert interpolate(fld, 1, [-10.0]) == 2.0
+    assert fld.at(1, [10.0]) == 7.0
+    assert fld.at(1, [-10.0]) == 2.0
 
 
 def test_interpolate_rejects_bad_inputs(grid_1d):

@@ -146,6 +146,19 @@ def test_lsmc_contraction_precondition(grid):
         lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 100, RegressionBasis(), 906)
 
 
+def test_lsmc_warns_when_inner_fixed_point_does_not_converge(grid):
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: -0.5 * y + np.cos(x[:, 0]), K_Y=0.5),
+        terminal_g=lambda p: p[:, 0] ** 2,
+        horizon_T=1.0,
+    )
+    basis = RegressionBasis(kind="polynomial", degree=2)
+    with pytest.warns(UserWarning, match=r"within 1 iterations at 50 backward steps; "
+                      r"worst at backward step \d+: last change \d"):
+        lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 500, basis, 907, inner_iterations=1)
+
+
 def test_crosscheck_zero_driver_agreement(square_problem, grid):
     cache = build_cache(brownian(), grid, 1000, master_seed=31)
     mild = picard_solve(square_problem, cache, PicardConfig(tolerance=1e-9))

@@ -199,6 +199,26 @@ def test_h_transform_two_sided_bound_warning():
         build_h_transform(xs, xs, lambda v: np.ones_like(v))  # exp(Sigma) spans e^20
 
 
+def test_h_transform_shared_search_equals_interp_bitwise():
+    xs = np.linspace(-2.0, 2.5, 4001)
+    tr = build_h_transform(xs, np.abs(xs) * 0.4 - np.sin(3.0 * xs) * 0.1,
+                           lambda v: 1.0 + 0.2 * np.cos(v))
+    H = tr.h_table
+    rng = np.random.default_rng(4)
+    y = np.concatenate([
+        [H[0] - 1.0, H[0] - 1e-12, H[-1] + 1e-12, H[-1] + 3.0],  # below and above the table
+        H,  # every node, the first and last included
+        rng.uniform(H[0], H[-1], 5000),  # interior points
+        [np.nan],
+    ])
+    x_got, s0_got = tr.h_inv_and_sigma0(y)
+    x_ref = np.interp(y, H, tr.x_table)
+    s0_ref = np.interp(y, H, tr.sigma0_table)
+    assert np.isnan(x_got[-1]) and np.isnan(s0_got[-1])
+    for got, ref in ((x_got, x_ref), (s0_got, s0_ref)):
+        np.testing.assert_array_equal(got[:-1].view(np.int64), ref[:-1].view(np.int64))
+
+
 def test_distributional_smooth_case_matches_direct_euler():
     # b = -x^2/4 has b' = -x/2: ordinary mean-reverting diffusion
     xs = np.linspace(-3.5, 3.5, 8001)

@@ -3,7 +3,15 @@ import pytest
 
 from pseudopde.core import ClockV, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, ResourceError
-from pseudopde.processes import Diffusion, Stable
+from pseudopde.processes import (
+    Diffusion,
+    DistributionalDrift,
+    JumpDiffusion,
+    JumpLaw,
+    LevyKernel,
+    Stable,
+    simulate,
+)
 from pseudopde.semigroup import (
     build_cache,
     chapman_kolmogorov_test,
@@ -60,6 +68,71 @@ def test_cache_preconditions(small_grid):
     with pytest.raises(ResourceError, match=r"lower mild\.cache_paths.*coarser grid"
                        r".*raise mild\.memory_budget_mb"):
         build_cache(brownian(), small_grid, 10**7, master_seed=1, memory_budget_mb=1.0)
+
+
+def _flat_step_clock(grid):
+    # one flat step: dV = 0 between the second and third of the five grid times
+    return ClockV(kind="tabulated", times=grid.times, values=np.array([0.0, 0.3, 0.3, 0.7, 1.2]))
+
+
+def _distributional_drift():
+    xs = np.linspace(-3.0, 3.0, 801)
+    return DistributionalDrift(
+        b_x=xs, b_values=np.abs(xs) * 0.3 - xs**2 / 8.0, sigma_fn=lambda v: 1.0 + 0.1 * np.sin(v),
+    )
+
+
+def _cache_generators():
+    sde_1d = dict(mu=lambda t, x: -0.5 * x[:, 0] + np.sin(t),
+                  sigma=lambda t, x: 0.6 + 0.2 * np.cos(x[:, 0]))
+    laws = [
+        JumpLaw(kind="two_point", param=0.4),
+        JumpLaw(kind="gaussian", param=0.3),
+        JumpLaw(kind="laplace", param=0.2),
+        JumpLaw(kind="atoms", atoms=((0.5, 0.25), (-0.2, 0.75))),
+    ]
+    diffusion_2d = Diffusion(
+        mu=lambda t, x: np.stack([np.sin(x[:, 1]), -0.3 * x[:, 0] * (1.0 + t)], axis=1),
+        sigma=lambda t, x: np.stack([
+            np.stack([0.5 + 0.1 * x[:, 0] ** 2, np.full(len(x), 0.2)], axis=1),
+            np.stack([0.1 * np.cos(x[:, 1]), np.full(len(x), 0.7)], axis=1),
+        ], axis=1),
+        dimension=2,
+    )
+    return [
+        pytest.param(diffusion_2d, id="diffusion-2d"),
+        *(pytest.param(JumpDiffusion(levy=LevyKernel(rate=1.3, law=law), **sde_1d),
+                       id=f"jump-{law.kind}") for law in laws),
+        pytest.param(Stable(alpha=1.4, scale=0.7), id="stable"),
+        pytest.param(_distributional_drift(), id="distributional-drift"),
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("gen", _cache_generators())
+def test_cache_cells_equal_per_cell_simulation(gen, threads):
+    # every cell is the ensemble `simulate` draws from the cell's own key
+    if gen.dimension == 2:
+        grid = SpaceTimeGrid.regular(1.0, 4, [-1.0, -0.5], [1.0, 0.5], [3, 2])
+    else:
+        grid = SpaceTimeGrid.regular(1.0, 4, -1.5, 1.5, 4)
+    clock = _flat_step_clock(grid)
+    seed, M = 23, 16
+    cache = build_cache(gen, grid, M, master_seed=seed, clock=clock, threads=threads)
+    assert cache.dvs[1] == 0.0
+    for i in range(grid.n_times):
+        for j in range(cache.n_nodes):
+            ref = simulate(gen, grid.times[i], cache.nodes[j], grid, M,
+                           derive_cell_seed(seed, i, j), clock)
+            np.testing.assert_array_equal(cache.cell(i, j), ref.paths)
+
+
+@pytest.mark.parametrize("gen", [Stable(alpha=1.5), _distributional_drift()],
+                         ids=["stable", "distributional-drift"])
+def test_cache_rejects_2d_grid_for_1d_families(gen):
+    grid = SpaceTimeGrid.regular(1.0, 2, [-1.0, -1.0], [1.0, 1.0], [3, 3])
+    with pytest.raises(ConfigurationError, match="requires dimension 1"):
+        build_cache(gen, grid, 8, master_seed=1)
 
 
 def test_cell_seeds_distinct():
