@@ -39,7 +39,7 @@ def main():
           f"{100 * sol.out_of_bounds_fraction:.1f}% of path points clamped at the bounds")
 
     basis = RegressionBasis(
-        kind="polynomial", degree=5, ridge=1e-8,
+        degree=5, ridge=1e-8,
         clip=(grid.space_min, grid.space_max),
     )
     row = crosscheck(sol, problem, gen, grid, [(0.0, [0.4])], 50000, basis, args.seed + 170)[0]

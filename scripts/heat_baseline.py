@@ -47,7 +47,7 @@ def main():
     print(f"u(0,0)           {u00:.5f} +- {se:.5f}   closed form {exact:.5f}")
     print(f"residuals        line1 {sol.residuals.residual_1:.3g}, line2 {sol.residuals.residual_2:.3g}")
 
-    basis = RegressionBasis(kind="polynomial", degree=4, ridge=1e-9)
+    basis = RegressionBasis(degree=4, ridge=1e-9)
     row = crosscheck(sol, problem, gen, grid, [(0.0, [0.0])], 50000, basis, args.seed + 1)[0]
     print(f"backward solver  y0 = {row.y0:.5f} +- {row.y0_stderr:.5f}  (gap {row.u_gap:.5f})")
     print(f"bracket root     v(0,0) = {row.v_value:.5f}, Z0 = {row.z0:.5f}")

@@ -272,10 +272,11 @@ def validate_config(path) -> RunPlan:
         clip = None
         if grid is not None:
             clip = (grid.space_min, grid.space_max)
+        kind = basis_cfg.get("kind", "polynomial")
+        if kind != "polynomial":
+            raise ConfigurationError(f"unknown basis kind {kind!r}; the basis is 'polynomial'")
         basis = RegressionBasis(
-            kind=basis_cfg.get("kind", "polynomial"),
             degree=int(basis_cfg.get("degree", 3)),
-            bins=int(basis_cfg.get("bins", 20)),
             ridge=float(fb_cfg.get("ridge", 1e-9)),
             clip=clip,
         )

@@ -7,19 +7,24 @@ solver.  Z is estimated as the square root of the conditional variance rate
 of one-step innovations (the dV-density of the martingale bracket); there is
 no driving noise to project on, so no integrand-regression alternative
 exists here.
+
+Conditional expectations are polynomial least-squares regressions evaluated
+only at the simulated paths that produced them (the in-sample estimator of
+Longstaff & Schwartz and of Gobet, Lemor & Warin); the solver keeps each
+step's values and residual RMS, not the fitted function.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import ProblemSpec, ScalarField, SpaceTimeGrid, v_increments
-from .errors import ConfigurationError, InputError, NumericalError, UnsupportedFeatureError
+from .core import ProblemSpec, SpaceTimeGrid, v_increments
+from .errors import ConfigurationError, InputError, NumericalError
 from .mild import MildSolution, _interp_row
 from .processes import simulate
 
@@ -27,45 +32,29 @@ from .processes import simulate
 @dataclass(frozen=True)
 class RegressionBasis:
     """Conditional-expectation basis: global polynomials of total degree
-    ``degree`` or a piecewise-constant partition of ``bins`` equal-width bins.
+    ``degree`` in the regressor coordinates.
 
     ``clip`` optionally confines the regressor coordinates to a box before
     building features; heavy-tailed positions otherwise dominate polynomial
     fits.  ``ridge`` regularizes the normal equations.
     """
 
-    kind: str = "polynomial"
     degree: int = 3
-    bins: int = 20
     ridge: float = 0.0
     clip: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "piecewise"):
-            raise ConfigurationError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 0:
+        if self.degree < 0:
             raise ConfigurationError("polynomial degree must be >= 0")
-        if self.kind == "piecewise" and self.bins < 1:
-            raise ConfigurationError("bin count must be >= 1")
         if self.ridge < 0:
             raise ConfigurationError("ridge must be nonnegative")
 
     def size(self, dimension: int) -> int:
-        if self.kind == "piecewise":
-            return self.bins
         return sum(
             1
             for p in range(self.degree + 1)
             for _ in combinations_with_replacement(range(dimension), p)
         )
-
-
-@dataclass
-class RegressionFit:
-    coefficients: np.ndarray
-    fitted: Callable
-    residual_rms: float
-    in_sample: np.ndarray = field(repr=False, default=None)
 
 
 def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
@@ -80,14 +69,19 @@ def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def regress(samples_x: np.ndarray, targets: np.ndarray, basis: RegressionBasis) -> RegressionFit:
-    """Least squares of targets on the basis features of samples_x."""
-    x = np.atleast_2d(np.asarray(samples_x, dtype=float))
-    if x.ndim == 2 and x.shape[0] == 1 and np.asarray(targets).size > 1:
-        x = x.T
+def regress(
+    samples_x: np.ndarray, targets: np.ndarray, basis: RegressionBasis
+) -> tuple[np.ndarray, float]:
+    """Least squares of targets on the basis features of the (n, d) samples.
+
+    Returns the fitted values at the samples and their residual RMS; the
+    backward solver needs the conditional expectation only along its own
+    paths, so no fit is kept for evaluation elsewhere.
+    """
+    x = np.asarray(samples_x, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if x.shape[0] != y.size:
-        raise InputError("sample and target counts differ")
+    if x.ndim != 2 or x.shape[0] != y.size:
+        raise InputError("samples must be (n, d) with one target per sample")
     if basis.clip is not None:
         lo, hi = basis.clip
         x = np.clip(x, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -96,36 +90,12 @@ def regress(samples_x: np.ndarray, targets: np.ndarray, basis: RegressionBasis) 
             f"{x.shape[0]} samples cannot identify {basis.size(x.shape[1])} basis functions"
         )
 
-    if basis.kind == "piecewise":
-        if x.shape[1] != 1:
-            raise UnsupportedFeatureError("piecewise-constant basis is 1-d in this version")
-        lo = x[:, 0].min()
-        hi = x[:, 0].max()
-        if basis.clip is not None:
-            lo, hi = float(np.asarray(basis.clip[0]).ravel()[0]), float(np.asarray(basis.clip[1]).ravel()[0])
-        edges = np.linspace(lo, hi, basis.bins + 1)
-        which = np.clip(np.searchsorted(edges, x[:, 0], side="right") - 1, 0, basis.bins - 1)
-        overall = float(np.mean(y))
-        sums = np.bincount(which, weights=y, minlength=basis.bins)
-        counts = np.bincount(which, minlength=basis.bins)
-        values = np.where(counts > 0, sums / np.maximum(counts, 1), overall)
-
-        def fitted(q):
-            q = np.atleast_2d(np.asarray(q, dtype=float))
-            w = np.clip(np.searchsorted(edges, q[:, 0], side="right") - 1, 0, basis.bins - 1)
-            return values[w]
-
-        in_sample = values[which]
-        rms = float(np.sqrt(np.mean((y - in_sample) ** 2)))
-        return RegressionFit(coefficients=values, fitted=fitted, residual_rms=rms, in_sample=in_sample)
-
     # standardize coordinates per call: the same polynomial space, far better
     # conditioned when the sample spread is small or the range is wide
     center = x.mean(axis=0)
     spread = x.std(axis=0)
     spread[spread == 0] = 1.0
-    xs = (x - center) / spread
-    design = _poly_design(xs, basis.degree)
+    design = _poly_design((x - center) / spread, basis.degree)
     if basis.ridge > 0:
         gram = design.T @ design + basis.ridge * np.eye(design.shape[1])
         beta = np.linalg.solve(gram, design.T @ y)
@@ -136,32 +106,21 @@ def regress(samples_x: np.ndarray, targets: np.ndarray, basis: RegressionBasis) 
                 f"design matrix rank {rank} < {design.shape[1]}: "
                 "regression is under-determined; add a ridge term"
             )
-    clip = basis.clip
-
-    def fitted(q, beta=beta, degree=basis.degree):
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        if clip is not None:
-            q = np.clip(q, np.asarray(clip[0], dtype=float), np.asarray(clip[1], dtype=float))
-        return _poly_design((q - center) / spread, degree) @ beta
-
-    in_sample = design @ beta
-    rms = float(np.sqrt(np.mean((y - in_sample) ** 2)))
-    return RegressionFit(coefficients=beta, fitted=fitted, residual_rms=rms, in_sample=in_sample)
+    fitted = design @ beta
+    return fitted, float(np.sqrt(np.mean((y - fitted) ** 2)))
 
 
 @dataclass
 class BsdeSolution:
-    """Backward solve output: y0 = Y_s at the origin plus per-step fits."""
+    """Backward solve output: y0 = Y_s and z0 = Z_s at the origin with their
+    stderrs, the residual RMS of each step's Y regression, and g(X_T)."""
 
     y0: float
     z0: float
     y0_stderr: float
     z0_stderr: float
-    y_fits: list
-    z_fits: list
     regression_residuals: list
     terminal_values: np.ndarray
-    seed: int
 
 
 def lsmc_solve(
@@ -185,7 +144,9 @@ def lsmc_solve(
     guaranteed by K_Y * dV_i < 1, enforced up front); a step still above
     ``inner_tolerance`` after ``inner_iterations`` keeps its last iterate, and
     one warning names the worst such step.  The degenerate initial
-    step regresses on the single-point support, i.e. a plain sample mean.
+    step regresses on the single-point support, i.e. a plain sample mean,
+    and records a regression residual of 0.0.  Only the current step's
+    values along the paths are held; no per-step fit is stored.
     """
     dvs_all = v_increments(grid, problem.clock)
     if problem.driver.K_Y * dvs_all.max() >= 1.0:
@@ -201,7 +162,7 @@ def lsmc_solve(
     y = problem.g(ens.paths[:, -1, :])
     terminal = y.copy()
     driver_sums = np.zeros(M)
-    y_fits, z_fits, rms = [], [], []
+    rms = []
     z_prev = np.zeros(M)
     y0 = float(np.mean(y))
     z0 = 0.0
@@ -221,25 +182,20 @@ def lsmc_solve(
             zx = np.full(M, np.sqrt(z2))
             if dv > 0 and M > 1 and z2 > 0:
                 z0_se = float(np.std(innov, ddof=1) / np.sqrt(M) / dv / (2.0 * np.sqrt(z2)))
-            fit_c = RegressionFit(np.array([c_val]), lambda q, c=c_val: np.full(len(np.atleast_2d(q)), c), 0.0)
-            fit_z = RegressionFit(np.array([z2]), lambda q, c=z2: np.full(len(np.atleast_2d(q)), c), 0.0)
+            rms.append(0.0)
         else:
             try:
-                fit_c = regress(xs, y, basis)
+                cx, c_rms = regress(xs, y, basis)
             except NumericalError as err:
                 raise NumericalError(f"regression failed at backward step {i}: {err}") from err
-            cx = fit_c.in_sample
+            rms.append(c_rms)
             innov = (y - cx) ** 2
             if dv > 0:
-                fit_z = regress(xs, innov, basis)
-                zx = np.sqrt(np.clip(fit_z.in_sample, 0.0, None) / dv)
+                z2x, _ = regress(xs, innov, basis)
+                zx = np.sqrt(np.clip(z2x, 0.0, None) / dv)
             else:
                 warnings.warn(f"dV = 0 at backward step {i}: carrying Z from the later step")
-                fit_z = RegressionFit(np.array([]), lambda q: np.zeros(len(np.atleast_2d(q))), 0.0)
                 zx = z_prev
-        y_fits.append(fit_c)
-        z_fits.append(fit_z)
-        rms.append(fit_c.residual_rms)
 
         y_new = cx.copy()
         if dv > 0:
@@ -266,8 +222,6 @@ def lsmc_solve(
             f"at {len(unconverged)} backward steps; worst at backward step {step}: "
             f"last change {change:.3g} >= tolerance {inner_tolerance:.3g}"
         )
-    y_fits.reverse()
-    z_fits.reverse()
     rms.reverse()
     # pathwise noise proxy: the chain of regressions averages the per-path
     # functional g(X_T) + sum f dV, whose dispersion sets the sampling error
@@ -279,11 +233,8 @@ def lsmc_solve(
         z0=z0,
         y0_stderr=y0_se,
         z0_stderr=z0_se,
-        y_fits=y_fits,
-        z_fits=z_fits,
         regression_residuals=rms,
         terminal_values=terminal,
-        seed=int(seed),
     )
 
 

@@ -202,6 +202,16 @@ def _fill_carries(w: np.ndarray, se_w: np.ndarray, computed: np.ndarray):
         se_w[i] = se_w[last]
 
 
+def _finish_v(grid, w, se_w, computed, telemetry: ClampTelemetry):
+    """Shared end of both v updates: carry unidentified rows, clamp w = v^2
+    at zero, and map (w, se_w) to (v, se_v) by the delta method."""
+    _fill_carries(w, se_w, computed)
+    w = _clamp_w(w, telemetry)
+    v = np.sqrt(w)
+    se_v = np.where(v > 1e-8, se_w / (2.0 * np.maximum(v, 1e-8)), np.sqrt(se_w))
+    return _unflat(grid, v), se_v, telemetry
+
+
 def update_v_variance(
     u_next: ScalarField, v_prev: ScalarField, problem: ProblemSpec, cache: EnsembleCache
 ):
@@ -229,11 +239,7 @@ def update_v_variance(
         w[i] = mean_sq / dv
         se_w[i] = se_sq / dv
         computed[i] = True
-    _fill_carries(w, se_w, computed)
-    w = _clamp_w(w, telemetry)
-    v = np.sqrt(w)
-    se_v = np.where(v > 1e-8, se_w / (2.0 * np.maximum(v, 1e-8)), np.sqrt(se_w))
-    return _unflat(grid, v), se_v, telemetry
+    return _finish_v(grid, w, se_w, computed, telemetry)
 
 
 def update_v_volterra(
@@ -278,12 +284,7 @@ def update_v_volterra(
         w[i] = _clamp_w(w[i], telemetry)
         row_mean_se[i] = float(np.mean(se_w[i]))
         computed[i] = True
-
-    _fill_carries(w, se_w, computed)
-    w = _clamp_w(w, telemetry)
-    v = np.sqrt(w)
-    se_v = np.where(v > 1e-8, se_w / (2.0 * np.maximum(v, 1e-8)), np.sqrt(se_w))
-    return _unflat(grid, v), se_v, telemetry
+    return _finish_v(grid, w, se_w, computed, telemetry)
 
 
 def mild_residuals(u: ScalarField, v: ScalarField, problem: ProblemSpec, cache: EnsembleCache):

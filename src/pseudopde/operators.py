@@ -110,14 +110,6 @@ class SmoothTestFunction:
                 ) / (4 * hs[k] * hs[l])
         return out
 
-    def shift(self, y: float) -> "SmoothTestFunction":
-        """The function x -> phi(t, x + y) for 1-d jump arguments."""
-        return SmoothTestFunction(
-            value=lambda t, x: self.value(t, np.asarray(x) + y),
-            dt=None if self.dt is None else (lambda t, x: self.dt(t, np.asarray(x) + y)),
-            h_fd=self.h_fd,
-        )
-
     def product(self, other: "SmoothTestFunction") -> "SmoothTestFunction":
         """phi * psi with product-rule partials when both factors have them."""
         dt = grad = hess = None
@@ -501,6 +493,26 @@ def _stf(f, ft, fx, fxx) -> SmoothTestFunction:
     )
 
 
+def _gaussian() -> SmoothTestFunction:
+    """exp(-v^2), shared by both built-in test sets."""
+    return _stf(
+        lambda t, v: np.exp(-(v**2)),
+        lambda t, v: np.zeros_like(v),
+        lambda t, v: -2.0 * v * np.exp(-(v**2)),
+        lambda t, v: (4.0 * v**2 - 2.0) * np.exp(-(v**2)),
+    )
+
+
+def _lorentzian() -> SmoothTestFunction:
+    """1 / (1 + v^2), shared by both built-in test sets."""
+    return _stf(
+        lambda t, v: 1.0 / (1.0 + v**2),
+        lambda t, v: np.zeros_like(v),
+        lambda t, v: -2.0 * v / (1.0 + v**2) ** 2,
+        lambda t, v: (6.0 * v**2 - 2.0) / (1.0 + v**2) ** 3,
+    )
+
+
 def bounded_test_functions(dimension: int = 1) -> list[SmoothTestFunction]:
     """Five bounded smooth test functions with closed-form partials (d = 1)."""
     if dimension != 1:
@@ -514,24 +526,14 @@ def bounded_test_functions(dimension: int = 1) -> list[SmoothTestFunction]:
             lambda t, v: sech2(v),
             lambda t, v: -2.0 * np.tanh(v) * sech2(v),
         ),
-        _stf(
-            lambda t, v: np.exp(-(v**2)),
-            lambda t, v: np.zeros_like(v),
-            lambda t, v: -2.0 * v * np.exp(-(v**2)),
-            lambda t, v: (4.0 * v**2 - 2.0) * np.exp(-(v**2)),
-        ),
+        _gaussian(),
         _stf(
             lambda t, v: np.sin(v) * np.exp(-0.3 * t),
             lambda t, v: -0.3 * np.sin(v) * np.exp(-0.3 * t),
             lambda t, v: np.cos(v) * np.exp(-0.3 * t),
             lambda t, v: -np.sin(v) * np.exp(-0.3 * t),
         ),
-        _stf(
-            lambda t, v: 1.0 / (1.0 + v**2),
-            lambda t, v: np.zeros_like(v),
-            lambda t, v: -2.0 * v / (1.0 + v**2) ** 2,
-            lambda t, v: (6.0 * v**2 - 2.0) / (1.0 + v**2) ** 3,
-        ),
+        _lorentzian(),
         _stf(
             lambda t, v: np.cos(2.0 * v) * (1.0 + 0.5 * t),
             lambda t, v: 0.5 * np.cos(2.0 * v),
@@ -549,24 +551,14 @@ def decaying_test_functions(dimension: int = 1) -> list[SmoothTestFunction]:
         raise UnsupportedFeatureError("the built-in test set is 1-d")
 
     return [
-        _stf(
-            lambda t, v: np.exp(-(v**2)),
-            lambda t, v: np.zeros_like(v),
-            lambda t, v: -2.0 * v * np.exp(-(v**2)),
-            lambda t, v: (4.0 * v**2 - 2.0) * np.exp(-(v**2)),
-        ),
+        _gaussian(),
         _stf(
             lambda t, v: v * np.exp(-(v**2) / 2.0),
             lambda t, v: np.zeros_like(v),
             lambda t, v: (1.0 - v**2) * np.exp(-(v**2) / 2.0),
             lambda t, v: v * (v**2 - 3.0) * np.exp(-(v**2) / 2.0),
         ),
-        _stf(
-            lambda t, v: 1.0 / (1.0 + v**2),
-            lambda t, v: np.zeros_like(v),
-            lambda t, v: -2.0 * v / (1.0 + v**2) ** 2,
-            lambda t, v: (6.0 * v**2 - 2.0) / (1.0 + v**2) ** 3,
-        ),
+        _lorentzian(),
         _stf(
             lambda t, v: np.exp(-(v**2)) * np.cos(2.0 * v) * np.exp(-0.2 * t),
             lambda t, v: -0.2 * np.exp(-(v**2)) * np.cos(2.0 * v) * np.exp(-0.2 * t),

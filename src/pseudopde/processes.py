@@ -120,17 +120,6 @@ class LevyKernel:
         if self.rate < 0:
             raise ConfigurationError("jump rate must be nonnegative")
 
-    def integral(self, fn: Callable) -> float:
-        """integral fn(y) K(dy) = rate * E_law[fn(Y)]."""
-        return self.rate * self.law.expect(fn)
-
-
-def _as_points(x, dimension):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != dimension:
-        raise InputError(f"points have dimension {x.shape[1]}, expected {dimension}")
-    return x
-
 
 def _drift_array(mu, t, x, dimension):
     out = np.asarray(mu(t, x), dtype=float)
@@ -217,9 +206,6 @@ class HTransform:
     Sigma_table: np.ndarray
     h_table: np.ndarray
     sigma0_table: np.ndarray
-
-    def Sigma(self, x):
-        return np.interp(x, self.x_table, self.Sigma_table)
 
     def h(self, x):
         return np.interp(x, self.x_table, self.h_table)
@@ -333,9 +319,6 @@ def _fingerprint(*parts) -> str:
     return hashlib.sha1(repr(parts).encode()).hexdigest()[:16]
 
 
-GeneratorSpec = (Diffusion, JumpDiffusion, Stable, DistributionalDrift)
-
-
 @dataclass(frozen=True)
 class PathEnsemble:
     """M simulated trajectories from (s, x) over a sub-grid of [s, T]."""
@@ -352,10 +335,6 @@ class PathEnsemble:
             raise ConfigurationError("paths must be (M >= 1, n_times, d)")
         if not np.allclose(self.paths[:, 0, :], self.origin_x[None, :]):
             raise InternalError("paths do not start at the origin")
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
 
     @property
     def n_times(self) -> int:

@@ -1,11 +1,16 @@
-"""Monte-Carlo estimators for the two semigroup functionals of the solver.
+"""The frozen path cache of the solver and per-cell reference estimators.
 
-``terminal_expectation`` estimates E^{s,x}[phi(X_T)] and
-``running_expectation`` estimates E^{s,x}[ integral_s^T psi(r, X_r) dV_r ]
-by a left-endpoint Riemann-Stieltjes sum per path.  Both read from a frozen
-``EnsembleCache`` holding one path ensemble per (grid time, grid node), so
-every fixed-point sweep sees identical noise (common random numbers) and the
-iteration is a deterministic map between fields.
+``build_cache`` simulates an ``EnsembleCache`` holding one path ensemble per
+(grid time, grid node), so every fixed-point sweep sees identical noise
+(common random numbers) and the iteration is a deterministic map between
+fields.  The sweeps read the cache one origin block at a time through
+``mild._block_steps``.
+
+``terminal_expectation`` (E^{s,x}[phi(X_T)]), ``running_expectation``
+(E^{s,x}[ integral_s^T psi(r, X_r) dV_r ] by a left-endpoint
+Riemann-Stieltjes sum per path) and ``terminal_plus_running`` estimate one
+cell at a time.  The sweeps do not call them: they are the reference the
+block kernel is tested against, bit for bit.
 """
 
 from __future__ import annotations

@@ -180,7 +180,7 @@ def test_criterion_04_picard_contraction(solve2):
 
 
 def test_criterion_05_mild_fbsde_equivalence(grid, problem1, problem2, problem3, solve1, solve2, solve3):
-    basis = RegressionBasis(kind="polynomial", degree=4, ridge=1e-9)
+    basis = RegressionBasis(degree=4, ridge=1e-9)
     details = []
     ok = True
     for label, prob, sol, seed in [
@@ -340,7 +340,7 @@ def test_criterion_11_distributional_drift():
     )
     cache = build_cache(dd, grid, 1500, master_seed=5151)
     sol = picard_solve(prob, cache, PicardConfig(max_iterations=10, tolerance=0.002))
-    basis = RegressionBasis(kind="polynomial", degree=4, ridge=1e-9)
+    basis = RegressionBasis(degree=4, ridge=1e-9)
     row = crosscheck(sol, prob, dd, grid, [(0.0, [0.4])], 30000, basis, 999)[0]
     u_tol = max(3 * row.combined_stderr, 0.02 * max(abs(row.u_value), abs(row.y0)))
     v_tol = 0.10 * float(np.max(np.abs(sol.v.values)))
@@ -364,7 +364,7 @@ def test_criterion_12_fractional_semilinear():
     cache = build_cache(gen, grid, 6000, master_seed=2718, memory_budget_mb=2048)
     sol = picard_solve(prob, cache, PicardConfig(max_iterations=10, tolerance=0.002))
     basis = RegressionBasis(
-        kind="polynomial", degree=5, ridge=1e-8, clip=(np.array([-4.0]), np.array([4.0]))
+        degree=5, ridge=1e-8, clip=(np.array([-4.0]), np.array([4.0]))
     )
     row = crosscheck(sol, prob, gen, grid, [(0.0, [0.4])], 50000, basis, 888)[0]
     u_tol = max(3 * row.combined_stderr, 0.02 * max(abs(row.u_value), abs(row.y0)))

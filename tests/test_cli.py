@@ -63,6 +63,20 @@ def test_validate_reports_all_violations_at_once(tmp_path):
     assert "terminal_g" in text and "generator.kind" in text and "mild" in text
 
 
+def test_validate_rejects_non_polynomial_basis_with_other_errors(tmp_path):
+    cfg = smoke_config()
+    cfg["fbsde"]["basis"] = {"kind": "piecewise", "bins": 8}
+    cfg["mild"]["tolerance"] = -1.0
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(write_config(tmp_path, cfg))
+    text = str(err.value)
+    assert "fbsde.basis: unknown basis kind 'piecewise'" in text and "mild:" in text
+    # the polynomial basis is echoed as written
+    plan = validate_config(write_config(tmp_path, smoke_config()))
+    assert plan.normalized["fbsde"]["basis"] == {"kind": "polynomial", "degree": 3}
+    assert plan.basis.degree == 3
+
+
 def test_validate_contraction_rule(tmp_path):
     cfg = smoke_config()
     cfg["problem"]["driver"] = {"expr": "2*y", "K_Y": 2.0}
