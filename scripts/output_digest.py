@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""SHA-256 of every output file of `pseudopde run` on the benchmark workloads
+and the shipped configs.
+
+    python3 scripts/output_digest.py [--threads N]
+
+Runs `pseudopde.cli.run` from this checkout's `src/` on the three benchmark
+workloads (configs built by `perfbench/workloads.make_config` at the
+benchmark's sizes, seed 1) and on every `scripts/configs/*.json` (its own
+seed), then prints one line per output file: run, file name, sha256.
+`manifest.json` is hashed without `timings_seconds`, the one part of the
+output that depends on the host's speed. Run it in two checkouts and diff the
+printed lines to see whether a change keeps the output bytes.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from pseudopde import cli  # noqa: E402
+import workloads  # noqa: E402
+
+WORKLOAD_SEED = 1
+
+
+def file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        manifest.pop("timings_seconds", None)
+        data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def runs(tmp: Path):
+    """(label, config path, seed override) of every run."""
+    for name, sizes in workloads.SIZES.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(workloads.make_config(ROOT, name, sizes)))
+        yield name, path, WORKLOAD_SEED
+    for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
+        yield path.stem, path, None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--threads", type=int, default=1)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
+        tmp = Path(tmp)
+        for label, config, seed in runs(tmp):
+            out = tmp / "out" / label
+            code = cli.run(config, out_dir=out, threads=args.threads, seed_override=seed)
+            print(f"{label} exit_code {code}", flush=True)
+            for path in sorted(out.iterdir()):
+                print(f"{label} {path.name} {file_digest(path)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -235,8 +235,11 @@ def validate_config(path) -> RunPlan:
                     fn=fn,
                     K_Y=float(d_cfg.get("K_Y", 0.0)),
                     K_Z=float(d_cfg.get("K_Z", 0.0)),
-                    C_prime=float(d_cfg.get("C_prime", 0.0)),
                 )
+                # declared but read by no computation; validated and echoed only
+                c_prime = float(d_cfg.get("C_prime", 0.0))
+                if c_prime < 0:
+                    raise ConfigurationError("C_prime must be nonnegative")
             except (PseudoPdeError, TypeError, ValueError) as err:
                 errors.append(f"problem.driver: {err}")
 
@@ -288,8 +291,11 @@ def validate_config(path) -> RunPlan:
         for o in fb_cfg.get("origins", [[0.0] + [0.0] * dimension])
     ]
     for k, (s, x) in enumerate(origins):
-        if grid is not None and not np.any(np.isclose(grid.times, s, atol=1e-9)):
-            errors.append(f"fbsde.origins[{k}]: time {s} is not a grid time")
+        if grid is not None:
+            try:
+                grid.time_index(s)
+            except ConfigurationError as err:
+                errors.append(f"fbsde.origins[{k}]: {err}")
         if x.size != dimension:
             errors.append(f"fbsde.origins[{k}]: point has dimension {x.size}, expected {dimension}")
 
@@ -346,7 +352,7 @@ def validate_config(path) -> RunPlan:
                 "expr": d_cfg["expr"],
                 "K_Y": problem.driver.K_Y,
                 "K_Z": problem.driver.K_Z,
-                "C_prime": problem.driver.C_prime,
+                "C_prime": c_prime,
                 "verify_lipschitz": bool(d_cfg.get("verify_lipschitz", False)),
             },
             "terminal_g": {"expr": g_cfg["expr"]},

@@ -104,6 +104,17 @@ class SpaceTimeGrid:
     def horizon(self) -> float:
         return float(self.times[-1])
 
+    def time_index(self, s: float) -> int:
+        """Index of the grid time ``s``, the initial time of a path family P^{s,x}.
+
+        ``s`` is a grid time when it lies within ``1e-9 * max(1, horizon)`` of
+        one; any other value (NaN included) raises ``ConfigurationError``.
+        """
+        i = int(np.argmin(np.abs(self.times - s)))
+        if not abs(self.times[i] - s) <= 1e-9 * max(1.0, self.horizon):
+            raise ConfigurationError(f"time {s} is not a grid time")
+        return i
+
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Node coordinates per axis, built once; read-only."""
@@ -140,6 +151,15 @@ def v_increments(grid: SpaceTimeGrid, clock: ClockV) -> np.ndarray:
     # but guard against float dust
     inc[np.abs(inc) < 1e-15] = np.abs(inc[np.abs(inc) < 1e-15])
     return inc
+
+
+def mean_and_stderr(vals: np.ndarray):
+    """Sample mean and its stderr (ddof=1; 0 for one sample) over the last axis."""
+    m = vals.shape[-1]
+    mean = np.mean(vals, axis=-1)
+    if m < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(vals, axis=-1, ddof=1) / np.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -242,12 +262,11 @@ class LipschitzDriver:
     fn: Callable
     K_Y: float = 0.0
     K_Z: float = 0.0
-    C_prime: float = 0.0
     lipschitz_verified: bool = False
 
     def __post_init__(self):
-        if self.K_Y < 0 or self.K_Z < 0 or self.C_prime < 0:
-            raise ConfigurationError("K_Y, K_Z, C_prime must be nonnegative")
+        if self.K_Y < 0 or self.K_Z < 0:
+            raise ConfigurationError("K_Y, K_Z must be nonnegative")
 
     def __call__(self, t, x, y, z):
         return np.asarray(self.fn(t, x, y, z), dtype=float)

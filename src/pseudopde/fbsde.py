@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProblemSpec, SpaceTimeGrid, v_increments
+from .core import ProblemSpec, SpaceTimeGrid, mean_and_stderr, v_increments
 from .errors import ConfigurationError, InputError, NumericalError
 from .mild import MildSolution, _interp_row
 from .processes import simulate
@@ -148,16 +148,13 @@ def lsmc_solve(
     and records a regression residual of 0.0.  Only the current step's
     values along the paths are held; no per-step fit is stored.
     """
-    dvs_all = v_increments(grid, problem.clock)
-    if problem.driver.K_Y * dvs_all.max() >= 1.0:
+    max_dv = v_increments(grid, problem.clock).max()
+    if problem.driver.K_Y * max_dv >= 1.0:
         raise ConfigurationError(
-            f"K_Y * max dV = {problem.driver.K_Y * dvs_all.max():.3g} >= 1: "
+            f"K_Y * max dV = {problem.driver.K_Y * max_dv:.3g} >= 1: "
             "the implicit one-step solve needs a finer grid"
         )
     ens = simulate(gen, s, x, grid, M, seed, problem.clock)
-    i0 = grid.n_times - ens.n_times
-    dvs = dvs_all[i0:]
-    n_t = ens.n_times
 
     y = problem.g(ens.paths[:, -1, :])
     terminal = y.copy()
@@ -166,22 +163,22 @@ def lsmc_solve(
     z_prev = np.zeros(M)
     y0 = float(np.mean(y))
     z0 = 0.0
-    y0_se = float(np.std(y, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     z0_se = 0.0
     unconverged = []  # (last change, step) of inner solves that hit the cap
 
-    for i in range(n_t - 2, -1, -1):
-        dv = float(dvs[i])
+    for i in range(ens.dvs.size - 1, -1, -1):
+        dv = float(ens.dvs[i])
         xs = ens.paths[:, i, :]
         t_i = ens.times[i]
         if i == 0:
             c_val = float(np.mean(y))
             cx = np.full(M, c_val)
             innov = (y - c_val) ** 2
-            z2 = max(float(np.mean(innov)) / dv, 0.0) if dv > 0 else 0.0
+            innov_mean, innov_se = mean_and_stderr(innov)
+            z2 = max(float(innov_mean) / dv, 0.0) if dv > 0 else 0.0
             zx = np.full(M, np.sqrt(z2))
-            if dv > 0 and M > 1 and z2 > 0:
-                z0_se = float(np.std(innov, ddof=1) / np.sqrt(M) / dv / (2.0 * np.sqrt(z2)))
+            if dv > 0 and z2 > 0:
+                z0_se = float(innov_se / dv / (2.0 * np.sqrt(z2)))
             rms.append(0.0)
         else:
             try:
@@ -225,13 +222,11 @@ def lsmc_solve(
     rms.reverse()
     # pathwise noise proxy: the chain of regressions averages the per-path
     # functional g(X_T) + sum f dV, whose dispersion sets the sampling error
-    pathwise = terminal + driver_sums
-    if M > 1:
-        y0_se = float(np.std(pathwise, ddof=1) / np.sqrt(M))
+    _, y0_se = mean_and_stderr(terminal + driver_sums)
     return BsdeSolution(
         y0=y0,
         z0=z0,
-        y0_stderr=y0_se,
+        y0_stderr=float(y0_se),
         z0_stderr=z0_se,
         regression_residuals=rms,
         terminal_values=terminal,
@@ -276,9 +271,7 @@ def crosscheck(
     v_rows = mild.v.values.reshape(grid.n_times, -1)
     for idx, (s, x) in enumerate(origins):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        i_s = int(np.argmin(np.abs(grid.times - s)))
-        if not np.isclose(grid.times[i_s], s, rtol=0, atol=1e-9):
-            raise InputError(f"crosscheck origin time {s} is not a grid time")
+        i_s = grid.time_index(s)
         sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, seed + 7919 * idx)
         pt = x_arr[None, :]
         u_val = float(_interp_row(grid, u_rows[i_s], pt)[0])

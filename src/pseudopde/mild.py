@@ -130,12 +130,7 @@ def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.n
 
 def _node_stats(vals: np.ndarray, n_nodes: int):
     """Per-node sample mean and stderr of node-major per-path values."""
-    per_node = vals.reshape(n_nodes, -1)
-    m = per_node.shape[1]
-    mean = np.mean(per_node, axis=1)
-    if m < 2:
-        return mean, np.zeros(n_nodes)
-    return mean, np.std(per_node, axis=1, ddof=1) / np.sqrt(m)
+    return core.mean_and_stderr(vals.reshape(n_nodes, -1))
 
 
 def _scalar_square(a: np.ndarray) -> np.ndarray:

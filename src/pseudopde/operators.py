@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from .core import ClockV, ScalarField, SpaceTimeGrid, v_increments
+from .core import ClockV, ScalarField, SpaceTimeGrid
 from .errors import (
     ConfigurationError,
     InputError,
@@ -443,20 +443,16 @@ def martingale_test(
     functions of X_{t_i}; all coefficient z-scores (heteroskedasticity-robust)
     should be near zero when a_phi is the true generator action.
     """
-    clock = clock if clock is not None else ClockV()
     ens = simulate(gen, s, x, grid, M, seed, clock)
-    i0 = grid.n_times - ens.n_times
-    dvs = v_increments(grid, clock)[i0:]
-    n_steps = ens.n_times - 1
     zs = []
     names = None
     n_coef = 1 + 2 * grid.dimension
-    for j in range(n_steps):
+    for j, dv in enumerate(ens.dvs):
         xs = ens.paths[:, j, :]
         incr = (
             phi(ens.times[j + 1], ens.paths[:, j + 1, :])
             - phi(ens.times[j], xs)
-            - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dvs[j]
+            - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dv
         )
         design = _bounded_basis(xs)
         if names is None:

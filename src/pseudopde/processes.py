@@ -19,6 +19,10 @@ a fixed (path, step) layout, so results are independent of scheduling and of
 the worker count.  A cache block (one origin time, every node) is evolved in
 one call: each cell's rows draw from the cell's own stream, then all rows of
 the block step together.
+
+``simulate`` samples the family P^{s,x}: M paths from x at the grid time s
+(located by ``SpaceTimeGrid.time_index``), returned as a ``PathEnsemble`` of
+the grid times from s on, their clock increments dV and the positions.
 """
 
 from __future__ import annotations
@@ -77,11 +81,6 @@ class JumpLaw:
             ys = self.param * t
             return np.concatenate([ys, -ys]), np.concatenate([w, w]) * 0.5
         raise ConfigurationError(self.kind)  # pragma: no cover
-
-    def expect(self, fn: Callable) -> float:
-        """E[fn(Y)] for vectorized fn, exact for discrete laws, quadrature else."""
-        ys, ws = self.quadrature()
-        return float(np.sum(ws * np.asarray(fn(ys), dtype=float)))
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         """Sum of `count` iid jumps per entry, drawn with a fixed layout.
@@ -321,24 +320,16 @@ def _fingerprint(*parts) -> str:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """M simulated trajectories from (s, x) over a sub-grid of [s, T]."""
+    """M simulated trajectories of P^{s,x} over the grid times from s to T.
 
-    origin_time: float
-    origin_x: np.ndarray
+    ``times`` are the grid times t_i..t_N with t_i = s, ``dvs`` the clock
+    increments V(t_{j+1}) - V(t_j) over those steps, and ``paths`` the
+    (M, times.size, d) positions, every path starting at x.
+    """
+
     times: np.ndarray
-    paths: np.ndarray  # (M, n_times, d)
-    seed: int
-    generator_fingerprint: str
-
-    def __post_init__(self):
-        if self.paths.ndim != 3 or self.paths.shape[0] < 1:
-            raise ConfigurationError("paths must be (M >= 1, n_times, d)")
-        if not np.allclose(self.paths[:, 0, :], self.origin_x[None, :]):
-            raise InternalError("paths do not start at the origin")
-
-    @property
-    def n_times(self) -> int:
-        return self.paths.shape[1]
+    dvs: np.ndarray
+    paths: np.ndarray
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -383,23 +374,22 @@ def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -
     return (z,)
 
 
-def evolve_paths(gen, times, dvs, starts: np.ndarray, rng) -> np.ndarray:
+def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     """Evolve one path per row of ``starts`` (n, d) over ``times``; returns (n, n_times, d).
 
     ``dvs`` are the clock increments over the steps of ``times`` (used by the
-    jump intensity). ``rng`` is one Generator or a list of Generators; with a
-    list the rows split into equal consecutive groups, one per Generator, and
-    each group draws exactly what a one-Generator call on that group alone
-    would. The random draw layout per (path, step) is fixed, so each row is a
-    deterministic function of (its Generator's state, its index in its group).
+    jump intensity). ``rng`` is a list of Generators: the rows split into
+    equal consecutive groups, one per Generator, and each group draws exactly
+    what a one-Generator call on that group alone would. The random draw
+    layout per (path, step) is fixed, so each row is a deterministic function
+    of (its Generator's state, its index in its group).
     """
     times = np.asarray(times, dtype=float)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, d = starts.shape
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if not rngs or n % len(rngs):
-        raise InputError(f"{n} paths do not split into {len(rngs)} equal groups")
-    m = n // len(rngs)
+    if not rng or n % len(rng):
+        raise InputError(f"{n} paths do not split into {len(rng)} equal groups")
+    m = n // len(rng)
     n_steps = times.size - 1
     dts = np.diff(times)
     paths = np.empty((n, times.size, d))
@@ -407,14 +397,14 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng) -> np.ndarray:
 
     if isinstance(gen, Stable):
         # no step loop: each group's draws are transformed as they are drawn
-        for g, r in enumerate(rngs):
+        for g, r in enumerate(rng):
             rows = slice(g * m, (g + 1) * m)
             u, e = _draw(gen, r, m, dts, dvs, d)
             if n_steps:
                 incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
                 paths[rows, 1:, 0] = starts[rows, 0:1] + np.cumsum(incr, axis=1)
     else:
-        groups = [_draw(gen, r, m, dts, dvs, d) for r in rngs]
+        groups = [_draw(gen, r, m, dts, dvs, d) for r in rng]
         draws = groups[0] if len(groups) == 1 else [np.concatenate(a) for a in zip(*groups)]
         if isinstance(gen, DistributionalDrift):
             tr = gen.transform
@@ -452,28 +442,22 @@ def simulate(
     seed: int,
     clock: Optional[ClockV] = None,
 ) -> PathEnsemble:
-    """Simulate M paths of the generator's process from (s, x) on grid times >= s."""
+    """Simulate M paths of the generator's process from (s, x) on grid times >= s.
+
+    ``s`` must be a grid time (``SpaceTimeGrid.time_index``); ``clock``
+    defaults to V(t) = t.  All paths draw from one Philox stream keyed by
+    ``seed``, so path j depends only on (seed, j).
+    """
     if M < 1:
         raise ConfigurationError("path count M must be >= 1")
-    clock = clock if clock is not None else ClockV()
     d = grid.dimension
     check_dimension(gen, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (d,) or not np.all(np.isfinite(x)):
         raise InputError(f"origin point must be finite with shape ({d},)")
-    i0 = int(np.argmin(np.abs(grid.times - s)))
-    if not np.isclose(grid.times[i0], s, rtol=0, atol=1e-9 * max(1.0, grid.horizon)):
-        raise ConfigurationError(f"start time {s} is not a grid time")
+    i0 = grid.time_index(s)
 
     times = grid.times[i0:]
-    dvs = v_increments(grid, clock)[i0:]
+    dvs = v_increments(grid, clock if clock is not None else ClockV())[i0:]
     starts = np.repeat(x[None, :], M, axis=0)
-    paths = evolve_paths(gen, times, dvs, starts, _rng(seed))
-    return PathEnsemble(
-        origin_time=float(s),
-        origin_x=x,
-        times=times,
-        paths=paths,
-        seed=int(seed),
-        generator_fingerprint=gen.fingerprint(),
-    )
+    return PathEnsemble(times, dvs, evolve_paths(gen, times, dvs, starts, [_rng(seed)]))

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClockV, SpaceTimeGrid, v_increments
+from .core import ClockV, SpaceTimeGrid, mean_and_stderr, v_increments
 from .errors import ConfigurationError, InputError, ResourceError
 from .processes import check_dimension, evolve_paths, simulate, _rng
 
@@ -40,15 +40,16 @@ class EnsembleCache:
 
     ``blocks[i]`` has shape (n_nodes, M, n_times - i, d): the ensembles of all
     spatial nodes started at grid time index i, sharing the grid times i..N.
-    The mild sweeps read one origin block at a time: at each step they take
-    the positions of all its paths at once, a working set of n_nodes*M*d
-    floats.  Read-only after construction.
+    ``dvs`` holds the clock increments over the whole grid and ``nodes`` the
+    (n_nodes, d) start points; ``generator_fingerprint`` lets a solver check
+    that the cache was built for its problem's generator.  The mild sweeps
+    read one origin block at a time: at each step they take the positions of
+    all its paths at once, a working set of n_nodes*M*d floats.  Read-only
+    after construction.
     """
 
     grid: SpaceTimeGrid
-    clock: ClockV
     generator_fingerprint: str
-    master_seed: int
     M: int
     blocks: dict = field(repr=False)
     dvs: np.ndarray = field(repr=False)
@@ -123,9 +124,7 @@ def build_cache(
 
     return EnsembleCache(
         grid=grid,
-        clock=clock,
         generator_fingerprint=gen.fingerprint(),
-        master_seed=int(master_seed),
         M=int(M),
         blocks=blocks,
         dvs=dvs,
@@ -153,10 +152,8 @@ def terminal_expectation(cache: EnsembleCache, s_index: int, node_index: int, ph
     """Sample mean and stderr of phi(X_T) over one cell's ensemble."""
     paths = cache.cell(s_index, node_index)
     vals = _call_phi(phi, paths[:, -1, :], "terminal function", (s_index, node_index))
-    m = paths.shape[0]
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return est, se
+    est, se = mean_and_stderr(vals)
+    return float(est), float(se)
 
 
 def running_path_sums(cache: EnsembleCache, s_index: int, node_index: int, psi: Callable):
@@ -179,11 +176,8 @@ def running_expectation(cache: EnsembleCache, s_index: int, node_index: int, psi
     ``psi(time_index, points)`` receives the global grid time index and the
     (M, d) positions at that time.
     """
-    acc = running_path_sums(cache, s_index, node_index, psi)
-    m = acc.size
-    est = float(np.mean(acc))
-    se = float(np.std(acc, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return est, se
+    est, se = mean_and_stderr(running_path_sums(cache, s_index, node_index, psi))
+    return float(est), float(se)
 
 
 def terminal_plus_running(
@@ -203,10 +197,8 @@ def terminal_plus_running(
     vals = _call_phi(phi, paths[:, -1, :], "terminal function", (s_index, node_index))
     if psi is not None:
         vals = vals + running_sign * running_path_sums(cache, s_index, node_index, psi)
-    m = vals.size
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return est, se
+    est, se = mean_and_stderr(vals)
+    return float(est), float(se)
 
 
 def chapman_kolmogorov_test(
@@ -231,30 +223,22 @@ def chapman_kolmogorov_test(
     """
     if not (s < t < u):
         raise ConfigurationError("need s < t < u")
-    clock = clock if clock is not None else ClockV()
-    for point in (s, t, u):
-        if not np.any(np.isclose(grid.times, point, rtol=0, atol=1e-12)):
-            raise ConfigurationError(f"{point} is not a grid time")
+    i_s = grid.time_index(s)
+    it, iu = grid.time_index(t) - i_s, grid.time_index(u) - i_s
     inner_gen = inner_gen if inner_gen is not None else gen
-    iu = int(np.argmin(np.abs(grid.times - u)))
-    it = int(np.argmin(np.abs(grid.times - t)))
 
     direct = simulate(gen, s, x, grid, M, seed, clock)
-    iu_local = iu - int(np.argmin(np.abs(grid.times - s)))
-    vals_d = np.asarray(phi(direct.paths[:, iu_local, :]), dtype=float)
+    vals_d = np.asarray(phi(direct.paths[:, iu, :]), dtype=float)
 
     outer = simulate(gen, s, x, grid, M, seed + 1, clock)
-    it_local = it - int(np.argmin(np.abs(grid.times - s)))
-    starts = outer.paths[:, it_local, :]
     inner_paths = evolve_paths(
-        inner_gen, grid.times[it : iu + 1], v_increments(grid, clock)[it:iu],
-        starts, _rng(seed + 2),
+        inner_gen, outer.times[it : iu + 1], outer.dvs[it:iu],
+        outer.paths[:, it, :], [_rng(seed + 2)],
     )
     vals_2 = np.asarray(phi(inner_paths[:, -1, :]), dtype=float)
 
-    est_d, est_2 = float(np.mean(vals_d)), float(np.mean(vals_2))
-    se_d = float(np.std(vals_d, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    se_2 = float(np.std(vals_2, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+    est_d, se_d = mean_and_stderr(vals_d)
+    est_2, se_2 = mean_and_stderr(vals_2)
     denom = np.hypot(se_d, se_2)
     if denom == 0.0:
         return 0.0 if est_d == est_2 else float("inf")

@@ -77,6 +77,24 @@ def test_validate_rejects_non_polynomial_basis_with_other_errors(tmp_path):
     assert plan.basis.degree == 3
 
 
+def test_validate_rejects_off_grid_origin_with_other_errors(tmp_path):
+    cfg = smoke_config()
+    cfg["fbsde"]["origins"] = [[0.1 + 5e-8, 0.0]]  # 10 steps: 0.1 is a grid time
+    cfg["problem"]["driver"]["C_prime"] = -1.0
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(write_config(tmp_path, cfg))
+    text = str(err.value)
+    assert "fbsde.origins[0]: time 0.10000005" in text and "not a grid time" in text
+    assert "problem.driver: C_prime must be nonnegative" in text
+    # C_prime is echoed as a float, 0.0 when absent
+    assert validate_config(write_config(tmp_path, smoke_config())).normalized[
+        "problem"]["driver"]["C_prime"] == 0.0
+    cfg = smoke_config()
+    cfg["problem"]["driver"]["C_prime"] = 2
+    echoed = validate_config(write_config(tmp_path, cfg)).normalized["problem"]["driver"]
+    assert echoed["C_prime"] == 2.0 and isinstance(echoed["C_prime"], float)
+
+
 def test_validate_contraction_rule(tmp_path):
     cfg = smoke_config()
     cfg["problem"]["driver"] = {"expr": "2*y", "K_Y": 2.0}

@@ -72,6 +72,21 @@ def test_grid_invariants():
         SpaceTimeGrid.regular(1.0, 2, [-1.0], [1.0], [1])
 
 
+def test_time_index():
+    grid = SpaceTimeGrid.regular(1.0, 10, -1.0, 1.0, 3)
+    for i, t in enumerate(grid.times):
+        assert grid.time_index(t) == i
+    assert grid.time_index(0.3 + 1e-10) == 3
+    for off_grid in (0.3 + 1e-6, 0.3 + 5e-9, float("nan")):
+        with pytest.raises(ConfigurationError, match="not a grid time"):
+            grid.time_index(off_grid)
+    # the tolerance is 1e-9 * max(1, horizon)
+    long = SpaceTimeGrid.regular(10.0, 10, -1.0, 1.0, 3)
+    assert long.time_index(3.0 + 5e-9) == 3
+    with pytest.raises(ConfigurationError, match="not a grid time"):
+        long.time_index(3.0 + 2e-8)
+
+
 def test_grid_axes_built_once():
     grid = SpaceTimeGrid.regular(1.0, 2, [-1.0, 0.0], [1.0, 3.0], [5, 4])
     assert grid.axes is grid.axes

@@ -157,6 +157,15 @@ def test_lsmc_warns_when_inner_fixed_point_does_not_converge(grid):
         lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 500, basis, 907, inner_iterations=1)
 
 
+def test_crosscheck_rejects_off_grid_origin(square_problem):
+    small = SpaceTimeGrid.regular(1.0, 4, -2.0, 2.0, 5)
+    cache = build_cache(brownian(), small, 20, master_seed=3)
+    mild = picard_solve(square_problem, cache, PicardConfig(max_iterations=2))
+    with pytest.raises(ConfigurationError, match="time 0.1 is not a grid time"):
+        crosscheck(mild, square_problem, brownian(), small, [(0.1, [0.0])], 100,
+                   RegressionBasis(degree=2), 5)
+
+
 def test_crosscheck_zero_driver_agreement(square_problem, grid):
     cache = build_cache(brownian(), grid, 1000, master_seed=31)
     mild = picard_solve(square_problem, cache, PicardConfig(tolerance=1e-9))
