@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, processes
 from .core import ClockV, LipschitzDriver, ProblemSpec, ScalarField, SpaceTimeGrid, v_increments
 from .errors import ConfigurationError, PseudoPdeError
 from . import expressions as xp
@@ -286,6 +286,8 @@ def validate_config(path) -> RunPlan:
     except (PseudoPdeError, TypeError, ValueError) as err:
         errors.append(f"fbsde.basis: {err}")
     fbsde_paths = int(fb_cfg.get("paths", 20000))
+    if fbsde_paths < 1:
+        errors.append("fbsde.paths: must be >= 1")
     origins = [
         (float(o[0]), np.asarray(o[1:], dtype=float))
         for o in fb_cfg.get("origins", [[0.0] + [0.0] * dimension])
@@ -308,6 +310,11 @@ def validate_config(path) -> RunPlan:
     ops_cfg = raw.get("operators", {})
     operator_paths = int(ops_cfg.get("martingale_paths", 20000))
     operator_functions = int(ops_cfg.get("test_functions", 3))
+    if operator_paths < 1:
+        errors.append("operators.martingale_paths: must be >= 1")
+    n_builtin = len(bounded_test_functions(1))
+    if not 1 <= operator_functions <= n_builtin:
+        errors.append(f"operators.test_functions: must be in 1..{n_builtin}")
 
     seed = int(raw.get("seed", 0))
 
@@ -530,6 +537,8 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         ]
 
     def do_crosscheck():
+        # repeats do_fbsde's solves on the same seeds; perfbench/test_smoke.py pins
+        # fbsde.lsmc_solve_calls == 2, so dropping the repeat needs a benchmark change first
         rows = crosscheck(
             mild_solution, plan.problem, plan.problem.generator, plan.grid,
             plan.origins, plan.fbsde_paths, plan.basis, plan.seed + 104729,
@@ -552,15 +561,16 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         gen = plan.problem.generator
         rows = []
         act = generator_action(gen)
-        fns = bounded_test_functions(1)[: plan.operator_functions]
         x0 = np.zeros(plan.grid.dimension)
-        for k, phi in enumerate(fns):
-            result = martingale_test(
-                gen, phi, act(phi), plan.grid.times[0], x0, plan.grid,
-                plan.operator_paths, plan.seed + 31 * k, plan.problem.clock,
-            )
+        # through the module, so a wrapper installed on processes.simulate sees the call
+        ens = processes.simulate(gen, plan.grid.times[0], x0, plan.grid, plan.operator_paths,
+                                 plan.seed, plan.problem.clock)
+        for k, phi in enumerate(bounded_test_functions(1)[: plan.operator_functions]):
+            result = martingale_test(ens, phi, act(phi))
             rows.append((f"martingale_max_abs_z_fn{k}", result.max_abs_z, 4.0,
                          result.max_abs_z < 4.0))
+        # released before the Chapman-Kolmogorov paths exist, so the two never share peak memory
+        del ens
         mid = plan.grid.times[plan.grid.n_times // 2]
         z_ck = chapman_kolmogorov_test(
             gen, plan.grid.times[0], mid, plan.grid.times[-1], x0,

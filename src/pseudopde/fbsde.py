@@ -265,7 +265,8 @@ def crosscheck(
     basis: RegressionBasis,
     seed: int,
 ) -> list[CrosscheckRow]:
-    """Independent-seed backward solves at each origin against the mild fields."""
+    """Backward solves at each origin (seed ``seed + 7919 * idx``) against the mild
+    fields; the CLI passes its fbsde phase's seed, so they repeat that phase bit for bit."""
     rows = []
     u_rows = mild.u.values.reshape(grid.n_times, -1)
     v_rows = mild.v.values.reshape(grid.n_times, -1)

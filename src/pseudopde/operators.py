@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from .core import ClockV, ScalarField, SpaceTimeGrid
+from .core import ScalarField, SpaceTimeGrid
 from .errors import (
     ConfigurationError,
     InputError,
@@ -35,8 +35,9 @@ from .processes import (
     DistributionalDrift,
     JumpDiffusion,
     LevyKernel,
+    PathEnsemble,
     Stable,
-    simulate,
+    _drift_array,
     _vol_matrix,
 )
 
@@ -287,7 +288,6 @@ def generator_action(gen, spectral: Optional[SpectralFractional] = None) -> Call
             def act(t, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
                 d = x.shape[1]
-                from .processes import _drift_array  # local import to avoid cycle noise
                 mu = _drift_array(gen.mu, t, x, d)
                 sig = _vol_matrix(gen.sigma, t, x, d)
                 a_mat = np.einsum("nik,njk->nij", sig, sig)
@@ -310,14 +310,14 @@ def generator_action(gen, spectral: Optional[SpectralFractional] = None) -> Call
 
     if isinstance(gen, DistributionalDrift):
         tr = gen.transform
-        sigma_prime = np.gradient(tr.Sigma_table, tr.x_table)
+        Sigma_prime = np.gradient(tr.Sigma_table, tr.x_table)
 
         def a_distri(phi: SmoothTestFunction) -> Callable:
             def act(t, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
                 xv = x[:, 0]
                 sig = np.interp(xv, tr.x_table, tr.sigma_table)
-                sp = np.interp(xv, tr.x_table, sigma_prime)
+                sp = np.interp(xv, tr.x_table, Sigma_prime)
                 gp = phi.grad_at(t, x)[:, 0]
                 hp = phi.hess_at(t, x)[:, 0, 0]
                 return phi.dt_at(t, x) + 0.5 * sig**2 * (hp + sp * gp)
@@ -411,7 +411,6 @@ def classical_residual(
 class MartingaleTestResult:
     z_scores: np.ndarray       # (n_steps, n_coefficients)
     max_abs_z: float
-    coefficient_names: tuple
 
 
 def _bounded_basis(x: np.ndarray) -> np.ndarray:
@@ -427,38 +426,25 @@ def _bounded_basis(x: np.ndarray) -> np.ndarray:
 
 
 def martingale_test(
-    gen,
-    phi: SmoothTestFunction,
-    a_phi: Callable,
-    s: float,
-    x,
-    grid: SpaceTimeGrid,
-    M: int,
-    seed: int,
-    clock: Optional[ClockV] = None,
+    ens: PathEnsemble, phi: SmoothTestFunction, a_phi: Callable
 ) -> MartingaleTestResult:
     """Test that phi(t, X_t) - int a(phi)(r, X_r) dV_r has centered increments.
 
+    ``ens`` is one sample of P^{s,x}; every test function can be run on the
+    same ensemble, since the martingale property holds for each of them.
     Per step, the compensated increment is regressed on bounded basis
     functions of X_{t_i}; all coefficient z-scores (heteroskedasticity-robust)
     should be near zero when a_phi is the true generator action.
     """
-    ens = simulate(gen, s, x, grid, M, seed, clock)
     zs = []
-    names = None
-    n_coef = 1 + 2 * grid.dimension
+    n_coef = 1 + 2 * ens.paths.shape[2]
+    phi_now = phi(ens.times[0], ens.paths[:, 0, :])
     for j, dv in enumerate(ens.dvs):
         xs = ens.paths[:, j, :]
-        incr = (
-            phi(ens.times[j + 1], ens.paths[:, j + 1, :])
-            - phi(ens.times[j], xs)
-            - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dv
-        )
+        phi_next = phi(ens.times[j + 1], ens.paths[:, j + 1, :])
+        incr = phi_next - phi_now - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dv
+        phi_now = phi_next
         design = _bounded_basis(xs)
-        if names is None:
-            names = ("const",) + tuple(
-                f"tanh(x{k + 1}/2)" for k in range(xs.shape[1])
-            ) + tuple(f"tanh(x{k + 1}/2)^2" for k in range(xs.shape[1]))
         # columns with no sample spread (e.g. the deterministic start point)
         # carry no information beyond the intercept
         spread = design.std(axis=0)
@@ -474,9 +460,7 @@ def martingale_test(
         row[keep] = beta / se
         zs.append(row)
     z = np.array(zs)
-    return MartingaleTestResult(
-        z_scores=z, max_abs_z=float(np.max(np.abs(z))), coefficient_names=names
-    )
+    return MartingaleTestResult(z_scores=z, max_abs_z=float(np.max(np.abs(z))))
 
 
 def _stf(f, ft, fx, fxx) -> SmoothTestFunction:

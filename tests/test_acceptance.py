@@ -246,7 +246,9 @@ def test_criterion_07_martingale_problem_tests():
     for name, gen, fns, seed_base in variants:
         act = generator_action(gen)
         worst = max(
-            martingale_test(gen, phi, act(phi), 0.0, [0.3], grid, 100000, seed_base + k).max_abs_z
+            martingale_test(
+                simulate(gen, 0.0, [0.3], grid, 100000, seed_base + k), phi, act(phi)
+            ).max_abs_z
             for k, phi in enumerate(fns)
         )
         ok = ok and worst < 4.0
@@ -254,8 +256,8 @@ def test_criterion_07_martingale_problem_tests():
     # negative control: missing compensator for phi = x^2 must be flagged
     phi_sq = SmoothTestFunction(value=lambda t, x: x[:, 0] ** 2)
     control = martingale_test(
-        brownian(), phi_sq, lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
-        0.0, [0.3], grid, 100000, 99,
+        simulate(brownian(), 0.0, [0.3], grid, 100000, 99),
+        phi_sq, lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
     )
     ok = ok and control.max_abs_z > 10.0
     details.append(f"control: max|z|={control.max_abs_z:.1f}>10")

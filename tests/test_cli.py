@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from pseudopde import cli, operators, processes
 from pseudopde.cli import main, run, validate_config
 from pseudopde.errors import ConfigurationError
+from pseudopde.operators import bounded_test_functions, generator_action, martingale_test
 
 
 def smoke_config(**overrides):
@@ -93,6 +95,67 @@ def test_validate_rejects_off_grid_origin_with_other_errors(tmp_path):
     cfg["problem"]["driver"]["C_prime"] = 2
     echoed = validate_config(write_config(tmp_path, cfg)).normalized["problem"]["driver"]
     assert echoed["C_prime"] == 2.0 and isinstance(echoed["C_prime"], float)
+
+
+def test_validate_rejects_path_and_function_counts_with_other_errors(tmp_path):
+    for functions in (-1, 0, 6, 9):
+        cfg = smoke_config()
+        cfg["fbsde"]["paths"] = 0
+        cfg["operators"] = {"martingale_paths": 0, "test_functions": functions}
+        cfg["mild"]["tolerance"] = -1.0
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(write_config(tmp_path, cfg))
+        text = str(err.value)
+        assert "fbsde.paths: must be >= 1" in text and "mild:" in text
+        assert "operators.martingale_paths: must be >= 1" in text
+        assert "operators.test_functions: must be in 1..5" in text
+    for functions in (1, 5):
+        cfg = smoke_config()
+        cfg["operators"]["test_functions"] = functions
+        plan = validate_config(write_config(tmp_path, cfg))
+        assert plan.normalized["operators"] == {"martingale_paths": 3000, "test_functions": functions}
+
+
+def _operator_rows(out):
+    lines = (out / "operator_report.csv").read_text().splitlines()[2:]
+    return {ln.split(",")[0]: ln.split(",")[1] for ln in lines}
+
+
+def test_operator_rows_share_one_ensemble(tmp_path, monkeypatch):
+    simulated, received = [], []
+    real_simulate, real_test = processes.simulate, cli.martingale_test
+
+    def recording_simulate(gen, s, x, grid, M, seed, clock=None):
+        ens = real_simulate(gen, s, x, grid, M, seed, clock)
+        simulated.append((seed, ens))
+        return ens
+
+    def recording_test(ens, *args):
+        received.append(ens)
+        return real_test(ens, *args)
+
+    # the Chapman-Kolmogorov test simulates through semigroup's name, not recorded
+    monkeypatch.setattr(processes, "simulate", recording_simulate)
+    monkeypatch.setattr(operators, "simulate", recording_simulate, raising=False)
+    monkeypatch.setattr(cli, "martingale_test", recording_test)
+    cfg = smoke_config(phases=["operators"])
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+    assert [seed for seed, _ in simulated] == [4711]
+    assert len(received) == 2 and all(ens is simulated[0][1] for ens in received)
+    assert set(_operator_rows(tmp_path / "out")) == {
+        "martingale_max_abs_z_fn0", "martingale_max_abs_z_fn1", "chapman_kolmogorov_z"}
+
+
+def test_operator_fn0_row_matches_a_standalone_test(tmp_path):
+    path = write_config(tmp_path, smoke_config(phases=["operators"]))
+    assert run(path, out_dir=tmp_path / "out") == 0
+    plan = validate_config(path)
+    gen, grid = plan.problem.generator, plan.grid
+    ens = processes.simulate(gen, grid.times[0], np.zeros(1), grid, plan.operator_paths,
+                             plan.seed, plan.problem.clock)
+    fn0 = bounded_test_functions(1)[0]
+    z = martingale_test(ens, fn0, generator_action(gen)(fn0)).max_abs_z
+    assert _operator_rows(tmp_path / "out")["martingale_max_abs_z_fn0"] == cli._fmt(z)
 
 
 def test_validate_contraction_rule(tmp_path):

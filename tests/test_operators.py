@@ -16,8 +16,9 @@ from pseudopde.operators import (
     generator_action,
     martingale_test,
     stable_intensity,
+    _bounded_basis,
 )
-from pseudopde.processes import Diffusion, JumpDiffusion, JumpLaw, LevyKernel, Stable
+from pseudopde.processes import Diffusion, JumpDiffusion, JumpLaw, LevyKernel, Stable, simulate
 
 
 def brownian():
@@ -251,8 +252,8 @@ def test_martingale_test_brownian_linear():
     grid = SpaceTimeGrid.regular(1.0, 25, -4.0, 4.0, 5)
     phi = phi_linear()
     res = martingale_test(
-        brownian(), phi, lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
-        0.0, [0.0], grid, 30000, seed=1,
+        simulate(brownian(), 0.0, [0.0], grid, 30000, seed=1),
+        phi, lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
     )
     assert res.max_abs_z < 4.0
 
@@ -260,8 +261,8 @@ def test_martingale_test_brownian_linear():
 def test_martingale_test_compensated_square():
     grid = SpaceTimeGrid.regular(1.0, 25, -4.0, 4.0, 5)
     res = martingale_test(
-        brownian(), phi_square(), lambda t, x: np.ones(np.atleast_2d(x).shape[0]),
-        0.0, [0.0], grid, 30000, seed=2,
+        simulate(brownian(), 0.0, [0.0], grid, 30000, seed=2),
+        phi_square(), lambda t, x: np.ones(np.atleast_2d(x).shape[0]),
     )
     assert res.max_abs_z < 4.0
 
@@ -269,10 +270,49 @@ def test_martingale_test_compensated_square():
 def test_martingale_test_detects_missing_compensator():
     grid = SpaceTimeGrid.regular(1.0, 25, -4.0, 4.0, 5)
     res = martingale_test(
-        brownian(), phi_square(), lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
-        0.0, [0.0], grid, 30000, seed=3,
+        simulate(brownian(), 0.0, [0.0], grid, 30000, seed=3),
+        phi_square(), lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
     )
     assert res.max_abs_z > 10.0
+
+
+def _martingale_z_both_ends(ens, phi, a_phi):
+    """Reference z-scores: phi evaluated afresh at both ends of every step."""
+    zs = []
+    for j, dv in enumerate(ens.dvs):
+        xs = ens.paths[:, j, :]
+        incr = (
+            phi(ens.times[j + 1], ens.paths[:, j + 1, :])
+            - phi(ens.times[j], xs)
+            - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dv
+        )
+        design = _bounded_basis(xs)
+        spread = design.std(axis=0)
+        keep = np.concatenate([[True], spread[1:] > 1e-10 * (1.0 + np.abs(design[0, 1:]))])
+        sub = design[:, keep]
+        beta, *_ = np.linalg.lstsq(sub, incr, rcond=None)
+        resid = incr - sub @ beta
+        xtx_inv = np.linalg.inv(sub.T @ sub)
+        cov = xtx_inv @ (sub.T @ (sub * (resid**2)[:, None])) @ xtx_inv
+        row = np.zeros(design.shape[1])
+        row[keep] = beta / np.sqrt(np.clip(np.diag(cov), 1e-300, None))
+        zs.append(row)
+    return np.array(zs)
+
+
+def test_martingale_test_evaluates_phi_once_per_grid_time():
+    grid = SpaceTimeGrid.regular(1.0, 12, -4.0, 4.0, 5)
+    gen = Diffusion(mu=lambda t, x: -0.5 * np.atleast_2d(x), sigma=lambda t, x: 1.0)
+    ens = simulate(gen, 0.0, [0.3], grid, 5000, seed=8)
+    act = generator_action(gen)
+    for fn in bounded_test_functions(1):
+        times = []
+        counted = SmoothTestFunction(value=lambda t, x, f=fn: times.append(t) or f(t, x))
+        res = martingale_test(ens, counted, act(fn))
+        assert times == list(ens.times)
+        ref = _martingale_z_both_ends(ens, fn, act(fn))
+        assert np.array_equal(res.z_scores, ref)
+        assert res.max_abs_z == float(np.max(np.abs(ref)))
 
 
 def test_bracket_consistency_one_step():
