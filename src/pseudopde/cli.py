@@ -48,6 +48,26 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _is_integer(value) -> bool:
+    """A JSON number with no fractional part; bools and strings are not."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and float(value).is_integer()
+    )
+
+
+def _count(cfg: dict, key: str, default: int, name: str, errors: list) -> int:
+    """The integer ``cfg[key]`` (``default`` when absent).  Any other value is
+    reported in ``errors`` under ``name`` and ``default`` stands in for it, so
+    validation goes on and every violation is reported at once."""
+    value = cfg.get(key, default)
+    if not _is_integer(value):
+        errors.append(f"{name}: must be an integer (got {value!r})")
+        return default
+    return int(value)
+
+
 @dataclass
 class RunPlan:
     """Validated, normalized run inputs."""
@@ -144,7 +164,7 @@ def _build_generator(cfg, dimension, grid_bounds, errors):
                 if b_fn is None:
                     return None
                 lo, hi = b_cfg.get("bounds", grid_bounds)
-                n = int(b_cfg.get("nodes", 10001))
+                n = _count(b_cfg, "nodes", 10001, "problem.generator.b.nodes", errors)
                 xs = np.linspace(float(lo), float(hi), n)
                 bv = b_fn(0.0, xs[:, None])
             else:
@@ -175,7 +195,7 @@ def validate_config(path) -> RunPlan:
         errors.append(f"schema: unsupported version {raw.get('schema')!r}")
 
     grid_cfg = raw.get("grid", {})
-    dimension = int(grid_cfg.get("dimension", 1))
+    dimension = _count(grid_cfg, "dimension", 1, "grid.dimension", errors)
     problem_cfg = raw.get("problem")
     if not isinstance(problem_cfg, dict):
         errors.append("problem: required")
@@ -190,14 +210,19 @@ def validate_config(path) -> RunPlan:
         horizon = 1.0
     horizon = float(horizon)
 
+    time_steps = _count(grid_cfg, "time_steps", 50, "grid.time_steps", errors)
+    space_nodes = grid_cfg.get("space_nodes", [41] * dimension)
+    if not isinstance(space_nodes, list) or not all(_is_integer(n) for n in space_nodes):
+        errors.append(f"grid.space_nodes: must be a list of integers (got {space_nodes!r})")
+        space_nodes = [41] * dimension
     grid = None
     try:
         grid = SpaceTimeGrid.regular(
             horizon=horizon,
-            time_steps=int(grid_cfg.get("time_steps", 50)),
+            time_steps=time_steps,
             space_min=np.asarray(grid_cfg.get("space_min", [-4.0] * dimension), dtype=float),
             space_max=np.asarray(grid_cfg.get("space_max", [4.0] * dimension), dtype=float),
-            space_nodes=np.asarray(grid_cfg.get("space_nodes", [41] * dimension), dtype=int),
+            space_nodes=np.asarray(space_nodes, dtype=int),
         )
     except (PseudoPdeError, TypeError, ValueError) as err:
         errors.append(f"grid: {err}")
@@ -253,17 +278,18 @@ def validate_config(path) -> RunPlan:
         )
 
     mild_cfg = raw.get("mild", {})
+    max_iterations = _count(mild_cfg, "max_iterations", 15, "mild.max_iterations", errors)
     picard = None
     try:
         picard = PicardConfig(
-            max_iterations=int(mild_cfg.get("max_iterations", 15)),
+            max_iterations=max_iterations,
             tolerance=float(mild_cfg.get("tolerance", 1e-3)),
             v_scheme=mild_cfg.get("v_scheme", "variance"),
             damping=float(mild_cfg.get("damping", 1.0)),
         )
     except (PseudoPdeError, TypeError, ValueError) as err:
         errors.append(f"mild: {err}")
-    cache_paths = int(mild_cfg.get("cache_paths", 1000))
+    cache_paths = _count(mild_cfg, "cache_paths", 1000, "mild.cache_paths", errors)
     if cache_paths < 1:
         errors.append("mild.cache_paths: must be >= 1")
     memory_budget = float(mild_cfg.get("memory_budget_mb", 4096.0))
@@ -271,6 +297,7 @@ def validate_config(path) -> RunPlan:
     fb_cfg = raw.get("fbsde", {})
     basis = None
     basis_cfg = fb_cfg.get("basis", {"kind": "polynomial", "degree": 3})
+    degree = _count(basis_cfg, "degree", 3, "fbsde.basis.degree", errors)
     try:
         clip = None
         if grid is not None:
@@ -279,13 +306,13 @@ def validate_config(path) -> RunPlan:
         if kind != "polynomial":
             raise ConfigurationError(f"unknown basis kind {kind!r}; the basis is 'polynomial'")
         basis = RegressionBasis(
-            degree=int(basis_cfg.get("degree", 3)),
+            degree=degree,
             ridge=float(fb_cfg.get("ridge", 1e-9)),
             clip=clip,
         )
     except (PseudoPdeError, TypeError, ValueError) as err:
         errors.append(f"fbsde.basis: {err}")
-    fbsde_paths = int(fb_cfg.get("paths", 20000))
+    fbsde_paths = _count(fb_cfg, "paths", 20000, "fbsde.paths", errors)
     if fbsde_paths < 1:
         errors.append("fbsde.paths: must be >= 1")
     origins = [
@@ -308,15 +335,15 @@ def validate_config(path) -> RunPlan:
     phases = [p for p in PHASE_ORDER if p in phases]
 
     ops_cfg = raw.get("operators", {})
-    operator_paths = int(ops_cfg.get("martingale_paths", 20000))
-    operator_functions = int(ops_cfg.get("test_functions", 3))
+    operator_paths = _count(ops_cfg, "martingale_paths", 20000, "operators.martingale_paths", errors)
+    operator_functions = _count(ops_cfg, "test_functions", 3, "operators.test_functions", errors)
     if operator_paths < 1:
         errors.append("operators.martingale_paths: must be >= 1")
     n_builtin = len(bounded_test_functions(1))
     if not 1 <= operator_functions <= n_builtin:
         errors.append(f"operators.test_functions: must be in 1..{n_builtin}")
 
-    seed = int(raw.get("seed", 0))
+    seed = _count(raw, "seed", 0, "seed", errors)
 
     # cross-field constraints
     if driver is not None and grid is not None and ("fbsde" in phases or "crosscheck" in phases):

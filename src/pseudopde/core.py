@@ -208,26 +208,71 @@ class ScalarField:
             points = points[:, None]
         if not np.all(np.isfinite(points)):
             raise InputError("interpolation points must be finite")
-        return _multilinear(self.grid.axes, self.values[time_index], points)
+        return _multilinear(self.grid.axes, self.values[time_index][None], points)[0]
 
 
-def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of table (shape per axes) at points (n, d)."""
+def _bracket(ax: np.ndarray, x: np.ndarray):
+    """Clamp ``x`` to the uniform axis ``ax`` and find each point's bracket.
+
+    Returns ``(i, x_clamped)`` with ``i == searchsorted(ax, x_clamped,
+    side="right") - 1`` exactly, so the last node maps to ``ax.size - 1``.
+    The index is estimated from the uniform spacing, capped at the last
+    interval, then corrected by one step each way against the node values;
+    that suffices while the node spacing is many times the rounding error of
+    the coordinates (spacing / max |coordinate| far above 1e-15).  A NaN
+    point gets the last interval and stays NaN.
+    """
+    n = ax.size
+    lo, hi = ax[0], ax[-1]
+    x = np.minimum(np.maximum(x, lo), hi)
+    i = np.fmin((x - lo) * ((n - 1) / (hi - lo)), n - 2).astype(np.intp)
+    i -= ax.take(i) > x
+    i += ax.take(i + 1) <= x
+    return i, x
+
+
+# Points per pass of the one-dimensional read, so that the pass's few
+# temporaries stay in the L2 cache: on a Xeon with 2 MiB of L2 per core, one
+# pass over 126,000 positions took about twice as long per point.
+_BLOCK_POINTS = 16384
+
+
+def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of k stacked tables at points (n, d).
+
+    ``tables`` has shape (k, *space_shape), one table per field, and the
+    result has shape (k, n): each point's bracket is found once per axis and
+    every table reads from it.  Points outside the axes are clamped to the
+    boundary.  In one dimension each table is read as ``slope[i] * (x -
+    ax[i]) + fp[i]``, with slopes as ``np.interp`` forms them and a zero slope
+    for the last node; on finite tables that equals ``np.interp`` bit for bit,
+    except that a -0.0 node value read on its node may come out +0.0.
+    """
     d = len(axes)
     if d == 1:
-        return np.interp(points[:, 0], axes[0], table)
+        ax = axes[0]
+        slopes = np.zeros(tables.shape)
+        np.divide(tables[:, 1:] - tables[:, :-1], ax[1:] - ax[:-1], out=slopes[:, :-1])
+        out = np.empty((tables.shape[0], points.shape[0]))
+        for start in range(0, points.shape[0], _BLOCK_POINTS):
+            block = slice(start, start + _BLOCK_POINTS)
+            i, x = _bracket(ax, points[block, 0])
+            dx = x - ax.take(i)
+            for row, table, slope in zip(out[:, block], tables, slopes):
+                np.multiply(slope.take(i), dx, out=row)
+                row += table.take(i)
+        return out
     idx = []
     frac = []
     for k, ax in enumerate(axes):
-        x = np.clip(points[:, k], ax[0], ax[-1])
-        i = np.searchsorted(ax, x, side="right") - 1
-        i = np.clip(i, 0, ax.size - 2)
+        i, x = _bracket(ax, points[:, k])
+        i = np.minimum(i, ax.size - 2)
         idx.append(i)
         frac.append((x - ax[i]) / (ax[i + 1] - ax[i]))
-    out = np.zeros(points.shape[0])
+    out = np.zeros((tables.shape[0], points.shape[0]))
     for corner in range(1 << d):
         w = np.ones(points.shape[0])
-        loc = []
+        loc = [slice(None)]
         for k in range(d):
             if corner >> k & 1:
                 w = w * frac[k]
@@ -235,7 +280,7 @@ def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.nda
             else:
                 w = w * (1.0 - frac[k])
                 loc.append(idx[k])
-        out += w * table[tuple(loc)]
+        out += w * tables[tuple(loc)]
     return out
 
 

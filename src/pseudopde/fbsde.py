@@ -23,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import core
 from .core import ProblemSpec, SpaceTimeGrid, mean_and_stderr, v_increments
 from .errors import ConfigurationError, InputError, NumericalError
-from .mild import MildSolution, _interp_row
+from .mild import MildSolution
 from .processes import simulate
 
 
@@ -69,35 +70,43 @@ def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def regress(
-    samples_x: np.ndarray, targets: np.ndarray, basis: RegressionBasis
-) -> tuple[np.ndarray, float]:
-    """Least squares of targets on the basis features of the (n, d) samples.
+def regression_design(samples_x: np.ndarray, basis: RegressionBasis) -> np.ndarray:
+    """Basis features of the (n, d) samples, one row per sample.
+
+    The coordinates are clipped to ``basis.clip`` and standardized per call:
+    the same polynomial space, far better conditioned when the sample spread
+    is small or the range is wide.  One design serves every fit on the same
+    samples.
+    """
+    x = np.asarray(samples_x, dtype=float)
+    if x.ndim != 2:
+        raise InputError("samples must be (n, d)")
+    if basis.clip is not None:
+        lo, hi = basis.clip
+        x = np.clip(x, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    center = x.mean(axis=0)
+    spread = x.std(axis=0)
+    spread[spread == 0] = 1.0
+    return _poly_design((x - center) / spread, basis.degree)
+
+
+def regress(design: np.ndarray, targets: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+    """Least squares of targets on the columns of ``design`` (see
+    ``regression_design``), with ``ridge`` regularizing the normal equations.
 
     Returns the fitted values at the samples and their residual RMS; the
     backward solver needs the conditional expectation only along its own
     paths, so no fit is kept for evaluation elsewhere.
     """
-    x = np.asarray(samples_x, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.size:
-        raise InputError("samples must be (n, d) with one target per sample")
-    if basis.clip is not None:
-        lo, hi = basis.clip
-        x = np.clip(x, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if x.shape[0] < basis.size(x.shape[1]):
+    if design.shape[0] != y.size:
+        raise InputError("regression needs one target per sample")
+    if design.shape[0] < design.shape[1]:
         raise NumericalError(
-            f"{x.shape[0]} samples cannot identify {basis.size(x.shape[1])} basis functions"
+            f"{design.shape[0]} samples cannot identify {design.shape[1]} basis functions"
         )
-
-    # standardize coordinates per call: the same polynomial space, far better
-    # conditioned when the sample spread is small or the range is wide
-    center = x.mean(axis=0)
-    spread = x.std(axis=0)
-    spread[spread == 0] = 1.0
-    design = _poly_design((x - center) / spread, basis.degree)
-    if basis.ridge > 0:
-        gram = design.T @ design + basis.ridge * np.eye(design.shape[1])
+    if ridge > 0:
+        gram = design.T @ design + ridge * np.eye(design.shape[1])
         beta = np.linalg.solve(gram, design.T @ y)
     else:
         beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -138,12 +147,12 @@ def lsmc_solve(
     """One forward ensemble from (s, x), then dynamic programming backward.
 
     Per step: C_i regresses Y_{i+1} on the basis at X_{t_i}; the bracket rate
-    Z_i^2 regresses the squared innovation (Y_{i+1} - C_i)^2 divided by dV_i,
-    clamped nonnegative; Y_i solves the implicit one-step equation
-    Y = C_i + f(t_i, X, Y, Z_i) dV_i by damped fixed point (contraction is
-    guaranteed by K_Y * dV_i < 1, enforced up front); a step still above
-    ``inner_tolerance`` after ``inner_iterations`` keeps its last iterate, and
-    one warning names the worst such step.  The degenerate initial
+    Z_i^2 regresses the squared innovation (Y_{i+1} - C_i)^2 on the same
+    design, divided by dV_i and clamped nonnegative; Y_i solves the implicit
+    one-step equation Y = C_i + f(t_i, X, Y, Z_i) dV_i by damped fixed point
+    (contraction is guaranteed by K_Y * dV_i < 1, enforced up front); a step
+    still above ``inner_tolerance`` after ``inner_iterations`` keeps its last
+    iterate, and one warning names the worst such step.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean,
     and records a regression residual of 0.0.  Only the current step's
     values along the paths are held; no per-step fit is stored.
@@ -182,13 +191,14 @@ def lsmc_solve(
             rms.append(0.0)
         else:
             try:
-                cx, c_rms = regress(xs, y, basis)
+                design = regression_design(xs, basis)
+                cx, c_rms = regress(design, y, basis.ridge)
             except NumericalError as err:
                 raise NumericalError(f"regression failed at backward step {i}: {err}") from err
             rms.append(c_rms)
             innov = (y - cx) ** 2
             if dv > 0:
-                z2x, _ = regress(xs, innov, basis)
+                z2x, _ = regress(design, innov, basis.ridge)
                 zx = np.sqrt(np.clip(z2x, 0.0, None) / dv)
             else:
                 warnings.warn(f"dV = 0 at backward step {i}: carrying Z from the later step")
@@ -268,16 +278,13 @@ def crosscheck(
     """Backward solves at each origin (seed ``seed + 7919 * idx``) against the mild
     fields; the CLI passes its fbsde phase's seed, so they repeat that phase bit for bit."""
     rows = []
-    u_rows = mild.u.values.reshape(grid.n_times, -1)
-    v_rows = mild.v.values.reshape(grid.n_times, -1)
+    u_se_rows = mild.u_stderr.reshape(mild.u.values.shape)
     for idx, (s, x) in enumerate(origins):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         i_s = grid.time_index(s)
         sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, seed + 7919 * idx)
-        pt = x_arr[None, :]
-        u_val = float(_interp_row(grid, u_rows[i_s], pt)[0])
-        v_val = float(_interp_row(grid, v_rows[i_s], pt)[0])
-        u_se = float(_interp_row(grid, mild.u_stderr[i_s], pt)[0])
+        tables = np.stack((mild.u.values[i_s], mild.v.values[i_s], u_se_rows[i_s]))
+        u_val, v_val, u_se = map(float, core._multilinear(grid.axes, tables, x_arr[None, :])[:, 0])
         rows.append(
             CrosscheckRow(
                 s=float(s),

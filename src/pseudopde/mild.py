@@ -10,11 +10,16 @@ numbers), so the iteration map is deterministic and its geometric contraction
 is directly observable in the delta history.
 
 Every sweep runs per origin block: the paths of all nodes started at one
-grid time are read together, so each step interpolates a field row and
-evaluates the driver once over n_nodes*M positions (a working set of
-n_nodes*M*d floats) and keeps one running sum per path.  Each path's sum is
-accumulated in step order, so the estimates equal a per-cell loop exactly;
-the tests compare against ``semigroup.terminal_plus_running``.
+grid time are read together, so each step evaluates the driver once over
+n_nodes*M positions (a working set of n_nodes*M*d floats) and keeps one
+running sum per path.  The fields a step reads (u; u and v; or u, v and w)
+are interpolated by one ``core._multilinear`` call, which finds each
+position's grid bracket once and reads every field from it.  The cached
+positions never change during a solve, but no bracket is kept between
+sweeps: a per-step search costs less than the memory an index beside the
+cache would take.  Each path's sum is accumulated in step order, so the
+estimates equal a per-cell loop exactly; the tests compare against
+``semigroup.terminal_plus_running``.
 
 Two v-identification schemes are provided: ``volterra`` solves the second
 line backward in time for w = v^2 (left-endpoint quadrature makes the r = s
@@ -98,11 +103,6 @@ def _unflat(grid, arr: np.ndarray) -> ScalarField:
     return ScalarField(grid, arr.reshape((grid.n_times,) + grid.space_shape))
 
 
-def _interp_row(grid, row_values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of one time row (flat node values) at points."""
-    return core._multilinear(grid.axes, row_values.reshape(grid.space_shape), points)
-
-
 def _block_positions(cache: EnsembleCache, i: int, j: int) -> np.ndarray:
     """Positions at grid time j of every path started at grid time i, as one
     (n_nodes*M, d) array, node-major."""
@@ -112,15 +112,20 @@ def _block_positions(cache: EnsembleCache, i: int, j: int) -> np.ndarray:
 def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
     """The path-sum kernel: steps j = first..N-1 of origin block i.
 
-    Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and each flat
-    field of ``rows`` interpolated at them in one call (None passes through).
-    Steps with dV_j = 0 are skipped; they add nothing to a left-endpoint sum.
+    Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and, as a
+    (len(rows), n_nodes*M) array, row j of each flat field in ``rows``
+    interpolated at them.  One ``core._multilinear`` call per step brackets
+    the positions once and reads every field from that bracket; nothing is
+    kept between steps or sweeps.  Steps with dV_j = 0 are skipped; they add
+    nothing to a left-endpoint sum.
     """
-    for j in range(first, cache.grid.n_times - 1):
+    grid = cache.grid
+    for j in range(first, grid.n_times - 1):
         if cache.dvs[j] == 0.0:
             continue
         xs = _block_positions(cache, i, j)
-        yield j, xs, [None if r is None else _interp_row(cache.grid, r[j], xs) for r in rows]
+        tables = np.stack([r[j] for r in rows]).reshape((len(rows),) + grid.space_shape)
+        yield j, xs, core._multilinear(grid.axes, tables, xs)
 
 
 def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.ndarray:
@@ -151,13 +156,14 @@ def update_u(u_k: ScalarField, v_k: ScalarField, problem: ProblemSpec, cache: En
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    rows = (_flat(u_k), _flat(v_k) if problem.driver.K_Z > 0 else None)
+    z_coupled = problem.driver.K_Z > 0
+    rows = (_flat(u_k), _flat(v_k)) if z_coupled else (_flat(u_k),)
     out = np.empty((n_t, n_nodes))
     se = np.zeros((n_t, n_nodes))
     for i in range(n_t - 1):
         acc = np.zeros(n_nodes * cache.M)
-        for j, xs, (uu, vv) in _block_steps(cache, i, rows, i):
-            vv = vv if vv is not None else np.zeros(1)
+        for j, xs, vals in _block_steps(cache, i, rows, i):
+            uu, vv = vals if z_coupled else (vals[0], np.zeros(1))
             acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
         out[i], se[i] = _node_stats(_terminal_values(problem, cache, i) + acc, n_nodes)
     # terminal row is exact: the running integral vanishes at s = T
@@ -228,7 +234,8 @@ def update_v_variance(
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
         f_row = problem.driver(grid.times[i], cache.nodes, u_rows[i], v_rows[i])
-        u_then = _interp_row(grid, u_rows[i + 1], _block_positions(cache, i, i + 1))
+        u_table = u_rows[i + 1].reshape((1,) + grid.space_shape)
+        u_then = core._multilinear(grid.axes, u_table, _block_positions(cache, i, i + 1))[0]
         incr = u_then.reshape(n_nodes, -1) - u_rows[i][:, None] + (f_row * dv)[:, None]
         mean_sq, se_sq = _node_stats(incr * incr, n_nodes)
         w[i] = mean_sq / dv

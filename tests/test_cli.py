@@ -116,6 +116,32 @@ def test_validate_rejects_path_and_function_counts_with_other_errors(tmp_path):
         assert plan.normalized["operators"] == {"martingale_paths": 3000, "test_functions": functions}
 
 
+def test_validate_reports_non_integer_counts_with_other_errors(tmp_path):
+    cfg = smoke_config(seed="abc")
+    cfg["fbsde"]["paths"] = "many"
+    cfg["mild"]["cache_paths"] = 2.7
+    cfg["grid"]["space_nodes"] = [11.5]
+    cfg["operators"]["test_functions"] = True
+    cfg["mild"]["tolerance"] = -1.0
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(write_config(tmp_path, cfg))
+    text = str(err.value)
+    for line in ("fbsde.paths: must be an integer (got 'many')",
+                 "mild.cache_paths: must be an integer (got 2.7)",
+                 "grid.space_nodes: must be a list of integers (got [11.5])",
+                 "operators.test_functions: must be an integer (got True)",
+                 "seed: must be an integer (got 'abc')", "mild:"):
+        assert line in text
+    # run reports it in the manifest instead of raising
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), out_dir=out) == 1
+    assert "fbsde.paths" in json.loads((out / "manifest.json").read_text())["errors"]["validate"]
+    # an integral float is an integer
+    cfg = smoke_config()
+    cfg["fbsde"]["paths"] = 3000.0
+    assert validate_config(write_config(tmp_path, cfg)).normalized["fbsde"]["paths"] == 3000
+
+
 def _operator_rows(out):
     lines = (out / "operator_report.csv").read_text().splitlines()[2:]
     return {ln.split(",")[0]: ln.split(",")[1] for ln in lines}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pseudopde import core
 from pseudopde.core import (
     ClockV,
     LipschitzDriver,
@@ -146,6 +147,86 @@ def test_interpolate_2d_multilinear():
     # multilinear interpolation reproduces affine functions exactly
     q = np.array([[0.3, -0.7], [0.15, 0.45]])
     np.testing.assert_allclose(fld.at_points(0, q), 2.0 * q[:, 0] + 3.0 * q[:, 1], atol=1e-12)
+
+
+# (lo, hi, nodes): odd and even node counts, a two-node axis, and an axis far
+# from the origin, where the nodes carry few bits below the spacing
+BRACKET_AXES = [(-2.5, 2.5, 11), (-4.0, 4.0, 41), (0.1, 0.7, 7), (1e6, 1e6 + 1.0, 21), (-3.0, 5.0, 2)]
+
+
+def _probes(ax, rng):
+    """Points below and above the axis, on every node (the last included), one
+    ulp either side of every node, and uniform interior points."""
+    span = ax[-1] - ax[0]
+    outside = [ax[0] - span, ax[0] - 1e-3 * span, ax[-1] + 1e-3 * span, ax[-1] + span]
+    return np.concatenate(
+        [outside, ax, np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf),
+         rng.uniform(ax[0], ax[-1], 200)]
+    )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _searchsorted_multilinear(axes, table, points):
+    """Reference for d > 1: brackets by np.searchsorted, clipped to the last
+    interval, then the corner-weight formula of core._multilinear."""
+    idx, frac = [], []
+    for k, ax in enumerate(axes):
+        x = np.clip(points[:, k], ax[0], ax[-1])
+        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, ax.size - 2)
+        idx.append(i)
+        frac.append((x - ax[i]) / (ax[i + 1] - ax[i]))
+    out = np.zeros(points.shape[0])
+    for corner in range(1 << len(axes)):
+        w = np.ones(points.shape[0])
+        loc = []
+        for k in range(len(axes)):
+            up = corner >> k & 1
+            w = w * (frac[k] if up else 1.0 - frac[k])
+            loc.append(idx[k] + up)
+        out += w * table[tuple(loc)]
+    return out
+
+
+@pytest.mark.parametrize("lo, hi, n", BRACKET_AXES)
+def test_multilinear_1d_equals_np_interp_bitwise(lo, hi, n):
+    ax = np.linspace(lo, hi, n)
+    rng = np.random.default_rng(n)
+    x = _probes(ax, rng)
+    i, clamped = core._bracket(ax, x)
+    np.testing.assert_array_equal(clamped, np.clip(x, lo, hi))
+    np.testing.assert_array_equal(i, np.searchsorted(ax, clamped, side="right") - 1)
+    # and the same probes again, shuffled over more than two read blocks
+    x = np.concatenate([x, rng.permutation(np.resize(x, 2 * core._BLOCK_POINTS + 7))])
+    for k in (1, 2, 3):
+        tables = rng.normal(size=(k, n))
+        got = core._multilinear((ax,), tables, x[:, None])
+        assert got.shape == (k, x.size)
+        want = np.stack([np.interp(x, ax, t) for t in tables])
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    got = core._multilinear((ax,), rng.normal(size=(2, n)), np.array([[np.nan], [lo]]))
+    assert np.all(np.isnan(got[:, 0])) and np.all(np.isfinite(got[:, 1]))
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (2, 3), (4, 0)])
+def test_multilinear_2d_equals_searchsorted_reference_bitwise(first, second):
+    axes = tuple(np.linspace(*BRACKET_AXES[k]) for k in (first, second))
+    rng = np.random.default_rng(10 * first + second)
+    grid_points = np.meshgrid(*(_probes(ax, rng) for ax in axes), indexing="ij")
+    points = np.stack([g.ravel() for g in grid_points], axis=-1)
+    shape = tuple(ax.size for ax in axes)
+    for k in (1, 2, 3):
+        tables = rng.normal(size=(k,) + shape)
+        got = core._multilinear(axes, tables, points)
+        assert got.shape == (k, points.shape[0])
+        for table, row in zip(tables, got):
+            want = _searchsorted_multilinear(axes, table, points)
+            np.testing.assert_array_equal(_bits(row), _bits(want))
+    nan_points = np.array([[np.nan, axes[1][0]], [axes[0][0], np.nan], [axes[0][-1], axes[1][-1]]])
+    got = core._multilinear(axes, rng.normal(size=(2,) + shape), nan_points)
+    assert np.all(np.isnan(got[:, :2])) and np.all(np.isfinite(got[:, 2]))
 
 
 def test_field_distance_examples(grid_1d):

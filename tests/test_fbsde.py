@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from pseudopde import fbsde
 from pseudopde.core import LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, InputError, NumericalError
-from pseudopde.fbsde import RegressionBasis, crosscheck, lsmc_solve, regress
+from pseudopde.fbsde import RegressionBasis, crosscheck, lsmc_solve, regress, regression_design
 from pseudopde.mild import PicardConfig, picard_solve
 from pseudopde.processes import Diffusion
 from pseudopde.semigroup import build_cache, terminal_expectation
@@ -39,10 +40,14 @@ def test_basis_validation():
     assert RegressionBasis(degree=2).size(2) == 6
 
 
+def fit(x, y, basis):
+    return regress(regression_design(x, basis), y, basis.ridge)
+
+
 def test_regress_constant_targets():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(200, 1))
-    fitted, rms = regress(x, np.full(200, 3.25), RegressionBasis(degree=3))
+    fitted, rms = fit(x, np.full(200, 3.25), RegressionBasis(degree=3))
     assert rms < 1e-10
     assert fitted.shape == (200,)
     np.testing.assert_allclose(fitted, 3.25, atol=1e-9)
@@ -52,7 +57,7 @@ def test_regress_exact_linear_fit():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(500, 1))
     y = 2.0 * x[:, 0] - 1.0
-    fitted, rms = regress(x, y, RegressionBasis(degree=1))
+    fitted, rms = fit(x, y, RegressionBasis(degree=1))
     assert rms <= 1e-10
     np.testing.assert_allclose(fitted, y, atol=1e-9)
 
@@ -61,7 +66,7 @@ def test_regress_recovers_curvature_under_noise():
     rng = np.random.default_rng(2)
     x = rng.uniform(-2, 2, size=(10000, 1))
     y = x[:, 0] ** 2 + rng.normal(size=10000)
-    fitted, _ = regress(x, y, RegressionBasis(degree=2))
+    fitted, _ = fit(x, y, RegressionBasis(degree=2))
     # the fitted values lie on one quadratic; its leading coefficient is the
     # curvature, read off by an exact interpolation through three samples
     picks = [int(np.argmin(np.abs(x[:, 0] - v))) for v in (-1.5, 0.0, 1.5)]
@@ -71,18 +76,18 @@ def test_regress_recovers_curvature_under_noise():
 
 def test_regress_underdetermined():
     with pytest.raises(NumericalError):
-        regress(np.zeros((3, 1)), np.zeros(3), RegressionBasis(degree=5))
+        fit(np.zeros((3, 1)), np.zeros(3), RegressionBasis(degree=5))
     # zero spread with degree >= 1 leaves the slope unidentified
     with pytest.raises(NumericalError):
-        regress(np.ones((100, 1)), np.ones(100), RegressionBasis(degree=1))
+        fit(np.ones((100, 1)), np.ones(100), RegressionBasis(degree=1))
 
 
 def test_regress_needs_one_sample_row_per_target():
     # samples are (n, d); a (1, n) row is not read as n one-d samples
     with pytest.raises(InputError):
-        regress(np.zeros((1, 50)), np.zeros(50), RegressionBasis(degree=1))
+        fit(np.zeros((1, 50)), np.zeros(50), RegressionBasis(degree=1))
     with pytest.raises(InputError):
-        regress(np.zeros(50), np.zeros(50), RegressionBasis(degree=1))
+        fit(np.zeros(50), np.zeros(50), RegressionBasis(degree=1))
 
 
 def test_lsmc_zero_driver_matches_terminal_expectation(square_problem, grid):
@@ -131,6 +136,28 @@ def test_lsmc_terminal_values_exact(square_problem, grid):
     assert np.all(np.isfinite(sol.regression_residuals))
     assert sol.regression_residuals[0] == 0.0
     assert sol.z0 >= 0.0
+
+
+def test_lsmc_builds_one_design_per_backward_step(square_problem, grid, monkeypatch):
+    designs, fitted_on = [], []
+    real_design, real_regress = fbsde.regression_design, fbsde.regress
+
+    def recording_design(x, basis):
+        designs.append(real_design(x, basis))
+        return designs[-1]
+
+    def recording_regress(design, y, ridge):
+        fitted_on.append(design)
+        return real_regress(design, y, ridge)
+
+    monkeypatch.setattr(fbsde, "regression_design", recording_design)
+    monkeypatch.setattr(fbsde, "regress", recording_regress)
+    basis = RegressionBasis(degree=2, ridge=1e-9)
+    lsmc_solve(square_problem, brownian(), 0.0, [0.0], grid, 500, basis, 908)
+    # the origin step is a plain mean; every other step fits Y and the
+    # squared innovation on one design
+    assert len(designs) == 49 and len(fitted_on) == 98
+    assert all(a is d and b is d for a, b, d in zip(fitted_on[::2], fitted_on[1::2], designs))
 
 
 def test_lsmc_contraction_precondition(grid):
