@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,35 @@ def _is_integer(value) -> bool:
         and not isinstance(value, bool)
         and float(value).is_integer()
     )
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; bools and strings are not."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _number(cfg: dict, key: str, default: float, name: str, errors: list) -> float:
+    """The number ``cfg[key]`` as a float (``default`` when absent), reported
+    in ``errors`` and replaced by ``default`` otherwise, as ``_count`` does."""
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        errors.append(f"{name}: must be a number (got {value!r})")
+        return default
+    return float(value)
+
+
+def _section(cfg: dict, key: str, default: dict, name: str, errors: list) -> dict:
+    """The object ``cfg[key]`` (``default`` when absent), reported in
+    ``errors`` and replaced by ``default`` otherwise, as ``_count`` does."""
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        errors.append(f"{name}: must be an object (got {value!r})")
+        return default
+    return value
 
 
 def _count(cfg: dict, key: str, default: int, name: str, errors: list) -> int:
@@ -122,7 +152,7 @@ def _build_generator(cfg, dimension, grid_bounds, errors):
         if not isinstance(levy_cfg, dict):
             errors.append("problem.generator.levy: required for jump_diffusion")
             return None
-        law_cfg = levy_cfg.get("jump_law", {})
+        law_cfg = _section(levy_cfg, "jump_law", {}, "problem.generator.levy.jump_law", errors)
         try:
             law = JumpLaw(
                 kind=law_cfg.get("kind", ""),
@@ -191,24 +221,27 @@ def validate_config(path) -> RunPlan:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigurationError(f"{path}: {err}") from err
+    if not isinstance(raw, dict):
+        errors.append(f"top level: must be an object (got {type(raw).__name__})")
+        raw = {}
     if raw.get("schema", 1) != 1:
         errors.append(f"schema: unsupported version {raw.get('schema')!r}")
 
-    grid_cfg = raw.get("grid", {})
+    grid_cfg = _section(raw, "grid", {}, "grid", errors)
     dimension = _count(grid_cfg, "dimension", 1, "grid.dimension", errors)
     problem_cfg = raw.get("problem")
     if not isinstance(problem_cfg, dict):
         errors.append("problem: required")
         problem_cfg = {}
 
-    horizon = problem_cfg.get("horizon_T")
-    if horizon is None:
+    if "horizon_T" not in problem_cfg:
         errors.append("problem.horizon_T: required")
         horizon = 1.0
-    elif float(horizon) <= 0:
-        errors.append("problem.horizon_T: must be positive")
-        horizon = 1.0
-    horizon = float(horizon)
+    else:
+        horizon = _number(problem_cfg, "horizon_T", 1.0, "problem.horizon_T", errors)
+        if horizon <= 0:
+            errors.append("problem.horizon_T: must be positive")
+            horizon = 1.0
 
     time_steps = _count(grid_cfg, "time_steps", 50, "grid.time_steps", errors)
     space_nodes = grid_cfg.get("space_nodes", [41] * dimension)
@@ -227,7 +260,7 @@ def validate_config(path) -> RunPlan:
     except (PseudoPdeError, TypeError, ValueError) as err:
         errors.append(f"grid: {err}")
 
-    clock_cfg = problem_cfg.get("clock", {"kind": "identity"})
+    clock_cfg = _section(problem_cfg, "clock", {"kind": "identity"}, "problem.clock", errors)
     clock = ClockV()
     try:
         if clock_cfg.get("kind", "identity") == "tabulated":
@@ -277,7 +310,7 @@ def validate_config(path) -> RunPlan:
             gen_cfg, dimension, (float(grid.space_min[0]), float(grid.space_max[0])), errors
         )
 
-    mild_cfg = raw.get("mild", {})
+    mild_cfg = _section(raw, "mild", {}, "mild", errors)
     max_iterations = _count(mild_cfg, "max_iterations", 15, "mild.max_iterations", errors)
     picard = None
     try:
@@ -292,11 +325,13 @@ def validate_config(path) -> RunPlan:
     cache_paths = _count(mild_cfg, "cache_paths", 1000, "mild.cache_paths", errors)
     if cache_paths < 1:
         errors.append("mild.cache_paths: must be >= 1")
-    memory_budget = float(mild_cfg.get("memory_budget_mb", 4096.0))
+    memory_budget = _number(mild_cfg, "memory_budget_mb", 4096.0, "mild.memory_budget_mb", errors)
 
-    fb_cfg = raw.get("fbsde", {})
+    fb_cfg = _section(raw, "fbsde", {}, "fbsde", errors)
     basis = None
-    basis_cfg = fb_cfg.get("basis", {"kind": "polynomial", "degree": 3})
+    basis_cfg = _section(
+        fb_cfg, "basis", {"kind": "polynomial", "degree": 3}, "fbsde.basis", errors
+    )
     degree = _count(basis_cfg, "degree", 3, "fbsde.basis.degree", errors)
     try:
         clip = None
@@ -315,10 +350,18 @@ def validate_config(path) -> RunPlan:
     fbsde_paths = _count(fb_cfg, "paths", 20000, "fbsde.paths", errors)
     if fbsde_paths < 1:
         errors.append("fbsde.paths: must be >= 1")
-    origins = [
-        (float(o[0]), np.asarray(o[1:], dtype=float))
-        for o in fb_cfg.get("origins", [[0.0] + [0.0] * dimension])
-    ]
+    origins_cfg = fb_cfg.get("origins", [[0.0] + [0.0] * dimension])
+    if not isinstance(origins_cfg, list):
+        errors.append(f"fbsde.origins: must be a list (got {origins_cfg!r})")
+        origins_cfg = []
+    origins = []
+    for k, o in enumerate(origins_cfg):
+        if not (isinstance(o, list) and o and all(_is_number(c) for c in o)):
+            errors.append(
+                f"fbsde.origins[{k}]: must be a list [s, x1, ...] of numbers (got {o!r})"
+            )
+            continue
+        origins.append((float(o[0]), np.asarray(o[1:], dtype=float)))
     for k, (s, x) in enumerate(origins):
         if grid is not None:
             try:
@@ -329,12 +372,15 @@ def validate_config(path) -> RunPlan:
             errors.append(f"fbsde.origins[{k}]: point has dimension {x.size}, expected {dimension}")
 
     phases = raw.get("phases", list(PHASE_ORDER))
+    if not isinstance(phases, list):
+        errors.append(f"phases: must be a list (got {phases!r})")
+        phases = list(PHASE_ORDER)
     for p in phases:
         if p not in PHASE_ORDER:
             errors.append(f"phases: unknown phase {p!r}")
     phases = [p for p in PHASE_ORDER if p in phases]
 
-    ops_cfg = raw.get("operators", {})
+    ops_cfg = _section(raw, "operators", {}, "operators", errors)
     operator_paths = _count(ops_cfg, "martingale_paths", 20000, "operators.martingale_paths", errors)
     operator_functions = _count(ops_cfg, "test_functions", 3, "operators.test_functions", errors)
     if operator_paths < 1:
@@ -353,8 +399,10 @@ def validate_config(path) -> RunPlan:
                 f"fbsde: K_Y * max dV = {driver.K_Y * max_dv:.3g} >= 1 violates the "
                 "implicit-step contraction requirement; refine grid.time_steps"
             )
-    if isinstance(generator, Stable) and problem_cfg.get("growth_zeta", 0.0):
-        if float(problem_cfg["growth_zeta"]) >= generator.alpha:
+    growth_zeta = _number(problem_cfg, "growth_zeta", 0.0, "problem.growth_zeta", errors)
+    growth_eta = _number(problem_cfg, "growth_eta", 0.0, "problem.growth_eta", errors)
+    if isinstance(generator, Stable) and growth_zeta:
+        if growth_zeta >= generator.alpha:
             errors.append(
                 "problem.growth_zeta: terminal growth exponent >= alpha has no finite "
                 "moments under the stable generator"
@@ -369,8 +417,8 @@ def validate_config(path) -> RunPlan:
         terminal_g=terminal,
         horizon_T=horizon,
         clock=clock,
-        growth_zeta=float(problem_cfg.get("growth_zeta", 0.0)),
-        growth_eta=float(problem_cfg.get("growth_eta", 0.0)),
+        growth_zeta=growth_zeta,
+        growth_eta=growth_eta,
     )
     if d_cfg.get("verify_lipschitz", False):
         problem.driver.check_lipschitz(

@@ -310,14 +310,11 @@ def generator_action(gen, spectral: Optional[SpectralFractional] = None) -> Call
 
     if isinstance(gen, DistributionalDrift):
         tr = gen.transform
-        Sigma_prime = np.gradient(tr.Sigma_table, tr.x_table)
 
         def a_distri(phi: SmoothTestFunction) -> Callable:
             def act(t, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
-                xv = x[:, 0]
-                sig = np.interp(xv, tr.x_table, tr.sigma_table)
-                sp = np.interp(xv, tr.x_table, Sigma_prime)
+                sig, sp = tr.sigma_and_Sigma_prime(x[:, 0])
                 gp = phi.grad_at(t, x)[:, 0]
                 hp = phi.hess_at(t, x)[:, 0, 0]
                 return phi.dt_at(t, x) + 0.5 * sig**2 * (hp + sp * gp)
@@ -365,7 +362,7 @@ def gamma_for_generator(gen) -> Callable:
         def gamma(phi, psi):
             def val(t, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
-                sig = np.interp(x[:, 0], tr.x_table, tr.sigma_table)
+                sig = tr.sigma(x[:, 0])
                 return sig**2 * phi.grad_at(t, x)[:, 0] * psi.grad_at(t, x)[:, 0]
             return val
 

@@ -142,6 +142,49 @@ def test_validate_reports_non_integer_counts_with_other_errors(tmp_path):
     assert validate_config(write_config(tmp_path, cfg)).normalized["fbsde"]["paths"] == 3000
 
 
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(cfg):
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return cfg
+    return edit
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda cfg: [cfg], "top level: must be an object (got list)"),
+    (_set("grid", 5), "grid: must be an object (got 5)"),
+    (_set("problem", "clock", "identity"), "problem.clock: must be an object (got 'identity')"),
+    (_set("problem", "horizon_T", "abc"), "problem.horizon_T: must be a number (got 'abc')"),
+    (_set("problem", "growth_eta", [2]), "problem.growth_eta: must be a number (got [2])"),
+    (_set("mild", 5), "mild: must be an object (got 5)"),
+    (_set("mild", "memory_budget_mb", "big"), "mild.memory_budget_mb: must be a number (got 'big')"),
+    (_set("fbsde", "lsmc"), "fbsde: must be an object (got 'lsmc')"),
+    (_set("fbsde", "basis", "polynomial"), "fbsde.basis: must be an object (got 'polynomial')"),
+    (_set("fbsde", "origins", 0.4), "fbsde.origins: must be a list (got 0.4)"),
+    (_set("fbsde", "origins", [0.4]), "fbsde.origins[0]: must be a list [s, x1, ...] of numbers"),
+    (_set("operators", [1]), "operators: must be an object (got [1])"),
+    (_set("phases", "all"), "phases: must be a list (got 'all')"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {"rate": 1.0, "jump_law": 5}}),
+     "problem.generator.levy.jump_law: must be an object (got 5)"),
+], ids=["top_level", "grid", "clock", "horizon_T", "growth_eta", "mild", "memory_budget_mb",
+        "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law"])
+def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
+    cfg = smoke_config(seed="abc")
+    cfg = edit(cfg)
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(write_config(tmp_path, cfg))
+    text = str(err.value)
+    other = "problem: required" if isinstance(cfg, list) else "seed: must be an integer"
+    assert line in text and other in text
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), out_dir=out) == 1
+    assert line in json.loads((out / "manifest.json").read_text())["errors"]["validate"]
+
+
 def _operator_rows(out):
     lines = (out / "operator_report.csv").read_text().splitlines()[2:]
     return {ln.split(",")[0]: ln.split(",")[1] for ln in lines}

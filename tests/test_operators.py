@@ -18,7 +18,15 @@ from pseudopde.operators import (
     stable_intensity,
     _bounded_basis,
 )
-from pseudopde.processes import Diffusion, JumpDiffusion, JumpLaw, LevyKernel, Stable, simulate
+from pseudopde.processes import (
+    Diffusion,
+    DistributionalDrift,
+    JumpDiffusion,
+    JumpLaw,
+    LevyKernel,
+    Stable,
+    simulate,
+)
 
 
 def brownian():
@@ -354,6 +362,30 @@ def test_gamma_for_generator_dispatch():
     ) == pytest.approx(4.0)
     with pytest.raises(UnsupportedFeatureError):
         gamma_for_generator(Stable(alpha=1.5))(phi_linear(), phi_square())
+
+
+def test_distributional_drift_action_and_gamma_equal_interp_bitwise():
+    # b = -x^2/4 (the OU process dX = -X/2 dt + sigma dW) with a varying sigma,
+    # read at stationary OU points, every table node and points off the table
+    xs = np.linspace(-3.5, 3.5, 8001)
+    gen = DistributionalDrift(b_x=xs, b_values=-(xs**2) / 4.0,
+                              sigma_fn=lambda v: 1.0 + 0.2 * np.cos(v))
+    tr = gen.transform
+    pts = np.concatenate([
+        np.random.default_rng(12).standard_normal(20000), xs, [-4.0, 3.5 + 1e-9, 6.0],
+    ])[:, None]
+    t = 0.3
+    # the formula as written with np.interp before the shared table reads
+    sig = np.interp(pts[:, 0], tr.x_table, tr.sigma_table)
+    sp = np.interp(pts[:, 0], tr.x_table, np.gradient(tr.Sigma_table, tr.x_table))
+    gamma = gamma_for_generator(gen)
+    for phi in bounded_test_functions(1):
+        gp = phi.grad_at(t, pts)[:, 0]
+        want_act = phi.dt_at(t, pts) + 0.5 * sig**2 * (phi.hess_at(t, pts)[:, 0, 0] + sp * gp)
+        got_act = generator_action(gen)(phi)(t, pts)
+        np.testing.assert_array_equal(got_act.view(np.int64), want_act.view(np.int64))
+        got_gamma = gamma(phi, phi)(t, pts)
+        np.testing.assert_array_equal(got_gamma.view(np.int64), (sig**2 * gp * gp).view(np.int64))
 
 
 def test_bounded_test_set_has_closed_partials():

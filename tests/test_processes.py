@@ -180,7 +180,7 @@ def test_h_transform_linear_b_closed_form():
     assert np.max(np.abs(tr.h_table - (1 - np.exp(-2 * xs)) / 2)) < 1e-4
     assert np.max(np.abs(tr.sigma0_table - (1 - 2 * tr.h_table))) < 1e-4
     # defining identities at table nodes
-    assert np.max(np.abs(tr.h_inv(tr.h_table) - xs)) < 1e-8
+    assert np.max(np.abs(tr.h_inv_and_sigma0(tr.h_table)[0] - xs)) < 1e-8
     hp = np.exp(-tr.Sigma_table)
     np.testing.assert_allclose(tr.sigma0_table, 1.0 * hp, rtol=1e-8)
 
@@ -199,30 +199,89 @@ def test_h_transform_input_errors():
         build_h_transform(xs + 5.0, xs, lambda v: np.ones_like(v))  # 0 not bracketed
 
 
-def test_h_transform_two_sided_bound_warning():
+def _oscillating_table():
+    xs = np.linspace(-2.0, 2.5, 4001)
+    return build_h_transform(xs, np.abs(xs) * 0.4 - np.sin(3.0 * xs) * 0.1,
+                             lambda v: 1.0 + 0.2 * np.cos(v))
+
+
+def _drift_config_table():
+    # scripts/configs/distributional_drift.json: b = -x^2/4, sigma = 1
+    xs = np.linspace(-3.5, 3.5, 8001)
+    return build_h_transform(xs, -(xs**2) / 4.0, lambda v: np.ones_like(v))
+
+
+def _strained_table():
     xs = np.linspace(-5.0, 5.0, 4001)
     with pytest.warns(UserWarning):
-        build_h_transform(xs, xs, lambda v: np.ones_like(v))  # exp(Sigma) spans e^20
+        return build_h_transform(xs, xs, lambda v: np.ones_like(v))  # exp(Sigma) spans e^20
+
+
+def test_h_transform_two_sided_bound_warning():
+    _strained_table()
+
+
+def _probe_points(ax, rng):
+    return np.concatenate([
+        [ax[0] - 1.0, ax[0] - 1e-12, ax[-1] + 1e-12, ax[-1] + 3.0],  # below and above the table
+        ax,  # every node, the first and last included
+        np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf),  # one ulp either side of each node
+        rng.uniform(ax[0], ax[-1], 5000),  # interior points
+        [np.nan],
+    ])
+
+
+def _assert_bits_equal(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_h_transform_shared_search_equals_interp_bitwise():
-    xs = np.linspace(-2.0, 2.5, 4001)
-    tr = build_h_transform(xs, np.abs(xs) * 0.4 - np.sin(3.0 * xs) * 0.1,
-                           lambda v: 1.0 + 0.2 * np.cos(v))
-    H = tr.h_table
+    for make in (_oscillating_table, _drift_config_table, _strained_table):
+        _check_reads_against_interp(make())
+
+
+def _check_reads_against_interp(tr):
+    Sigma_prime = np.gradient(tr.Sigma_table, tr.x_table)
     rng = np.random.default_rng(4)
-    y = np.concatenate([
-        [H[0] - 1.0, H[0] - 1e-12, H[-1] + 1e-12, H[-1] + 3.0],  # below and above the table
-        H,  # every node, the first and last included
-        rng.uniform(H[0], H[-1], 5000),  # interior points
-        [np.nan],
-    ])
+
+    y = _probe_points(tr.h_table, rng)
     x_got, s0_got = tr.h_inv_and_sigma0(y)
-    x_ref = np.interp(y, H, tr.x_table)
-    s0_ref = np.interp(y, H, tr.sigma0_table)
-    assert np.isnan(x_got[-1]) and np.isnan(s0_got[-1])
-    for got, ref in ((x_got, x_ref), (s0_got, s0_ref)):
-        np.testing.assert_array_equal(got[:-1].view(np.int64), ref[:-1].view(np.int64))
+    _assert_bits_equal(x_got, np.interp(y, tr.h_table, tr.x_table))
+    _assert_bits_equal(s0_got, np.interp(y, tr.h_table, tr.sigma0_table))
+    _assert_bits_equal(tr.sigma0(y), s0_got)
+
+    x = _probe_points(tr.x_table, rng)
+    sig_got, sp_got = tr.sigma_and_Sigma_prime(x)
+    _assert_bits_equal(tr.h(x), np.interp(x, tr.x_table, tr.h_table))
+    _assert_bits_equal(sig_got, np.interp(x, tr.x_table, tr.sigma_table))
+    _assert_bits_equal(sp_got, np.interp(x, tr.x_table, Sigma_prime))
+    _assert_bits_equal(tr.sigma(x), sig_got)
+
+    # the index on both abscissae is searchsorted's; NaN gets the last node
+    for read, pts in ((tr._on_h, y), (tr._on_x, x)):
+        ax = read.ax
+        i, _ = read.bracket(pts)
+        np.testing.assert_array_equal(
+            i, np.searchsorted(ax, np.clip(pts, ax[0], ax[-1]), side="right") - 1
+        )
+        assert i[-1] == ax.size - 1
+
+
+@pytest.mark.parametrize("make, resolved", [
+    (_oscillating_table, True), (_drift_config_table, True), (_strained_table, False),
+])
+def test_h_transform_guide_estimate(make, resolved):
+    # The guide plus one correction each way brackets every point of the
+    # smooth tables; on the e^20-strained h table it leaves points off, and
+    # the searchsorted fallback is what keeps the reads exact there.
+    tr = make()
+    rng = np.random.default_rng(9)
+    for read, want_resolved in ((tr._on_h, resolved), (tr._on_x, True)):
+        ax = read.ax
+        pts = np.clip(_probe_points(ax, rng)[:-1], ax[0], ax[-1])
+        want = np.searchsorted(ax, pts, side="right") - 1
+        assert np.array_equal(read._estimate(pts), want) == want_resolved
 
 
 def test_distributional_smooth_case_matches_direct_euler():
