@@ -118,6 +118,9 @@ class RunPlan:
 
 
 def _expr_function(text, dimension, kind, where, errors):
+    if not isinstance(text, str):
+        errors.append(f"{where}: must be a string (got {text!r})")
+        return None
     try:
         node = xp.parse(text, dimension)
     except PseudoPdeError as err:
@@ -153,13 +156,15 @@ def _build_generator(cfg, dimension, grid_bounds, errors):
             errors.append("problem.generator.levy: required for jump_diffusion")
             return None
         law_cfg = _section(levy_cfg, "jump_law", {}, "problem.generator.levy.jump_law", errors)
+        param = _number(law_cfg, "param", 0.0, "problem.generator.levy.jump_law.param", errors)
+        rate = _number(levy_cfg, "rate", -1.0, "problem.generator.levy.rate", errors)
         try:
             law = JumpLaw(
                 kind=law_cfg.get("kind", ""),
-                param=float(law_cfg.get("param", 0.0)),
+                param=param,
                 atoms=tuple(tuple(a) for a in law_cfg.get("atoms", ())),
             )
-            levy = LevyKernel(rate=float(levy_cfg.get("rate", -1.0)), law=law)
+            levy = LevyKernel(rate=rate, law=law)
         except (ConfigurationError, TypeError, ValueError) as err:
             errors.append(f"problem.generator.levy: {err}")
             return None
@@ -168,9 +173,11 @@ def _build_generator(cfg, dimension, grid_bounds, errors):
         if dimension != 1:
             errors.append("problem.generator: stable requires grid.dimension = 1")
             return None
+        alpha = _number(cfg, "alpha", 0.0, "problem.generator.alpha", errors)
+        scale = _number(cfg, "scale", 1.0, "problem.generator.scale", errors)
         try:
-            return Stable(alpha=float(cfg.get("alpha", 0.0)), scale=float(cfg.get("scale", 1.0)))
-        except (ConfigurationError, TypeError, ValueError) as err:
+            return Stable(alpha=alpha, scale=scale)
+        except ConfigurationError as err:
             errors.append(f"problem.generator: {err}")
             return None
     if kind == "distributional_drift":
@@ -283,22 +290,26 @@ def validate_config(path) -> RunPlan:
 
     d_cfg = problem_cfg.get("driver")
     driver = None
+    verify_lipschitz = False
     if not isinstance(d_cfg, dict) or "expr" not in d_cfg:
         errors.append("problem.driver: required (expr, K_Y, K_Z)")
     else:
         fn = _expr_function(d_cfg["expr"], dimension, "driver", "problem.driver.expr", errors)
+        k_y = _number(d_cfg, "K_Y", 0.0, "problem.driver.K_Y", errors)
+        k_z = _number(d_cfg, "K_Z", 0.0, "problem.driver.K_Z", errors)
+        # declared but read by no computation; validated and echoed only
+        c_prime = _number(d_cfg, "C_prime", 0.0, "problem.driver.C_prime", errors)
+        if c_prime < 0:
+            errors.append("problem.driver: C_prime must be nonnegative")
+        verify_lipschitz = d_cfg.get("verify_lipschitz", False)
+        if not isinstance(verify_lipschitz, bool):
+            errors.append(
+                f"problem.driver.verify_lipschitz: must be true or false (got {verify_lipschitz!r})"
+            )
         if fn is not None:
             try:
-                driver = LipschitzDriver(
-                    fn=fn,
-                    K_Y=float(d_cfg.get("K_Y", 0.0)),
-                    K_Z=float(d_cfg.get("K_Z", 0.0)),
-                )
-                # declared but read by no computation; validated and echoed only
-                c_prime = float(d_cfg.get("C_prime", 0.0))
-                if c_prime < 0:
-                    raise ConfigurationError("C_prime must be nonnegative")
-            except (PseudoPdeError, TypeError, ValueError) as err:
+                driver = LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
+            except PseudoPdeError as err:
                 errors.append(f"problem.driver: {err}")
 
     gen_cfg = problem_cfg.get("generator")
@@ -316,11 +327,11 @@ def validate_config(path) -> RunPlan:
     try:
         picard = PicardConfig(
             max_iterations=max_iterations,
-            tolerance=float(mild_cfg.get("tolerance", 1e-3)),
+            tolerance=_number(mild_cfg, "tolerance", 1e-3, "mild.tolerance", errors),
             v_scheme=mild_cfg.get("v_scheme", "variance"),
-            damping=float(mild_cfg.get("damping", 1.0)),
+            damping=_number(mild_cfg, "damping", 1.0, "mild.damping", errors),
         )
-    except (PseudoPdeError, TypeError, ValueError) as err:
+    except PseudoPdeError as err:
         errors.append(f"mild: {err}")
     cache_paths = _count(mild_cfg, "cache_paths", 1000, "mild.cache_paths", errors)
     if cache_paths < 1:
@@ -342,10 +353,10 @@ def validate_config(path) -> RunPlan:
             raise ConfigurationError(f"unknown basis kind {kind!r}; the basis is 'polynomial'")
         basis = RegressionBasis(
             degree=degree,
-            ridge=float(fb_cfg.get("ridge", 1e-9)),
+            ridge=_number(fb_cfg, "ridge", 1e-9, "fbsde.ridge", errors),
             clip=clip,
         )
-    except (PseudoPdeError, TypeError, ValueError) as err:
+    except PseudoPdeError as err:
         errors.append(f"fbsde.basis: {err}")
     fbsde_paths = _count(fb_cfg, "paths", 20000, "fbsde.paths", errors)
     if fbsde_paths < 1:
@@ -420,7 +431,7 @@ def validate_config(path) -> RunPlan:
         growth_zeta=growth_zeta,
         growth_eta=growth_eta,
     )
-    if d_cfg.get("verify_lipschitz", False):
+    if verify_lipschitz:
         problem.driver.check_lipschitz(
             (0.0, horizon), (grid.space_min, grid.space_max)
         )
@@ -435,7 +446,7 @@ def validate_config(path) -> RunPlan:
                 "K_Y": problem.driver.K_Y,
                 "K_Z": problem.driver.K_Z,
                 "C_prime": c_prime,
-                "verify_lipschitz": bool(d_cfg.get("verify_lipschitz", False)),
+                "verify_lipschitz": verify_lipschitz,
             },
             "terminal_g": {"expr": g_cfg["expr"]},
             "horizon_T": horizon,

@@ -18,8 +18,8 @@ position's grid bracket once and reads every field from it.  The cached
 positions never change during a solve, but no bracket is kept between
 sweeps: a per-step search costs less than the memory an index beside the
 cache would take.  Each path's sum is accumulated in step order, so the
-estimates equal a per-cell loop exactly; the tests compare against
-``semigroup.terminal_plus_running``.
+estimates equal a per-cell loop exactly; the tests compare against the
+per-cell reference ``terminal_plus_running`` in ``tests/cell_reference.py``.
 
 Two v-identification schemes are provided: ``volterra`` solves the second
 line backward in time for w = v^2 (left-endpoint quadrature makes the r = s

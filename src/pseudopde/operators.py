@@ -12,6 +12,12 @@ Three independent routes to Gamma(phi, psi) are provided:
 
 plus a spectral evaluation of the stable generator on a periodized grid,
 used solely as a cross-check oracle for the quadrature route.
+
+scipy is imported only inside ``stable_intensity`` (its gamma function) and
+``gamma_fractional`` (``integrate.quad``).  The jump terms of ``gamma_local``
+and ``generator_action`` load it through ``processes.JumpLaw.quadrature``, for
+the gaussian and laplace laws only.  Loading it takes most of a run's start-up
+time, and the rest of this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
 
 from .core import ScalarField, SpaceTimeGrid
 from .errors import (
@@ -170,6 +174,8 @@ def gamma_local(
 def stable_intensity(alpha: float, scale: float = 1.0) -> float:
     """Levy density factor k with nu(dy) = k |y|^{-1-alpha} dy matching the
     symbol scale * |xi|^alpha (d = 1)."""
+    from scipy.special import gamma as gamma_fn
+
     return scale * gamma_fn(1.0 + alpha) * np.sin(np.pi * alpha / 2.0) / np.pi
 
 
@@ -189,6 +195,8 @@ def gamma_fractional(
     when phi decays beyond the cutoff; the neglected cross terms are bounded
     and reported as ``remainder_bound``).
     """
+    from scipy import integrate
+
     if not 0.0 < alpha < 2.0:
         raise InputError("alpha must lie in (0, 2) for the fractional Gamma")
     k = stable_intensity(alpha, scale)

@@ -32,6 +32,11 @@ the block step together.
 ``simulate`` samples the family P^{s,x}: M paths from x at the grid time s
 (located by ``SpaceTimeGrid.time_index``), returned as a ``PathEnsemble`` of
 the grid times from s on, their clock increments dV and the positions.
+
+scipy is imported only inside ``JumpLaw.quadrature``, for the Gauss-Hermite
+and Gauss-Laguerre rules of the ``gaussian`` and ``laplace`` jump laws.
+Loading it takes most of a run's start-up time, and no other code here
+needs it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_hermite, roots_laguerre
 
 from .core import ClockV, SpaceTimeGrid, v_increments
 from .errors import ConfigurationError, InputError, InternalError
@@ -87,9 +91,13 @@ class JumpLaw:
             ps = np.array([p for _, p in self.atoms])
             return ys, ps
         if self.kind == "gaussian":
+            from scipy.special import roots_hermite
+
             t, w = roots_hermite(_QUAD_NODES)
             return np.sqrt(2.0) * self.param * t, w / np.sqrt(np.pi)
         if self.kind == "laplace":
+            from scipy.special import roots_laguerre
+
             t, w = roots_laguerre(_QUAD_NODES)
             ys = self.param * t
             return np.concatenate([ys, -ys]), np.concatenate([w, w]) * 0.5

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from pseudopde.cli import main, run, validate_config
 from pseudopde.errors import ConfigurationError
 from pseudopde.operators import bounded_test_functions, generator_action, martingale_test
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def smoke_config(**overrides):
     cfg = {
@@ -170,8 +175,34 @@ def _set(*keys_and_value):
     (_set("phases", "all"), "phases: must be a list (got 'all')"),
     (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {"rate": 1.0, "jump_law": 5}}),
      "problem.generator.levy.jump_law: must be an object (got 5)"),
+    (_set("problem", "driver", "expr", 5), "problem.driver.expr: must be a string (got 5)"),
+    (_set("problem", "terminal_g", "expr", [1]),
+     "problem.terminal_g.expr: must be a string (got [1])"),
+    (_set("problem", "generator", "sigma", 1), "problem.generator.sigma: must be a string (got 1)"),
+    (_set("problem", "driver", "K_Y", "0.5"), "problem.driver.K_Y: must be a number (got '0.5')"),
+    (_set("problem", "driver", "K_Z", None), "problem.driver.K_Z: must be a number (got None)"),
+    (_set("problem", "driver", "C_prime", [0]), "problem.driver.C_prime: must be a number (got [0])"),
+    (_set("problem", "driver", "verify_lipschitz", "no"),
+     "problem.driver.verify_lipschitz: must be true or false (got 'no')"),
+    (_set("mild", "tolerance", "1e-3"), "mild.tolerance: must be a number (got '1e-3')"),
+    (_set("mild", "tolerance", float("inf")), "mild.tolerance: must be a number (got inf)"),
+    (_set("mild", "damping", True), "mild.damping: must be a number (got True)"),
+    (_set("fbsde", "ridge", "1e-9"), "fbsde.ridge: must be a number (got '1e-9')"),
+    (_set("problem", "generator", {"kind": "stable", "alpha": "1.5"}),
+     "problem.generator.alpha: must be a number (got '1.5')"),
+    (_set("problem", "generator", {"kind": "stable", "alpha": 1.5, "scale": float("nan")}),
+     "problem.generator.scale: must be a number (got nan)"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {
+        "rate": "1", "jump_law": {"kind": "two_point", "param": 0.5}}}),
+     "problem.generator.levy.rate: must be a number (got '1')"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {
+        "rate": 1.0, "jump_law": {"kind": "two_point", "param": "0.5"}}}),
+     "problem.generator.levy.jump_law.param: must be a number (got '0.5')"),
 ], ids=["top_level", "grid", "clock", "horizon_T", "growth_eta", "mild", "memory_budget_mb",
-        "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law"])
+        "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
+        "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z", "C_prime",
+        "verify_lipschitz", "tolerance", "tolerance_inf", "damping", "ridge", "alpha", "scale",
+        "rate", "param"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     cfg = smoke_config(seed="abc")
     cfg = edit(cfg)
@@ -183,6 +214,50 @@ def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     out = tmp_path / "out"
     assert run(write_config(tmp_path, cfg), out_dir=out) == 1
     assert line in json.loads((out / "manifest.json").read_text())["errors"]["validate"]
+
+
+STARTUP = """
+import json, sys
+from pseudopde import cli
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+cli.validate_config(sys.argv[1])
+after_validate = scipy_loaded()
+code = cli.run(sys.argv[1], out_dir=sys.argv[2])
+print(json.dumps([after_validate, code, scipy_loaded()]))
+"""
+
+
+@pytest.mark.parametrize("generator, loads_scipy", [
+    ({"kind": "diffusion", "mu": "0", "sigma": "1"}, False),
+    ({"kind": "stable", "alpha": 1.5}, False),
+    ({"kind": "distributional_drift", "b": {"expr": "-x1^2/4", "nodes": 2001}, "sigma": "1"},
+     False),
+    ({"kind": "jump_diffusion", "mu": "0", "sigma": "0.5",
+      "levy": {"rate": 1.0, "jump_law": {"kind": "gaussian", "param": 0.3}}}, True),
+], ids=["diffusion", "stable", "distributional_drift", "jump_gaussian"])
+def test_run_imports_scipy_only_where_used(tmp_path, generator, loads_scipy):
+    # scipy takes most of a run's start-up; only the gaussian/laplace jump
+    # quadrature and the fractional Gamma route load it, on first use
+    cfg = smoke_config()
+    cfg["problem"]["generator"] = generator
+    cfg["problem"]["terminal_g"] = {"expr": "cos(x1)"}
+    path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-c", STARTUP, str(path), str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    after_validate, code, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["phases_completed"] == list(
+        cli.PHASE_ORDER)
+    assert not after_validate
+    assert after_run == loads_scipy
 
 
 def _operator_rows(out):

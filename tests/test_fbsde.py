@@ -7,7 +7,9 @@ from pseudopde.errors import ConfigurationError, InputError, NumericalError
 from pseudopde.fbsde import RegressionBasis, crosscheck, lsmc_solve, regress, regression_design
 from pseudopde.mild import PicardConfig, picard_solve
 from pseudopde.processes import Diffusion
-from pseudopde.semigroup import build_cache, terminal_expectation
+from pseudopde.semigroup import build_cache
+
+from cell_reference import terminal_expectation
 
 
 def brownian():

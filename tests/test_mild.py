@@ -12,7 +12,9 @@ from pseudopde.mild import (
     update_v_volterra,
 )
 from pseudopde.processes import Diffusion
-from pseudopde.semigroup import build_cache, terminal_expectation
+from pseudopde.semigroup import build_cache
+
+from cell_reference import terminal_expectation, terminal_plus_running
 
 
 def brownian():
@@ -286,7 +288,6 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
     # block sweeps must reproduce the per-cell semigroup estimator bit for bit:
     # 2-d grid, a clock with one flat step (dV = 0), a driver in x, y and z
     from pseudopde.core import ClockV
-    from pseudopde.semigroup import terminal_plus_running
 
     grid = SpaceTimeGrid.regular(1.0, 4, [-2.0, -1.5], [2.0, 1.5], [3, 4])
     clock = ClockV(

@@ -12,14 +12,9 @@ from pseudopde.processes import (
     Stable,
     simulate,
 )
-from pseudopde.semigroup import (
-    build_cache,
-    chapman_kolmogorov_test,
-    derive_cell_seed,
-    running_expectation,
-    terminal_expectation,
-    terminal_plus_running,
-)
+from pseudopde.semigroup import build_cache, chapman_kolmogorov_test, derive_cell_seed
+
+from cell_reference import running_expectation, terminal_expectation, terminal_plus_running
 
 
 def brownian():
