@@ -49,16 +49,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _is_integer(value) -> bool:
-    """A JSON number with no fractional part; bools and strings are not."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and float(value).is_integer()
-    )
-
-
-def _is_number(value) -> bool:
+def _real(value) -> bool:
     """A finite JSON number; bools and strings are not."""
     return (
         isinstance(value, (int, float))
@@ -67,35 +58,107 @@ def _is_number(value) -> bool:
     )
 
 
-def _number(cfg: dict, key: str, default: float, name: str, errors: list) -> float:
-    """The number ``cfg[key]`` as a float (``default`` when absent), reported
-    in ``errors`` and replaced by ``default`` otherwise, as ``_count`` does."""
-    value = cfg.get(key, default)
-    if not _is_number(value):
-        errors.append(f"{name}: must be a number (got {value!r})")
-        return default
-    return float(value)
+def _integral(value) -> bool:
+    """A JSON number with no fractional part, such as 3 or 3.0."""
+    return _real(value) and float(value).is_integer()
 
 
-def _section(cfg: dict, key: str, default: dict, name: str, errors: list) -> dict:
-    """The object ``cfg[key]`` (``default`` when absent), reported in
-    ``errors`` and replaced by ``default`` otherwise, as ``_count`` does."""
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        errors.append(f"{name}: must be an object (got {value!r})")
-        return default
-    return value
+class _Section:
+    """One object of the config, read key by key.
 
+    Each getter names its key once.  A missing required key is reported as
+    ``<path>: required`` and a value of the wrong type or out of bounds as
+    ``<path>: must be <what> (got <value!r>)``; either way ``default`` stands
+    in for it, so one pass collects every error.  The value a getter returns
+    is recorded in ``echo``, from which ``config.json`` is assembled.
+    """
 
-def _count(cfg: dict, key: str, default: int, name: str, errors: list) -> int:
-    """The integer ``cfg[key]`` (``default`` when absent).  Any other value is
-    reported in ``errors`` under ``name`` and ``default`` stands in for it, so
-    validation goes on and every violation is reported at once."""
-    value = cfg.get(key, default)
-    if not _is_integer(value):
-        errors.append(f"{name}: must be an integer (got {value!r})")
-        return default
-    return int(value)
+    def __init__(self, cfg: dict, name: str, errors: list):
+        self.cfg, self.name, self.errors = cfg, name, errors
+        self.echo = {}
+
+    def __contains__(self, key) -> bool:
+        return key in self.cfg
+
+    def path(self, key=None) -> str:
+        if key is None:
+            return self.name
+        return f"{self.name}.{key}" if self.name else key
+
+    def error(self, message: str, key=None):
+        self.errors.append(f"{self.path(key)}: {message}")
+
+    def value(self, key, default, checks, convert=None, required=False):
+        """``cfg[key]``, through ``convert``, if it passes every ``(what, test)``
+        in ``checks``; otherwise the first ``what`` it fails is reported."""
+        if key not in self.cfg:
+            if required:
+                self.error("required", key)
+            value = default
+        else:
+            value = self.cfg[key]
+            failed = next((what for what, test in checks if not test(value)), None)
+            if failed is not None:
+                self.error(f"must be {failed} (got {value!r})", key)
+                value = default
+            elif convert is not None:
+                value = convert(value)
+        self.echo[key] = value
+        return value
+
+    def section(self, key, default=None, *, required=False, raw=False) -> "_Section":
+        """The object at ``key``, echoed as the keys read from it or, with
+        ``raw``, as written.  A missing or malformed object is reported once:
+        reads from its stand-in report nothing more."""
+        before = len(self.errors)
+        value = self.value(key, default or {}, [("an object", lambda v: isinstance(v, dict))],
+                           required=required)
+        sub = _Section(value, self.path(key), self.errors if len(self.errors) == before else [])
+        if not raw:
+            self.echo[key] = sub.echo
+        return sub
+
+    def number(self, key, default, *, required=False, positive=False) -> float:
+        checks = [("a number", _real)]
+        if positive:
+            checks.append(("positive", lambda v: v > 0))
+        return self.value(key, default, checks, float, required)
+
+    def count(self, key, default, *, minimum=None, maximum=None) -> int:
+        checks = [("an integer", _integral)]
+        if maximum is not None:
+            checks.append((f"in {minimum}..{maximum}", lambda v: minimum <= v <= maximum))
+        elif minimum is not None:
+            checks.append((f">= {minimum}", lambda v: v >= minimum))
+        return self.value(key, default, checks, int)
+
+    def flag(self, key, default: bool) -> bool:
+        return self.value(key, default, [("true or false", lambda v: isinstance(v, bool))])
+
+    def string(self, key, default, *, required=False):
+        return self.value(key, default, [("a string", lambda v: isinstance(v, str))],
+                          required=required)
+
+    def choice(self, key, options: tuple, default, *, required=False):
+        # returns the option itself, so `"schema": 1.0` is echoed as 1
+        what = "one of " + ", ".join(map(str, options))
+        return self.value(key, default, [(what, lambda v: v in options)],
+                          lambda v: options[options.index(v)], required)
+
+    def items(self, key, default) -> list:
+        return self.value(key, default, [("a list", lambda v: isinstance(v, list))])
+
+    def _list(self, key, default, what, item, convert, length, required):
+        checks = [(what, lambda v: isinstance(v, list) and all(map(item, v)))]
+        if length is not None:
+            checks.append((f"of length {length}", lambda v: len(v) == length))
+        return self.value(key, default, checks, lambda v: [convert(c) for c in v], required)
+
+    def numbers(self, key, default, *, length=None, required=False) -> list:
+        return self._list(key, default, "a list of numbers", _real, float, length, required)
+
+    def counts(self, key, default, *, length=None) -> list:
+        return self._list(key, default, "a list of integers", _integral, int, length, False)
 
 
 @dataclass
@@ -117,111 +180,85 @@ class RunPlan:
     normalized: dict = field(repr=False, default_factory=dict)
 
 
-def _expr_function(text, dimension, kind, where, errors):
-    if not isinstance(text, str):
-        errors.append(f"{where}: must be a string (got {text!r})")
+def _expr_function(section, key, dimension, compile_fn, default=None):
+    """The expression at ``key`` compiled by ``compile_fn``, or None when it
+    is missing (required when ``default`` is None) or does not compile."""
+    text = section.string(key, default, required=default is None)
+    if text is None:
         return None
     try:
-        node = xp.parse(text, dimension)
+        fn = compile_fn(xp.parse(text, dimension), dimension)
     except PseudoPdeError as err:
-        errors.append(f"{where}: {err}")
-        return None
-    try:
-        if kind == "driver":
-            fn = xp.as_driver_fn(node, dimension)
-        elif kind == "terminal":
-            fn = xp.as_function_of_x(node, dimension)
-        else:
-            fn = xp.as_coefficient_fn(node, dimension)
-    except PseudoPdeError as err:
-        errors.append(f"{where}: {err}")
+        section.error(str(err), key)
         return None
     fn.fingerprint_token = text
     return fn
 
 
-def _build_generator(cfg, dimension, grid_bounds, errors):
-    kind = cfg.get("kind")
-    if kind == "diffusion" or kind == "jump_diffusion":
-        mu = _expr_function(cfg.get("mu", "0"), dimension, "coef", "problem.generator.mu", errors)
-        sigma = _expr_function(
-            cfg.get("sigma", "1"), dimension, "coef", "problem.generator.sigma", errors
-        )
+def _drift_table(b, grid_bounds):
+    """Nodes and values of the drift b: its ``expr`` sampled at ``nodes``
+    points over ``bounds``, or the table given as ``x`` and ``values``."""
+    if "expr" not in b:
+        xs = b.numbers("x", None, required=True)
+        values = b.numbers("values", None, required=True)
+        return None if xs is None or values is None else (np.asarray(xs), np.asarray(values))
+    b_fn = _expr_function(b, "expr", 1, xp.as_coefficient_fn)
+    lo, hi = b.numbers("bounds", grid_bounds, length=2)
+    xs = np.linspace(lo, hi, b.count("nodes", 10001, minimum=3))
+    return None if b_fn is None else (xs, b_fn(0.0, xs[:, None]))
+
+
+def _build_generator(kind, gen, dimension, grid_bounds):
+    if kind == "stable":
+        try:
+            return Stable(alpha=gen.number("alpha", 2.0, required=True),
+                          scale=gen.number("scale", 1.0))
+        except ConfigurationError as err:
+            gen.error(str(err))
+            return None
+    sigma = _expr_function(gen, "sigma", dimension, xp.as_coefficient_fn, "1")
+    if kind == "distributional_drift":
+        b = gen.section("b", required=True)
+        try:
+            table = _drift_table(b, grid_bounds)
+            if sigma is None or table is None:
+                return None
+            sigma_of_x = lambda xs: sigma(0.0, np.asarray(xs, dtype=float)[:, None])
+            sigma_of_x.fingerprint_token = sigma.fingerprint_token
+            return DistributionalDrift(b_x=table[0], b_values=table[1], sigma_fn=sigma_of_x)
+        except PseudoPdeError as err:
+            b.error(str(err))
+            return None
+    mu = _expr_function(gen, "mu", dimension, xp.as_coefficient_fn, "0")
+    if kind == "diffusion":
         if mu is None or sigma is None:
             return None
-        if kind == "diffusion":
-            return Diffusion(mu=mu, sigma=sigma, dimension=dimension)
-        levy_cfg = cfg.get("levy")
-        if not isinstance(levy_cfg, dict):
-            errors.append("problem.generator.levy: required for jump_diffusion")
-            return None
-        law_cfg = _section(levy_cfg, "jump_law", {}, "problem.generator.levy.jump_law", errors)
-        param = _number(law_cfg, "param", 0.0, "problem.generator.levy.jump_law.param", errors)
-        rate = _number(levy_cfg, "rate", -1.0, "problem.generator.levy.rate", errors)
-        try:
-            law = JumpLaw(
-                kind=law_cfg.get("kind", ""),
-                param=param,
-                atoms=tuple(tuple(a) for a in law_cfg.get("atoms", ())),
-            )
-            levy = LevyKernel(rate=rate, law=law)
-        except (ConfigurationError, TypeError, ValueError) as err:
-            errors.append(f"problem.generator.levy: {err}")
-            return None
-        return JumpDiffusion(mu=mu, sigma=sigma, levy=levy, dimension=dimension)
-    if kind == "stable":
-        if dimension != 1:
-            errors.append("problem.generator: stable requires grid.dimension = 1")
-            return None
-        alpha = _number(cfg, "alpha", 0.0, "problem.generator.alpha", errors)
-        scale = _number(cfg, "scale", 1.0, "problem.generator.scale", errors)
-        try:
-            return Stable(alpha=alpha, scale=scale)
-        except ConfigurationError as err:
-            errors.append(f"problem.generator: {err}")
-            return None
-    if kind == "distributional_drift":
-        if dimension != 1:
-            errors.append("problem.generator: distributional_drift requires grid.dimension = 1")
-            return None
-        sigma = _expr_function(
-            cfg.get("sigma", "1"), 1, "coef", "problem.generator.sigma", errors
-        )
-        if sigma is None:
-            return None
-        sigma_of_x = lambda xs: sigma(0.0, np.asarray(xs, dtype=float)[:, None])
-        sigma_of_x.fingerprint_token = cfg.get("sigma", "1")
-        b_cfg = cfg.get("b")
-        if not isinstance(b_cfg, dict):
-            errors.append("problem.generator.b: required (expression or sample table)")
-            return None
-        try:
-            if "expr" in b_cfg:
-                b_fn = _expr_function(b_cfg["expr"], 1, "coef", "problem.generator.b.expr", errors)
-                if b_fn is None:
-                    return None
-                lo, hi = b_cfg.get("bounds", grid_bounds)
-                n = _count(b_cfg, "nodes", 10001, "problem.generator.b.nodes", errors)
-                xs = np.linspace(float(lo), float(hi), n)
-                bv = b_fn(0.0, xs[:, None])
-            else:
-                xs = np.asarray(b_cfg["x"], dtype=float)
-                bv = np.asarray(b_cfg["values"], dtype=float)
-            return DistributionalDrift(b_x=xs, b_values=bv, sigma_fn=sigma_of_x)
-        except (PseudoPdeError, KeyError, TypeError, ValueError) as err:
-            errors.append(f"problem.generator.b: {err}")
-            return None
-    errors.append(
-        "problem.generator.kind: must be one of diffusion, jump_diffusion, stable, "
-        f"distributional_drift (got {kind!r})"
+        return Diffusion(mu=mu, sigma=sigma, dimension=dimension)
+    levy = gen.section("levy", required=True)
+    law = levy.section("jump_law")
+    pairs = lambda v: isinstance(v, list) and all(
+        isinstance(a, list) and len(a) == 2 and all(map(_real, a)) for a in v
     )
-    return None
+    atoms = law.value("atoms", (), [("a list of [size, weight] number pairs", pairs)],
+                      lambda v: tuple(map(tuple, v)))
+    try:
+        kernel = LevyKernel(
+            rate=levy.number("rate", 0.0, required=True),
+            law=JumpLaw(kind=law.string("kind", ""), param=law.number("param", 0.0), atoms=atoms),
+        )
+    except ConfigurationError as err:
+        levy.error(str(err))
+        return None
+    if mu is None or sigma is None:
+        return None
+    return JumpDiffusion(mu=mu, sigma=sigma, levy=kernel, dimension=dimension)
 
 
 def validate_config(path) -> RunPlan:
     """Parse, check every cross-field constraint, and normalize with defaults.
 
-    All violations are collected and reported at once.
+    All violations are collected and reported at once.  The normalized config
+    is the echo of every key read, with its default when absent.
     """
     errors = []
     try:
@@ -231,193 +268,143 @@ def validate_config(path) -> RunPlan:
     if not isinstance(raw, dict):
         errors.append(f"top level: must be an object (got {type(raw).__name__})")
         raw = {}
-    if raw.get("schema", 1) != 1:
-        errors.append(f"schema: unsupported version {raw.get('schema')!r}")
+    top = _Section(raw, "", errors)
+    top.choice("schema", (1,), 1)
+    seed = top.count("seed", 0)
 
-    grid_cfg = _section(raw, "grid", {}, "grid", errors)
-    dimension = _count(grid_cfg, "dimension", 1, "grid.dimension", errors)
-    problem_cfg = raw.get("problem")
-    if not isinstance(problem_cfg, dict):
-        errors.append("problem: required")
-        problem_cfg = {}
-
-    if "horizon_T" not in problem_cfg:
-        errors.append("problem.horizon_T: required")
-        horizon = 1.0
-    else:
-        horizon = _number(problem_cfg, "horizon_T", 1.0, "problem.horizon_T", errors)
-        if horizon <= 0:
-            errors.append("problem.horizon_T: must be positive")
-            horizon = 1.0
-
-    time_steps = _count(grid_cfg, "time_steps", 50, "grid.time_steps", errors)
-    space_nodes = grid_cfg.get("space_nodes", [41] * dimension)
-    if not isinstance(space_nodes, list) or not all(_is_integer(n) for n in space_nodes):
-        errors.append(f"grid.space_nodes: must be a list of integers (got {space_nodes!r})")
-        space_nodes = [41] * dimension
+    grid_cfg = top.section("grid")
+    dimension = grid_cfg.count("dimension", 1, minimum=1)
+    problem_cfg = top.section("problem", required=True)
+    horizon = problem_cfg.number("horizon_T", 1.0, required=True, positive=True)
     grid = None
     try:
         grid = SpaceTimeGrid.regular(
             horizon=horizon,
-            time_steps=time_steps,
-            space_min=np.asarray(grid_cfg.get("space_min", [-4.0] * dimension), dtype=float),
-            space_max=np.asarray(grid_cfg.get("space_max", [4.0] * dimension), dtype=float),
-            space_nodes=np.asarray(space_nodes, dtype=int),
+            time_steps=grid_cfg.count("time_steps", 50, minimum=1),
+            space_min=grid_cfg.numbers("space_min", [-4.0] * dimension, length=dimension),
+            space_max=grid_cfg.numbers("space_max", [4.0] * dimension, length=dimension),
+            space_nodes=grid_cfg.counts("space_nodes", [41] * dimension, length=dimension),
         )
-    except (PseudoPdeError, TypeError, ValueError) as err:
-        errors.append(f"grid: {err}")
+    except PseudoPdeError as err:
+        grid_cfg.error(str(err))
 
-    clock_cfg = _section(problem_cfg, "clock", {"kind": "identity"}, "problem.clock", errors)
+    clock_cfg = problem_cfg.section("clock", {"kind": "identity"}, raw=True)
     clock = ClockV()
-    try:
-        if clock_cfg.get("kind", "identity") == "tabulated":
-            clock = ClockV(
-                kind="tabulated",
-                times=np.asarray(clock_cfg["times"], dtype=float),
-                values=np.asarray(clock_cfg["values"], dtype=float),
-            )
-        if not clock.covers(0.0, horizon):
-            errors.append("problem.clock: domain must cover [0, horizon_T]")
-    except (PseudoPdeError, KeyError, TypeError, ValueError) as err:
-        errors.append(f"problem.clock: {err}")
+    if clock_cfg.choice("kind", ("identity", "tabulated"), "identity") == "tabulated":
+        times = clock_cfg.numbers("times", None, required=True)
+        values = clock_cfg.numbers("values", None, required=True)
+        try:
+            if times is not None and values is not None:
+                clock = ClockV(kind="tabulated", times=times, values=values)
+        except PseudoPdeError as err:
+            clock_cfg.error(str(err))
+    if not clock.covers(0.0, horizon):
+        clock_cfg.error("domain must cover [0, horizon_T]")
+        clock = ClockV()
 
-    g_cfg = problem_cfg.get("terminal_g")
-    terminal = None
-    if not isinstance(g_cfg, dict) or "expr" not in g_cfg:
-        errors.append("problem.terminal_g: required")
-    else:
-        terminal = _expr_function(g_cfg["expr"], dimension, "terminal", "problem.terminal_g.expr", errors)
+    terminal = _expr_function(
+        problem_cfg.section("terminal_g", required=True), "expr", dimension, xp.as_function_of_x
+    )
 
-    d_cfg = problem_cfg.get("driver")
+    d_cfg = problem_cfg.section("driver", required=True)
+    fn = _expr_function(d_cfg, "expr", dimension, xp.as_driver_fn)
+    k_y, k_z = d_cfg.number("K_Y", 0.0), d_cfg.number("K_Z", 0.0)
+    # declared but read by no computation; validated and echoed only
+    if d_cfg.number("C_prime", 0.0) < 0:
+        d_cfg.error("C_prime must be nonnegative")
+    verify_lipschitz = d_cfg.flag("verify_lipschitz", False)
     driver = None
-    verify_lipschitz = False
-    if not isinstance(d_cfg, dict) or "expr" not in d_cfg:
-        errors.append("problem.driver: required (expr, K_Y, K_Z)")
-    else:
-        fn = _expr_function(d_cfg["expr"], dimension, "driver", "problem.driver.expr", errors)
-        k_y = _number(d_cfg, "K_Y", 0.0, "problem.driver.K_Y", errors)
-        k_z = _number(d_cfg, "K_Z", 0.0, "problem.driver.K_Z", errors)
-        # declared but read by no computation; validated and echoed only
-        c_prime = _number(d_cfg, "C_prime", 0.0, "problem.driver.C_prime", errors)
-        if c_prime < 0:
-            errors.append("problem.driver: C_prime must be nonnegative")
-        verify_lipschitz = d_cfg.get("verify_lipschitz", False)
-        if not isinstance(verify_lipschitz, bool):
-            errors.append(
-                f"problem.driver.verify_lipschitz: must be true or false (got {verify_lipschitz!r})"
-            )
-        if fn is not None:
-            try:
-                driver = LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
-            except PseudoPdeError as err:
-                errors.append(f"problem.driver: {err}")
+    if fn is not None:
+        try:
+            driver = LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
+        except PseudoPdeError as err:
+            d_cfg.error(str(err))
 
-    gen_cfg = problem_cfg.get("generator")
+    gen_cfg = problem_cfg.section("generator", required=True, raw=True)
+    kind = gen_cfg.choice(
+        "kind", ("diffusion", "jump_diffusion", "stable", "distributional_drift"), None,
+        required=True,
+    )
     generator = None
-    if not isinstance(gen_cfg, dict):
-        errors.append("problem.generator: required")
-    elif grid is not None:
-        generator = _build_generator(
-            gen_cfg, dimension, (float(grid.space_min[0]), float(grid.space_max[0])), errors
-        )
+    if kind in ("jump_diffusion", "stable", "distributional_drift") and dimension != 1:
+        gen_cfg.error(f"{kind} requires {grid_cfg.path('dimension')} = 1")
+    elif kind is not None and grid is not None:
+        bounds = [float(grid.space_min[0]), float(grid.space_max[0])]
+        generator = _build_generator(kind, gen_cfg, dimension, bounds)
 
-    mild_cfg = _section(raw, "mild", {}, "mild", errors)
-    max_iterations = _count(mild_cfg, "max_iterations", 15, "mild.max_iterations", errors)
+    mild_cfg = top.section("mild")
+    cache_paths = mild_cfg.count("cache_paths", 1000, minimum=1)
+    memory_budget = mild_cfg.number("memory_budget_mb", 4096.0, positive=True)
     picard = None
     try:
         picard = PicardConfig(
-            max_iterations=max_iterations,
-            tolerance=_number(mild_cfg, "tolerance", 1e-3, "mild.tolerance", errors),
-            v_scheme=mild_cfg.get("v_scheme", "variance"),
-            damping=_number(mild_cfg, "damping", 1.0, "mild.damping", errors),
+            max_iterations=mild_cfg.count("max_iterations", 15),
+            tolerance=mild_cfg.number("tolerance", 1e-3),
+            v_scheme=mild_cfg.string("v_scheme", "variance"),
+            damping=mild_cfg.number("damping", 1.0),
         )
     except PseudoPdeError as err:
-        errors.append(f"mild: {err}")
-    cache_paths = _count(mild_cfg, "cache_paths", 1000, "mild.cache_paths", errors)
-    if cache_paths < 1:
-        errors.append("mild.cache_paths: must be >= 1")
-    memory_budget = _number(mild_cfg, "memory_budget_mb", 4096.0, "mild.memory_budget_mb", errors)
+        mild_cfg.error(str(err))
 
-    fb_cfg = _section(raw, "fbsde", {}, "fbsde", errors)
+    fb_cfg = top.section("fbsde")
+    fbsde_paths = fb_cfg.count("paths", 20000, minimum=1)
+    basis_cfg = fb_cfg.section("basis", {"kind": "polynomial", "degree": 3}, raw=True)
+    basis_kind = basis_cfg.string("kind", "polynomial")
+    if basis_kind != "polynomial":
+        basis_cfg.error(f"unknown basis kind {basis_kind!r}; the basis is 'polynomial'")
     basis = None
-    basis_cfg = _section(
-        fb_cfg, "basis", {"kind": "polynomial", "degree": 3}, "fbsde.basis", errors
-    )
-    degree = _count(basis_cfg, "degree", 3, "fbsde.basis.degree", errors)
     try:
-        clip = None
-        if grid is not None:
-            clip = (grid.space_min, grid.space_max)
-        kind = basis_cfg.get("kind", "polynomial")
-        if kind != "polynomial":
-            raise ConfigurationError(f"unknown basis kind {kind!r}; the basis is 'polynomial'")
         basis = RegressionBasis(
-            degree=degree,
-            ridge=_number(fb_cfg, "ridge", 1e-9, "fbsde.ridge", errors),
-            clip=clip,
+            degree=basis_cfg.count("degree", 3, minimum=0),
+            ridge=fb_cfg.number("ridge", 1e-9),
+            clip=None if grid is None else (grid.space_min, grid.space_max),
         )
     except PseudoPdeError as err:
-        errors.append(f"fbsde.basis: {err}")
-    fbsde_paths = _count(fb_cfg, "paths", 20000, "fbsde.paths", errors)
-    if fbsde_paths < 1:
-        errors.append("fbsde.paths: must be >= 1")
-    origins_cfg = fb_cfg.get("origins", [[0.0] + [0.0] * dimension])
-    if not isinstance(origins_cfg, list):
-        errors.append(f"fbsde.origins: must be a list (got {origins_cfg!r})")
-        origins_cfg = []
+        fb_cfg.error(str(err))
     origins = []
-    for k, o in enumerate(origins_cfg):
-        if not (isinstance(o, list) and o and all(_is_number(c) for c in o)):
-            errors.append(
-                f"fbsde.origins[{k}]: must be a list [s, x1, ...] of numbers (got {o!r})"
-            )
+    for k, o in enumerate(fb_cfg.items("origins", [[0.0] * (dimension + 1)])):
+        where = f"origins[{k}]"
+        if not (isinstance(o, list) and o and all(map(_real, o))):
+            fb_cfg.error(f"must be a list [s, x1, ...] of numbers (got {o!r})", where)
             continue
-        origins.append((float(o[0]), np.asarray(o[1:], dtype=float)))
-    for k, (s, x) in enumerate(origins):
+        s, x = float(o[0]), np.asarray(o[1:], dtype=float)
         if grid is not None:
             try:
                 grid.time_index(s)
             except ConfigurationError as err:
-                errors.append(f"fbsde.origins[{k}]: {err}")
+                fb_cfg.error(str(err), where)
         if x.size != dimension:
-            errors.append(f"fbsde.origins[{k}]: point has dimension {x.size}, expected {dimension}")
+            fb_cfg.error(f"point has dimension {x.size}, expected {dimension}", where)
+        origins.append((s, x))
+    fb_cfg.echo["origins"] = [[s] + list(map(float, x)) for s, x in origins]  # as floats
 
-    phases = raw.get("phases", list(PHASE_ORDER))
-    if not isinstance(phases, list):
-        errors.append(f"phases: must be a list (got {phases!r})")
-        phases = list(PHASE_ORDER)
-    for p in phases:
+    listed = top.items("phases", list(PHASE_ORDER))
+    for p in listed:
         if p not in PHASE_ORDER:
-            errors.append(f"phases: unknown phase {p!r}")
-    phases = [p for p in PHASE_ORDER if p in phases]
+            top.error(f"unknown phase {p!r}", "phases")
+    phases = top.echo["phases"] = [p for p in PHASE_ORDER if p in listed]  # in run order
 
-    ops_cfg = _section(raw, "operators", {}, "operators", errors)
-    operator_paths = _count(ops_cfg, "martingale_paths", 20000, "operators.martingale_paths", errors)
-    operator_functions = _count(ops_cfg, "test_functions", 3, "operators.test_functions", errors)
-    if operator_paths < 1:
-        errors.append("operators.martingale_paths: must be >= 1")
-    n_builtin = len(bounded_test_functions(1))
-    if not 1 <= operator_functions <= n_builtin:
-        errors.append(f"operators.test_functions: must be in 1..{n_builtin}")
-
-    seed = _count(raw, "seed", 0, "seed", errors)
+    ops_cfg = top.section("operators")
+    operator_paths = ops_cfg.count("martingale_paths", 20000, minimum=1)
+    operator_functions = ops_cfg.count(
+        "test_functions", 3, minimum=1, maximum=len(bounded_test_functions(1))
+    )
 
     # cross-field constraints
     if driver is not None and grid is not None and ("fbsde" in phases or "crosscheck" in phases):
         max_dv = float(np.max(v_increments(grid, clock)))
         if driver.K_Y * max_dv >= 1.0:
-            errors.append(
-                f"fbsde: K_Y * max dV = {driver.K_Y * max_dv:.3g} >= 1 violates the "
-                "implicit-step contraction requirement; refine grid.time_steps"
+            fb_cfg.error(
+                f"K_Y * max dV = {driver.K_Y * max_dv:.3g} >= 1 violates the "
+                f"implicit-step contraction requirement; refine {grid_cfg.path('time_steps')}"
             )
-    growth_zeta = _number(problem_cfg, "growth_zeta", 0.0, "problem.growth_zeta", errors)
-    growth_eta = _number(problem_cfg, "growth_eta", 0.0, "problem.growth_eta", errors)
-    if isinstance(generator, Stable) and growth_zeta:
-        if growth_zeta >= generator.alpha:
-            errors.append(
-                "problem.growth_zeta: terminal growth exponent >= alpha has no finite "
-                "moments under the stable generator"
-            )
+    growth_zeta = problem_cfg.number("growth_zeta", 0.0)
+    growth_eta = problem_cfg.number("growth_eta", 0.0)
+    if isinstance(generator, Stable) and growth_zeta and growth_zeta >= generator.alpha:
+        problem_cfg.error(
+            "terminal growth exponent >= alpha has no finite moments under the stable "
+            "generator", "growth_zeta"
+        )
 
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))
@@ -435,52 +422,6 @@ def validate_config(path) -> RunPlan:
         problem.driver.check_lipschitz(
             (0.0, horizon), (grid.space_min, grid.space_max)
         )
-
-    normalized = {
-        "schema": 1,
-        "seed": seed,
-        "problem": {
-            "generator": gen_cfg,
-            "driver": {
-                "expr": d_cfg["expr"],
-                "K_Y": problem.driver.K_Y,
-                "K_Z": problem.driver.K_Z,
-                "C_prime": c_prime,
-                "verify_lipschitz": verify_lipschitz,
-            },
-            "terminal_g": {"expr": g_cfg["expr"]},
-            "horizon_T": horizon,
-            "clock": clock_cfg,
-            "growth_zeta": problem.growth_zeta,
-            "growth_eta": problem.growth_eta,
-        },
-        "grid": {
-            "dimension": dimension,
-            "time_steps": grid.n_times - 1,
-            "space_min": grid.space_min.tolist(),
-            "space_max": grid.space_max.tolist(),
-            "space_nodes": grid.space_nodes.tolist(),
-        },
-        "mild": {
-            "cache_paths": cache_paths,
-            "max_iterations": picard.max_iterations,
-            "tolerance": picard.tolerance,
-            "v_scheme": picard.v_scheme,
-            "damping": picard.damping,
-            "memory_budget_mb": memory_budget,
-        },
-        "fbsde": {
-            "paths": fbsde_paths,
-            "basis": basis_cfg,
-            "ridge": basis.ridge,
-            "origins": [[s] + list(map(float, x)) for s, x in origins],
-        },
-        "operators": {
-            "martingale_paths": operator_paths,
-            "test_functions": operator_functions,
-        },
-        "phases": phases,
-    }
     return RunPlan(
         problem=problem,
         grid=grid,
@@ -494,7 +435,7 @@ def validate_config(path) -> RunPlan:
         operator_functions=operator_functions,
         phases=phases,
         seed=seed,
-        normalized=normalized,
+        normalized=top.echo,
     )
 
 

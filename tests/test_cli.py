@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,11 +199,44 @@ def _set(*keys_and_value):
     (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {
         "rate": 1.0, "jump_law": {"kind": "two_point", "param": "0.5"}}}),
      "problem.generator.levy.jump_law.param: must be a number (got '0.5')"),
+    (_set("grid", "space_min", ["-4"]), "grid.space_min: must be a list of numbers (got ['-4'])"),
+    (_set("grid", "space_max", ["4"]), "grid.space_max: must be a list of numbers (got ['4'])"),
+    (_set("grid", "space_min", -4), "grid.space_min: must be a list of numbers (got -4)"),
+    (_set("problem", "clock", {"kind": "tabulated", "times": ["0", "1"], "values": [0, 1]}),
+     "problem.clock.times: must be a list of numbers (got ['0', '1'])"),
+    (_set("problem", "generator", {"kind": "distributional_drift",
+                                   "b": {"expr": "-x1^2/4", "bounds": ["-4", "4"]}}),
+     "problem.generator.b.bounds: must be a list of numbers (got ['-4', '4'])"),
+    (_set("problem", "generator", {"kind": "distributional_drift",
+                                   "b": {"x": ["0", "1", "2"], "values": [0, 0, 0]}}),
+     "problem.generator.b.x: must be a list of numbers (got ['0', '1', '2'])"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {
+        "rate": 1.0, "jump_law": {"kind": "atoms", "atoms": [["0.5", 1.0]]}}}),
+     "problem.generator.levy.jump_law.atoms: must be a list of [size, weight] number pairs"),
+    (_set("problem", "clock", {"kind": "warp"}),
+     "problem.clock.kind: must be one of identity, tabulated (got 'warp')"),
+    (_set("problem", "clock", {"kind": "tabulated", "times": [0, 1]}),
+     "problem.clock.values: required"),
+    (_set("problem", "generator", {"kind": "distributional_drift", "b": {"values": [0, 0, 0]}}),
+     "problem.generator.b.x: required"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {
+        "rate": 1.0, "jump_law": {"kind": "atoms", "atoms": [[0.5]]}}}),
+     "problem.generator.levy.jump_law.atoms: must be a list of [size, weight] number pairs"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "levy": {
+        "rate": 1.0, "jump_law": {"kind": "atoms", "atoms": 0.5}}}),
+     "problem.generator.levy.jump_law.atoms: must be a list of [size, weight] number pairs"),
+    (_set("grid", "dimension", 0), "grid.dimension: must be >= 1"),
+    (_set("mild", "memory_budget_mb", 0), "mild.memory_budget_mb: must be positive"),
+    (_set("fbsde", "ridge", -1.0), "fbsde: ridge must be nonnegative"),
+    (_set("fbsde", "basis", "degree", -1), "fbsde.basis.degree: must be >= 0 (got -1)"),
 ], ids=["top_level", "grid", "clock", "horizon_T", "growth_eta", "mild", "memory_budget_mb",
         "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
         "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z", "C_prime",
         "verify_lipschitz", "tolerance", "tolerance_inf", "damping", "ridge", "alpha", "scale",
-        "rate", "param"])
+        "rate", "param", "space_min_strings", "space_max_strings", "space_min_bare",
+        "clock_times", "b_bounds", "b_x", "atoms_string", "clock_kind", "clock_values_missing",
+        "b_x_missing", "atoms_short", "atoms_bare", "dimension_zero", "memory_budget_zero",
+        "ridge_negative", "degree_negative"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     cfg = smoke_config(seed="abc")
     cfg = edit(cfg)
@@ -214,6 +248,18 @@ def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     out = tmp_path / "out"
     assert run(write_config(tmp_path, cfg), out_dir=out) == 1
     assert line in json.loads((out / "manifest.json").read_text())["errors"]["validate"]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("distributional_drift", "a54c0189248bb48f14d4f4d25f6a8d28619dc8d6739b3a8a0e26c8094e0c702c"),
+    ("fractional_semilinear", "dacef82ab865d119ebdd55a57330c42d517b981557cff93130f76ff8e482e256"),
+    ("heat_baseline", "9d6f703b546aaa42e0e4caabd96b04277ca83c590aeff254ea0e5d4c9fed8e82"),
+])
+def test_shipped_config_echo_bytes_are_pinned(name, digest):
+    # config.json, and with it config_hash and every CSV header, depends on these bytes
+    path = ROOT / "scripts" / "configs" / f"{name}.json"
+    echoed = (json.dumps(validate_config(path).normalized, indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(echoed).hexdigest() == digest
 
 
 STARTUP = """
