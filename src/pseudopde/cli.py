@@ -6,7 +6,8 @@ Usage:
     pseudopde version
 
 A run executes the requested phases in order (cache -> mild -> fbsde ->
-crosscheck -> operators), writes one CSV per field plus crosscheck /
+crosscheck -> operators), each with the phases it reads from (crosscheck
+needs mild, mild needs cache), writes one CSV per field plus crosscheck /
 operator reports and a manifest, and exits 0 on success, 2 when the solver
 ran but did not converge, 1 on error.  Outputs are byte-identical across
 reruns with the same effective config and independent of --threads.
@@ -20,13 +21,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, processes
-from .core import ClockV, LipschitzDriver, ProblemSpec, ScalarField, SpaceTimeGrid, v_increments
+from .core import ClockV, LipschitzDriver, ProblemSpec, SpaceTimeGrid, v_increments
 from .errors import ConfigurationError, PseudoPdeError
 from . import expressions as xp
 from .fbsde import RegressionBasis, crosscheck, lsmc_solve
@@ -61,6 +62,11 @@ def _real(value) -> bool:
 def _integral(value) -> bool:
     """A JSON number with no fractional part, such as 3 or 3.0."""
     return _real(value) and float(value).is_integer()
+
+
+# ``bound`` arguments of ``_Section.number``
+_POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0)
 
 
 class _Section:
@@ -118,10 +124,9 @@ class _Section:
             self.echo[key] = sub.echo
         return sub
 
-    def number(self, key, default, *, required=False, positive=False) -> float:
-        checks = [("a number", _real)]
-        if positive:
-            checks.append(("positive", lambda v: v > 0))
+    def number(self, key, default, *, required=False, bound=None) -> float:
+        """A finite number; ``bound`` is one more ``(what, test)`` it must pass."""
+        checks = [("a number", _real)] + ([bound] if bound else [])
         return self.value(key, default, checks, float, required)
 
     def count(self, key, default, *, minimum=None, maximum=None) -> int:
@@ -210,12 +215,11 @@ def _drift_table(b, grid_bounds):
 
 def _build_generator(kind, gen, dimension, grid_bounds):
     if kind == "stable":
-        try:
-            return Stable(alpha=gen.number("alpha", 2.0, required=True),
-                          scale=gen.number("scale", 1.0))
-        except ConfigurationError as err:
-            gen.error(str(err))
-            return None
+        return Stable(
+            alpha=gen.number("alpha", 2.0, required=True,
+                             bound=("in (0, 2]", lambda v: 0 < v <= 2)),
+            scale=gen.number("scale", 1.0, bound=_POSITIVE),
+        )
     sigma = _expr_function(gen, "sigma", dimension, xp.as_coefficient_fn, "1")
     if kind == "distributional_drift":
         b = gen.section("b", required=True)
@@ -275,7 +279,7 @@ def validate_config(path) -> RunPlan:
     grid_cfg = top.section("grid")
     dimension = grid_cfg.count("dimension", 1, minimum=1)
     problem_cfg = top.section("problem", required=True)
-    horizon = problem_cfg.number("horizon_T", 1.0, required=True, positive=True)
+    horizon = problem_cfg.number("horizon_T", 1.0, required=True, bound=_POSITIVE)
     grid = None
     try:
         grid = SpaceTimeGrid.regular(
@@ -308,17 +312,11 @@ def validate_config(path) -> RunPlan:
 
     d_cfg = problem_cfg.section("driver", required=True)
     fn = _expr_function(d_cfg, "expr", dimension, xp.as_driver_fn)
-    k_y, k_z = d_cfg.number("K_Y", 0.0), d_cfg.number("K_Z", 0.0)
-    # declared but read by no computation; validated and echoed only
-    if d_cfg.number("C_prime", 0.0) < 0:
-        d_cfg.error("C_prime must be nonnegative")
+    k_y = d_cfg.number("K_Y", 0.0, bound=_NONNEGATIVE)
+    k_z = d_cfg.number("K_Z", 0.0, bound=_NONNEGATIVE)
+    d_cfg.number("C_prime", 0.0, bound=_NONNEGATIVE)  # read by no computation; echoed only
     verify_lipschitz = d_cfg.flag("verify_lipschitz", False)
-    driver = None
-    if fn is not None:
-        try:
-            driver = LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
-        except PseudoPdeError as err:
-            d_cfg.error(str(err))
+    driver = None if fn is None else LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
 
     gen_cfg = problem_cfg.section("generator", required=True, raw=True)
     kind = gen_cfg.choice(
@@ -334,33 +332,23 @@ def validate_config(path) -> RunPlan:
 
     mild_cfg = top.section("mild")
     cache_paths = mild_cfg.count("cache_paths", 1000, minimum=1)
-    memory_budget = mild_cfg.number("memory_budget_mb", 4096.0, positive=True)
-    picard = None
-    try:
-        picard = PicardConfig(
-            max_iterations=mild_cfg.count("max_iterations", 15),
-            tolerance=mild_cfg.number("tolerance", 1e-3),
-            v_scheme=mild_cfg.string("v_scheme", "variance"),
-            damping=mild_cfg.number("damping", 1.0),
-        )
-    except PseudoPdeError as err:
-        mild_cfg.error(str(err))
+    memory_budget = mild_cfg.number("memory_budget_mb", 4096.0, bound=_POSITIVE)
+    picard = PicardConfig(
+        max_iterations=mild_cfg.count("max_iterations", 15, minimum=1),
+        tolerance=mild_cfg.number("tolerance", 1e-3, bound=_POSITIVE),
+        v_scheme=mild_cfg.choice("v_scheme", ("variance", "volterra"), "variance"),
+        damping=mild_cfg.number("damping", 1.0, bound=("in (0, 1]", lambda v: 0 < v <= 1)),
+    )
 
     fb_cfg = top.section("fbsde")
     fbsde_paths = fb_cfg.count("paths", 20000, minimum=1)
     basis_cfg = fb_cfg.section("basis", {"kind": "polynomial", "degree": 3}, raw=True)
-    basis_kind = basis_cfg.string("kind", "polynomial")
-    if basis_kind != "polynomial":
-        basis_cfg.error(f"unknown basis kind {basis_kind!r}; the basis is 'polynomial'")
-    basis = None
-    try:
-        basis = RegressionBasis(
-            degree=basis_cfg.count("degree", 3, minimum=0),
-            ridge=fb_cfg.number("ridge", 1e-9),
-            clip=None if grid is None else (grid.space_min, grid.space_max),
-        )
-    except PseudoPdeError as err:
-        fb_cfg.error(str(err))
+    basis_cfg.choice("kind", ("polynomial",), "polynomial")
+    basis = RegressionBasis(
+        degree=basis_cfg.count("degree", 3, minimum=0),
+        ridge=fb_cfg.number("ridge", 1e-9, bound=_NONNEGATIVE),
+        clip=None if grid is None else (grid.space_min, grid.space_max),
+    )
     origins = []
     for k, o in enumerate(fb_cfg.items("origins", [[0.0] * (dimension + 1)])):
         where = f"origins[{k}]"
@@ -439,17 +427,11 @@ def validate_config(path) -> RunPlan:
     )
 
 
-def _write_field_csv(path: Path, grid: SpaceTimeGrid, fieldobj: ScalarField, stderr, config_hash):
-    d = grid.dimension
-    nodes = grid.nodes()
-    flat = fieldobj.values.reshape(grid.n_times, -1)
-    se = np.asarray(stderr).reshape(grid.n_times, -1)
-    header = ",".join(["t"] + [f"x{k + 1}" for k in range(d)] + ["value", "stderr"])
-    lines = [f"# config_hash={config_hash}", header]
-    for i, t in enumerate(grid.times):
-        for j in range(nodes.shape[0]):
-            coords = ",".join(_fmt(c) for c in nodes[j])
-            lines.append(f"{_fmt(t)},{coords},{_fmt(flat[i, j])},{_fmt(se[i, j])}")
+def _write_csv(path: Path, config_hash, header, rows):
+    """One output CSV: the config hash line, the header, then one line per
+    row, numbers at 17 significant digits and strings as they are."""
+    lines = [f"# config_hash={config_hash}", ",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -464,7 +446,6 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         "errors": {},
         "converged": None,
     }
-    exit_code = 0
     try:
         plan = validate_config(config_path)
     except PseudoPdeError as err:
@@ -486,33 +467,20 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
     manifest["config_hash"] = config_hash
     manifest["seed"] = plan.seed
 
-    phases = list(plan.phases)
-    if "mild" in phases or "crosscheck" in phases:
-        if "cache" not in phases:
-            phases.insert(0, "cache")
-    cache = None
-    mild_solution = None
-    fbsde_solutions = []
-
-    def record(phase, fn):
-        nonlocal exit_code
-        t0 = time.perf_counter()
-        try:
-            fn()
-            manifest["phases_completed"].append(phase)
-            return True
-        except PseudoPdeError as err:
-            manifest["errors"][phase] = str(err)
-            exit_code = 1
-            return False
-        finally:
-            manifest["timings_seconds"][phase] = round(time.perf_counter() - t0, 6)
+    # a phase runs with the phases whose results it reads
+    phases = set(plan.phases)
+    if "crosscheck" in phases:
+        phases.add("mild")
+    if "mild" in phases:
+        phases.add("cache")
+    grid = plan.grid
+    coords = [f"x{k + 1}" for k in range(grid.dimension)]
+    done = {}  # the result of each completed phase
 
     def do_cache():
-        nonlocal cache
         cache = build_cache(
             plan.problem.generator,
-            plan.grid,
+            grid,
             plan.cache_paths,
             plan.seed,
             plan.problem.clock,
@@ -520,96 +488,83 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
             threads=threads,
         )
         manifest["cache_memory_bytes"] = cache.memory_bytes
+        return cache
 
     def do_mild():
-        nonlocal mild_solution
-        mild_solution = picard_solve(plan.problem, cache, plan.picard)
-        manifest["converged"] = mild_solution.converged
-        manifest["iterations"] = mild_solution.iterations
-        manifest["clamp_telemetry"] = {
-            "count": mild_solution.clamp.count,
-            "total_mass": mild_solution.clamp.total_mass,
-            "max_magnitude": mild_solution.clamp.max_magnitude,
-        }
-        manifest["residuals"] = {
-            "residual_1": mild_solution.residuals.residual_1,
-            "residual_2": mild_solution.residuals.residual_2,
-            "stderr_floor_1": mild_solution.residuals.stderr_floor_1,
-            "stderr_floor_2": mild_solution.residuals.stderr_floor_2,
-        }
-        manifest["out_of_bounds_fraction"] = mild_solution.out_of_bounds_fraction
-        if mild_solution.out_of_bounds_fraction > 0.01:
+        sol = picard_solve(plan.problem, done["cache"], plan.picard)
+        manifest["converged"] = sol.converged
+        manifest["iterations"] = sol.iterations
+        manifest["clamp_telemetry"] = asdict(sol.clamp)
+        manifest["residuals"] = asdict(sol.residuals)
+        manifest["out_of_bounds_fraction"] = sol.out_of_bounds_fraction
+        if sol.out_of_bounds_fraction > 0.01:
             manifest.setdefault("warnings", []).append(
-                f"{100 * mild_solution.out_of_bounds_fraction:.1f}% of cached path points "
+                f"{100 * sol.out_of_bounds_fraction:.1f}% of cached path points "
                 "fall outside the spatial bounds and were clamped during interpolation"
             )
-        _write_field_csv(out / "u.csv", plan.grid, mild_solution.u, mild_solution.u_stderr, config_hash)
-        _write_field_csv(out / "v.csv", plan.grid, mild_solution.v, mild_solution.v_stderr, config_hash)
-        lines = [f"# config_hash={config_hash}", "iteration,sup_delta"]
-        for k, dlt in enumerate(mild_solution.deltas, start=1):
-            lines.append(f"{k},{_fmt(dlt)}")
-        (out / "deltas.csv").write_text("\n".join(lines) + "\n")
+        nodes = grid.nodes()
+        for name, values, stderr in (("u.csv", sol.u.values, sol.u_stderr),
+                                     ("v.csv", sol.v.values, sol.v_stderr)):
+            flat = values.reshape(grid.n_times, -1)
+            se = np.asarray(stderr).reshape(grid.n_times, -1)
+            _write_csv(out / name, config_hash, ["t", *coords, "value", "stderr"],
+                       ((t, *x, value, err) for t, row, row_se in zip(grid.times, flat, se)
+                        for x, value, err in zip(nodes, row, row_se)))
+        _write_csv(out / "deltas.csv", config_hash, ["iteration", "sup_delta"],
+                   enumerate(sol.deltas, start=1))
+        return sol
 
     def do_fbsde():
-        for idx, (s, x) in enumerate(plan.origins):
-            sol = lsmc_solve(
-                plan.problem, plan.problem.generator, s, x, plan.grid,
-                plan.fbsde_paths, plan.basis, plan.seed + 104729 + 7919 * idx,
-            )
-            fbsde_solutions.append(sol)
+        solutions = [
+            lsmc_solve(plan.problem, plan.problem.generator, s, x, grid,
+                       plan.fbsde_paths, plan.basis, plan.seed + 104729 + 7919 * idx)
+            for idx, (s, x) in enumerate(plan.origins)
+        ]
         manifest["fbsde"] = [
             {"s": s, "x": list(map(float, x)), "y0": sol.y0, "z0": sol.z0,
              "y0_stderr": sol.y0_stderr}
-            for (s, x), sol in zip(plan.origins, fbsde_solutions)
+            for (s, x), sol in zip(plan.origins, solutions)
         ]
 
     def do_crosscheck():
         # repeats do_fbsde's solves on the same seeds; perfbench/test_smoke.py pins
         # fbsde.lsmc_solve_calls == 2, so dropping the repeat needs a benchmark change first
         rows = crosscheck(
-            mild_solution, plan.problem, plan.problem.generator, plan.grid,
+            done["mild"], plan.problem, plan.problem.generator, grid,
             plan.origins, plan.fbsde_paths, plan.basis, plan.seed + 104729,
         )
-        d = plan.grid.dimension
-        header = ",".join(
-            ["s"] + [f"x{k + 1}" for k in range(d)]
-            + ["u", "y0", "v", "z0", "combined_stderr"]
-        )
-        lines = [f"# config_hash={config_hash}", header]
-        for r in rows:
-            coords = ",".join(_fmt(c) for c in r.x)
-            lines.append(
-                f"{_fmt(r.s)},{coords},{_fmt(r.u_value)},{_fmt(r.y0)},"
-                f"{_fmt(r.v_value)},{_fmt(r.z0)},{_fmt(r.combined_stderr)}"
-            )
-        (out / "crosscheck.csv").write_text("\n".join(lines) + "\n")
+        _write_csv(out / "crosscheck.csv", config_hash,
+                   ["s", *coords, "u", "y0", "v", "z0", "combined_stderr"],
+                   ((r.s, *r.x, r.u_value, r.y0, r.v_value, r.z0, r.combined_stderr)
+                    for r in rows))
 
     def do_operators():
         gen = plan.problem.generator
-        rows = []
+        # first, so a grid the built-in test set does not cover fails before any simulation
+        functions = bounded_test_functions(grid.dimension)[: plan.operator_functions]
         act = generator_action(gen)
-        x0 = np.zeros(plan.grid.dimension)
+        x0 = np.zeros(grid.dimension)
         # through the module, so a wrapper installed on processes.simulate sees the call
-        ens = processes.simulate(gen, plan.grid.times[0], x0, plan.grid, plan.operator_paths,
+        ens = processes.simulate(gen, grid.times[0], x0, grid, plan.operator_paths,
                                  plan.seed, plan.problem.clock)
-        for k, phi in enumerate(bounded_test_functions(1)[: plan.operator_functions]):
-            result = martingale_test(ens, phi, act(phi))
-            rows.append((f"martingale_max_abs_z_fn{k}", result.max_abs_z, 4.0,
-                         result.max_abs_z < 4.0))
+        checks = [
+            (f"martingale_max_abs_z_fn{k}", martingale_test(ens, phi, act(phi)).max_abs_z, 4.0)
+            for k, phi in enumerate(functions)
+        ]
         # released before the Chapman-Kolmogorov paths exist, so the two never share peak memory
         del ens
-        mid = plan.grid.times[plan.grid.n_times // 2]
+        mid = grid.times[grid.n_times // 2]
         z_ck = chapman_kolmogorov_test(
-            gen, plan.grid.times[0], mid, plan.grid.times[-1], x0,
+            gen, grid.times[0], mid, grid.times[-1], x0,
             lambda xs: np.tanh(xs[:, 0]), plan.operator_paths,
-            plan.seed + 997, plan.grid, plan.problem.clock,
+            plan.seed + 997, grid, plan.problem.clock,
         )
-        rows.append(("chapman_kolmogorov_z", abs(z_ck), 3.0, abs(z_ck) < 3.0))
-        lines = [f"# config_hash={config_hash}", "check,value,threshold,passed"]
-        for name, value, thr, ok in rows:
-            lines.append(f"{name},{_fmt(value)},{_fmt(thr)},{str(ok).lower()}")
-        (out / "operator_report.csv").write_text("\n".join(lines) + "\n")
-        manifest["operator_checks_passed"] = all(r[3] for r in rows)
+        checks.append(("chapman_kolmogorov_z", abs(z_ck), 3.0))
+        _write_csv(out / "operator_report.csv", config_hash,
+                   ["check", "value", "threshold", "passed"],
+                   ((name, value, limit, str(value < limit).lower())
+                    for name, value, limit in checks))
+        manifest["operator_checks_passed"] = all(value < limit for _, value, limit in checks)
 
     steps = {
         "cache": do_cache,
@@ -619,20 +574,21 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         "operators": do_operators,
     }
     failed = False
-    for phase in PHASE_ORDER:
-        if phase not in phases:
-            continue
+    for phase in (p for p in PHASE_ORDER if p in phases):
         if failed:
             manifest["errors"][phase] = "skipped: earlier phase failed"
             continue
-        if phase == "crosscheck" and mild_solution is None:
-            manifest["errors"][phase] = "skipped: no mild solution available"
-            continue
-        if not record(phase, steps[phase]):
+        t0 = time.perf_counter()
+        try:
+            done[phase] = steps[phase]()
+            manifest["phases_completed"].append(phase)
+        except PseudoPdeError as err:
+            manifest["errors"][phase] = str(err)
             failed = True
+        manifest["timings_seconds"][phase] = round(time.perf_counter() - t0, 6)
 
-    if exit_code == 0 and mild_solution is not None and not mild_solution.converged:
-        exit_code = 2
+    solution = done.get("mild")
+    exit_code = 1 if failed else 2 if solution is not None and not solution.converged else 0
     manifest["exit_code"] = exit_code
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return exit_code

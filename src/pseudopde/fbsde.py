@@ -50,13 +50,6 @@ class RegressionBasis:
         if self.ridge < 0:
             raise ConfigurationError("ridge must be nonnegative")
 
-    def size(self, dimension: int) -> int:
-        return sum(
-            1
-            for p in range(self.degree + 1)
-            for _ in combinations_with_replacement(range(dimension), p)
-        )
-
 
 def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
     n, d = x.shape

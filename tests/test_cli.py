@@ -78,7 +78,8 @@ def test_validate_rejects_non_polynomial_basis_with_other_errors(tmp_path):
     with pytest.raises(ConfigurationError) as err:
         validate_config(write_config(tmp_path, cfg))
     text = str(err.value)
-    assert "fbsde.basis: unknown basis kind 'piecewise'" in text and "mild:" in text
+    assert "fbsde.basis.kind: must be one of polynomial (got 'piecewise')" in text
+    assert "mild.tolerance: must be positive (got -1.0)" in text
     # the polynomial basis is echoed as written
     plan = validate_config(write_config(tmp_path, smoke_config()))
     assert plan.normalized["fbsde"]["basis"] == {"kind": "polynomial", "degree": 3}
@@ -93,7 +94,7 @@ def test_validate_rejects_off_grid_origin_with_other_errors(tmp_path):
         validate_config(write_config(tmp_path, cfg))
     text = str(err.value)
     assert "fbsde.origins[0]: time 0.10000005" in text and "not a grid time" in text
-    assert "problem.driver: C_prime must be nonnegative" in text
+    assert "problem.driver.C_prime: must be >= 0 (got -1.0)" in text
     # C_prime is echoed as a float, 0.0 when absent
     assert validate_config(write_config(tmp_path, smoke_config())).normalized[
         "problem"]["driver"]["C_prime"] == 0.0
@@ -112,7 +113,8 @@ def test_validate_rejects_path_and_function_counts_with_other_errors(tmp_path):
         with pytest.raises(ConfigurationError) as err:
             validate_config(write_config(tmp_path, cfg))
         text = str(err.value)
-        assert "fbsde.paths: must be >= 1" in text and "mild:" in text
+        assert "fbsde.paths: must be >= 1" in text
+        assert "mild.tolerance: must be positive (got -1.0)" in text
         assert "operators.martingale_paths: must be >= 1" in text
         assert "operators.test_functions: must be in 1..5" in text
     for functions in (1, 5):
@@ -136,7 +138,8 @@ def test_validate_reports_non_integer_counts_with_other_errors(tmp_path):
                  "mild.cache_paths: must be an integer (got 2.7)",
                  "grid.space_nodes: must be a list of integers (got [11.5])",
                  "operators.test_functions: must be an integer (got True)",
-                 "seed: must be an integer (got 'abc')", "mild:"):
+                 "seed: must be an integer (got 'abc')",
+                 "mild.tolerance: must be positive (got -1.0)"):
         assert line in text
     # run reports it in the manifest instead of raising
     out = tmp_path / "out"
@@ -227,8 +230,18 @@ def _set(*keys_and_value):
      "problem.generator.levy.jump_law.atoms: must be a list of [size, weight] number pairs"),
     (_set("grid", "dimension", 0), "grid.dimension: must be >= 1"),
     (_set("mild", "memory_budget_mb", 0), "mild.memory_budget_mb: must be positive"),
-    (_set("fbsde", "ridge", -1.0), "fbsde: ridge must be nonnegative"),
+    (_set("fbsde", "ridge", -1.0), "fbsde.ridge: must be >= 0 (got -1.0)"),
     (_set("fbsde", "basis", "degree", -1), "fbsde.basis.degree: must be >= 0 (got -1)"),
+    (_set("mild", "max_iterations", 0), "mild.max_iterations: must be >= 1 (got 0)"),
+    (_set("mild", "v_scheme", "secant"),
+     "mild.v_scheme: must be one of variance, volterra (got 'secant')"),
+    (_set("mild", "damping", 0), "mild.damping: must be in (0, 1] (got 0)"),
+    (_set("mild", "damping", 1.5), "mild.damping: must be in (0, 1] (got 1.5)"),
+    (_set("problem", "driver", "K_Z", -1), "problem.driver.K_Z: must be >= 0 (got -1)"),
+    (_set("problem", "generator", {"kind": "stable", "alpha": 2.5}),
+     "problem.generator.alpha: must be in (0, 2] (got 2.5)"),
+    (_set("problem", "generator", {"kind": "stable", "alpha": 1.5, "scale": 0}),
+     "problem.generator.scale: must be positive (got 0)"),
 ], ids=["top_level", "grid", "clock", "horizon_T", "growth_eta", "mild", "memory_budget_mb",
         "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
         "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z", "C_prime",
@@ -236,7 +249,8 @@ def _set(*keys_and_value):
         "rate", "param", "space_min_strings", "space_max_strings", "space_min_bare",
         "clock_times", "b_bounds", "b_x", "atoms_string", "clock_kind", "clock_values_missing",
         "b_x_missing", "atoms_short", "atoms_bare", "dimension_zero", "memory_budget_zero",
-        "ridge_negative", "degree_negative"])
+        "ridge_negative", "degree_negative", "max_iterations_zero", "v_scheme_unknown",
+        "damping_zero", "damping_above_one", "K_Z_negative", "alpha_above_two", "scale_zero"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     cfg = smoke_config(seed="abc")
     cfg = edit(cfg)
@@ -413,6 +427,32 @@ def test_phase_selection(tmp_path):
     assert run(write_config(tmp_path, cfg), out_dir=out) == 0
     assert (out / "operator_report.csv").exists()
     assert not (out / "u.csv").exists()
+
+
+def test_phase_runs_with_the_phases_it_reads(tmp_path):
+    # crosscheck reads the mild solution, and mild reads the cache
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, smoke_config(phases=["crosscheck"])), out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["phases_completed"] == ["cache", "mild", "crosscheck"]
+    assert manifest["errors"] == {}
+    assert (out / "crosscheck.csv").exists() and (out / "u.csv").exists()
+    assert json.loads((out / "config.json").read_text())["phases"] == ["crosscheck"]
+
+
+def test_operators_on_a_2d_grid_is_reported(tmp_path):
+    # the built-in test functions are 1-d; the run records that and exits 1
+    cfg = smoke_config(phases=["operators"])
+    cfg["problem"]["terminal_g"] = {"expr": "x1^2 + x2^2"}
+    cfg["grid"].update({"dimension": 2, "space_min": [-4, -4], "space_max": [4, 4],
+                        "space_nodes": [5, 5]})
+    cfg["fbsde"]["origins"] = [[0.0, 0.0, 0.0]]
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), out_dir=out) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "1-d" in manifest["errors"]["operators"]
+    assert manifest["exit_code"] == 1 and manifest["phases_completed"] == []
+    assert not (out / "operator_report.csv").exists()
 
 
 def test_nonconvergence_exit_code(tmp_path):

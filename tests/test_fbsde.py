@@ -38,8 +38,6 @@ def test_basis_validation():
         RegressionBasis(degree=-1)
     with pytest.raises(ConfigurationError):
         RegressionBasis(ridge=-1e-9)
-    assert RegressionBasis(degree=3).size(1) == 4
-    assert RegressionBasis(degree=2).size(2) == 6
 
 
 def fit(x, y, basis):
