@@ -8,8 +8,8 @@ Runs `pseudopde.cli.run` from this checkout's `src/` on the three benchmark
 workloads (configs built by `perfbench/workloads.make_config` at the
 benchmark's sizes, seed 1) and on every `scripts/configs/*.json` (its own
 seed), then prints one line per output file: run, file name, sha256.
-`manifest.json` is hashed without `timings_seconds`, the one part of the
-output that depends on the host's speed. Run it in two checkouts and diff the
+`manifest.json` is hashed without `timings_seconds` and `peak_rss_mb`, the
+parts of the output that depend on the host. Run it in two checkouts and diff the
 printed lines to see whether a change keeps the output bytes.
 """
 
@@ -34,6 +34,7 @@ def file_digest(path: Path) -> str:
     if path.name == "manifest.json":
         manifest = json.loads(data)
         manifest.pop("timings_seconds", None)
+        manifest.pop("peak_rss_mb", None)
         data = json.dumps(manifest, indent=2, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 

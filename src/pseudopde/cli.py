@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -442,14 +443,20 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
     manifest = {
         "tool_version": __version__,
         "timings_seconds": {},
+        "peak_rss_mb": {},
         "phases_completed": [],
         "errors": {},
         "converged": None,
     }
     try:
         plan = validate_config(config_path)
+        unknown = [p for p in phases_override or () if p not in PHASE_ORDER]
+        if unknown:
+            raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(
+                f"--phases: unknown phase {p!r}" for p in unknown))
     except PseudoPdeError as err:
         manifest["errors"]["validate"] = str(err)
+        manifest["exit_code"] = 1
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         print(err, file=sys.stderr)
         return 1
@@ -491,7 +498,8 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         return cache
 
     def do_mild():
-        sol = picard_solve(plan.problem, done["cache"], plan.picard)
+        # no later phase reads the cache: it is released when the solve returns
+        sol = picard_solve(plan.problem, done.pop("cache"), plan.picard)
         manifest["converged"] = sol.converged
         manifest["iterations"] = sol.iterations
         manifest["clamp_telemetry"] = asdict(sol.clamp)
@@ -586,6 +594,9 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
             manifest["errors"][phase] = str(err)
             failed = True
         manifest["timings_seconds"][phase] = round(time.perf_counter() - t0, 6)
+        # the process's peak so far (ru_maxrss is in KiB on Linux)
+        manifest["peak_rss_mb"][phase] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
     solution = done.get("mild")
     exit_code = 1 if failed else 2 if solution is not None and not solution.converged else 0

@@ -208,7 +208,12 @@ class ScalarField:
             points = points[:, None]
         if not np.all(np.isfinite(points)):
             raise InputError("interpolation points must be finite")
-        return _multilinear(self.grid.axes, self.values[time_index][None], points)[0]
+        axes = self.grid.axes
+        return _multilinear(axes, self.values[time_index][None], bracket(axes, points))[0]
+
+
+def _clamp(ax: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, ax[0]), ax[-1])
 
 
 def _bracket(ax: np.ndarray, x: np.ndarray):
@@ -224,40 +229,78 @@ def _bracket(ax: np.ndarray, x: np.ndarray):
     """
     n = ax.size
     lo, hi = ax[0], ax[-1]
-    x = np.minimum(np.maximum(x, lo), hi)
+    x = _clamp(ax, x)
     i = np.fmin((x - lo) * ((n - 1) / (hi - lo)), n - 2).astype(np.intp)
     i -= ax.take(i) > x
     i += ax.take(i + 1) <= x
     return i, x
 
 
-# Points per pass of the one-dimensional read, so that the pass's few
-# temporaries stay in the L2 cache: on a Xeon with 2 MiB of L2 per core, one
-# pass over 126,000 positions took about twice as long per point.
+# Points per pass of ``bracket`` and of the one-dimensional read, so that a
+# pass's few temporaries stay in the L2 cache: on a Xeon with 2 MiB of L2 per
+# core, one pass over 126,000 positions took about twice as long per point.
 _BLOCK_POINTS = 16384
 
 
-def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of k stacked tables at points (n, d).
+def bracket_dtype(axes: tuple[np.ndarray, ...]) -> np.dtype:
+    """The smallest unsigned integer type that holds every node index of
+    ``axes``: ``uint8`` up to 256 nodes per axis."""
+    return np.min_scalar_type(max(ax.size for ax in axes) - 1)
+
+
+@dataclass(frozen=True)
+class Bracketed:
+    """Points (n, d) with each point's grid bracket per axis.
+
+    ``index[p, k]`` is ``_bracket(axes[k], points[p, k])[0]``, stored as
+    ``bracket_dtype(axes)``; ``shape`` is the shape of ``points``.  The path
+    cache keeps the index of every cached position, so the Picard sweeps
+    read its fixed positions without searching the grid again.
+    """
+
+    points: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.points.shape
+
+
+def bracket(axes: tuple[np.ndarray, ...], points: np.ndarray) -> Bracketed:
+    """Find the bracket of every point (n, d) on ``axes``, in passes of
+    ``_BLOCK_POINTS`` points."""
+    index = np.empty(points.shape, dtype=bracket_dtype(axes))
+    for start in range(0, points.shape[0], _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        for k, ax in enumerate(axes):
+            index[block, k] = _bracket(ax, points[block, k])[0]
+    return Bracketed(points, index)
+
+
+def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: Bracketed) -> np.ndarray:
+    """Multilinear interpolation of k stacked tables at bracketed points (n, d).
 
     ``tables`` has shape (k, *space_shape), one table per field, and the
-    result has shape (k, n): each point's bracket is found once per axis and
-    every table reads from it.  Points outside the axes are clamped to the
-    boundary.  In one dimension each table is read as ``slope[i] * (x -
-    ax[i]) + fp[i]``, with slopes as ``np.interp`` forms them and a zero slope
-    for the last node; on finite tables that equals ``np.interp`` bit for bit,
-    except that a -0.0 node value read on its node may come out +0.0.
+    result has shape (k, n): every table reads from the bracket ``points``
+    carries, so no grid search is made here.  Points outside the axes are
+    clamped to the boundary.  In one dimension each table is read as
+    ``slope[i] * (clamp(x) - ax[i]) + fp[i]``, with slopes as ``np.interp``
+    forms them and a zero slope for the last node; on finite tables that
+    equals ``np.interp`` bit for bit, except that a -0.0 node value read on
+    its node may come out +0.0.
     """
     d = len(axes)
+    n = points.shape[0]
     if d == 1:
         ax = axes[0]
         slopes = np.zeros(tables.shape)
         np.divide(tables[:, 1:] - tables[:, :-1], ax[1:] - ax[:-1], out=slopes[:, :-1])
-        out = np.empty((tables.shape[0], points.shape[0]))
-        for start in range(0, points.shape[0], _BLOCK_POINTS):
+        out = np.empty((tables.shape[0], n))
+        for start in range(0, n, _BLOCK_POINTS):
             block = slice(start, start + _BLOCK_POINTS)
-            i, x = _bracket(ax, points[block, 0])
-            dx = x - ax.take(i)
+            i = points.index[block, 0].astype(np.intp)
+            dx = _clamp(ax, points.points[block, 0])
+            dx -= ax.take(i)
             for row, table, slope in zip(out[:, block], tables, slopes):
                 np.multiply(slope.take(i), dx, out=row)
                 row += table.take(i)
@@ -265,13 +308,12 @@ def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: np.nd
     idx = []
     frac = []
     for k, ax in enumerate(axes):
-        i, x = _bracket(ax, points[:, k])
-        i = np.minimum(i, ax.size - 2)
+        i = np.minimum(points.index[:, k].astype(np.intp), ax.size - 2)
         idx.append(i)
-        frac.append((x - ax[i]) / (ax[i + 1] - ax[i]))
-    out = np.zeros((tables.shape[0], points.shape[0]))
+        frac.append((_clamp(ax, points.points[:, k]) - ax[i]) / (ax[i + 1] - ax[i]))
+    out = np.zeros((tables.shape[0], n))
     for corner in range(1 << d):
-        w = np.ones(points.shape[0])
+        w = np.ones(n)
         loc = [slice(None)]
         for k in range(d):
             if corner >> k & 1:

@@ -277,7 +277,8 @@ def crosscheck(
         i_s = grid.time_index(s)
         sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, seed + 7919 * idx)
         tables = np.stack((mild.u.values[i_s], mild.v.values[i_s], u_se_rows[i_s]))
-        u_val, v_val, u_se = map(float, core._multilinear(grid.axes, tables, x_arr[None, :])[:, 0])
+        at_x = core.bracket(grid.axes, x_arr[None, :])
+        u_val, v_val, u_se = map(float, core._multilinear(grid.axes, tables, at_x)[:, 0])
         rows.append(
             CrosscheckRow(
                 s=float(s),

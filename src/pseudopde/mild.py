@@ -13,13 +13,13 @@ Every sweep runs per origin block: the paths of all nodes started at one
 grid time are read together, so each step evaluates the driver once over
 n_nodes*M positions (a working set of n_nodes*M*d floats) and keeps one
 running sum per path.  The fields a step reads (u; u and v; or u, v and w)
-are interpolated by one ``core._multilinear`` call, which finds each
-position's grid bracket once and reads every field from it.  The cached
-positions never change during a solve, but no bracket is kept between
-sweeps: a per-step search costs less than the memory an index beside the
-cache would take.  Each path's sum is accumulated in step order, so the
-estimates equal a per-cell loop exactly; the tests compare against the
-per-cell reference ``terminal_plus_running`` in ``tests/cell_reference.py``.
+are interpolated by one ``core._multilinear`` call, which reads every field
+from the grid bracket the cache keeps beside each position.  The cached
+positions never change during a solve, so their brackets are found once,
+when the cache is built, and no sweep searches the grid.  Each path's sum
+is accumulated in step order, so the estimates equal a per-cell loop
+exactly; the tests compare against the per-cell reference
+``terminal_plus_running`` in ``tests/cell_reference.py``.
 
 Two v-identification schemes are provided: ``volterra`` solves the second
 line backward in time for w = v^2 (left-endpoint quadrature makes the r = s
@@ -103,10 +103,10 @@ def _unflat(grid, arr: np.ndarray) -> ScalarField:
     return ScalarField(grid, arr.reshape((grid.n_times,) + grid.space_shape))
 
 
-def _block_positions(cache: EnsembleCache, i: int, j: int) -> np.ndarray:
+def _block_positions(cache: EnsembleCache, i: int, j: int) -> core.Bracketed:
     """Positions at grid time j of every path started at grid time i, as one
-    (n_nodes*M, d) array, node-major."""
-    return cache.blocks[i][:, :, j - i, :].reshape(-1, cache.grid.dimension)
+    (n_nodes*M, d) array, node-major, with their kept brackets; zero-copy."""
+    return core.Bracketed(cache.blocks[i][j - i], cache.index[i][j - i])
 
 
 def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
@@ -114,10 +114,10 @@ def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
 
     Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and, as a
     (len(rows), n_nodes*M) array, row j of each flat field in ``rows``
-    interpolated at them.  One ``core._multilinear`` call per step brackets
-    the positions once and reads every field from that bracket; nothing is
-    kept between steps or sweeps.  Steps with dV_j = 0 are skipped; they add
-    nothing to a left-endpoint sum.
+    interpolated at them.  One ``core._multilinear`` call per step reads
+    every field from the brackets the cache keeps, so no step searches the
+    grid.  Steps with dV_j = 0 are skipped; they add nothing to a
+    left-endpoint sum.
     """
     grid = cache.grid
     for j in range(first, grid.n_times - 1):
@@ -125,12 +125,12 @@ def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
             continue
         xs = _block_positions(cache, i, j)
         tables = np.stack([r[j] for r in rows]).reshape((len(rows),) + grid.space_shape)
-        yield j, xs, core._multilinear(grid.axes, tables, xs)
+        yield j, xs.points, core._multilinear(grid.axes, tables, xs)
 
 
 def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.ndarray:
     """g(X_T) on every path of origin block i, node-major."""
-    return problem.g(_block_positions(cache, i, cache.grid.n_times - 1))
+    return problem.g(cache.blocks[i][-1])
 
 
 def _node_stats(vals: np.ndarray, n_nodes: int):

@@ -476,6 +476,10 @@ def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -
 def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     """Evolve one path per row of ``starts`` (n, d) over ``times``; returns (n, n_times, d).
 
+    The result is a view of step-major storage: each step's positions
+    ``paths[:, k]`` are contiguous, and ``paths.transpose(1, 0, 2)`` is a
+    C-contiguous (n_times, n, d) array.
+
     ``dvs`` are the clock increments over the steps of ``times`` (used by the
     jump intensity). ``rng`` is a list of Generators: the rows split into
     equal consecutive groups, one per Generator, and each group draws exactly
@@ -491,8 +495,8 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     m = n // len(rng)
     n_steps = times.size - 1
     dts = np.diff(times)
-    paths = np.empty((n, times.size, d))
-    paths[:, 0, :] = starts
+    steps = np.empty((times.size, n, d))
+    steps[0] = starts
 
     if isinstance(gen, Stable):
         # no step loop: each group's draws are transformed as they are drawn
@@ -501,7 +505,7 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
             u, e = _draw(gen, r, m, dts, dvs, d)
             if n_steps:
                 incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
-                paths[rows, 1:, 0] = starts[rows, 0:1] + np.cumsum(incr, axis=1)
+                steps[1:, rows, 0] = (starts[rows, 0:1] + np.cumsum(incr, axis=1)).T
     else:
         groups = [_draw(gen, r, m, dts, dvs, d) for r in rng]
         draws = groups[0] if len(groups) == 1 else [np.concatenate(a) for a in zip(*groups)]
@@ -512,7 +516,7 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
             s0 = tr.sigma0(y)
             for k in range(n_steps):
                 y = y + s0 * np.sqrt(dts[k]) * z[:, k]
-                paths[:, k + 1, 0], s0 = tr.h_inv_and_sigma0(y)
+                steps[k + 1, :, 0], s0 = tr.h_inv_and_sigma0(y)
         else:
             z = draws[0]
             jumps = draws[1] if len(draws) > 1 else None
@@ -525,11 +529,11 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
                 cur = cur + step
                 if jumps is not None:
                     cur = cur + jumps[:, k, None]
-                paths[:, k + 1, :] = cur
+                steps[k + 1] = cur
 
-    if not np.all(np.isfinite(paths)):
+    if not np.all(np.isfinite(steps)):
         raise InternalError("simulation produced non-finite path values")
-    return paths
+    return steps.transpose(1, 0, 2)
 
 
 def simulate(

@@ -4,7 +4,9 @@
 (grid time, grid node), so every fixed-point sweep sees identical noise
 (common random numbers) and the iteration is a deterministic map between
 fields.  The sweeps read the cache one origin block at a time through
-``mild._block_steps``; ``EnsembleCache.cell`` gives one cell's paths.
+``mild._block_steps``; ``EnsembleCache.cell`` gives one cell's paths.  Each
+cached position's grid bracket is found once, when its block is built, and
+kept beside it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClockV, SpaceTimeGrid, mean_and_stderr, v_increments
+from .core import ClockV, SpaceTimeGrid, bracket, bracket_dtype, mean_and_stderr, v_increments
 from .errors import ConfigurationError, InputError, ResourceError
 from .processes import check_dimension, evolve_paths, simulate, _rng
 
@@ -32,20 +34,25 @@ def derive_cell_seed(master_seed: int, s_index: int, node_index: int) -> int:
 class EnsembleCache:
     """Frozen path ensembles for every (grid time, grid node) cell.
 
-    ``blocks[i]`` has shape (n_nodes, M, n_times - i, d): the ensembles of all
-    spatial nodes started at grid time index i, sharing the grid times i..N.
-    ``dvs`` holds the clock increments over the whole grid and ``nodes`` the
-    (n_nodes, d) start points; ``generator_fingerprint`` lets a solver check
-    that the cache was built for its problem's generator.  The mild sweeps
-    read one origin block at a time: at each step they take the positions of
-    all its paths at once, a working set of n_nodes*M*d floats.  Read-only
-    after construction.
+    ``blocks[i]`` has shape (n_times - i, n_nodes*M, d), step-major: the
+    ensembles of all spatial nodes started at grid time index i, sharing the
+    grid times i..N, with the paths node-major within each step.
+    ``index[i]`` has the same shape and holds each position's grid bracket
+    per axis, as ``core.bracket`` finds it, in ``core.bracket_dtype`` of the
+    grid (one byte per coordinate up to 256 nodes per axis).  ``dvs`` holds
+    the clock increments over the whole grid and ``nodes`` the (n_nodes, d)
+    start points; ``generator_fingerprint`` lets a solver check that the
+    cache was built for its problem's generator.  The mild sweeps read one
+    origin block at a time: at each step they take the positions of all its
+    paths, with their brackets, as one contiguous slice.  ``memory_bytes``
+    counts positions and brackets.  Read-only after construction.
     """
 
     grid: SpaceTimeGrid
     generator_fingerprint: str
     M: int
     blocks: dict = field(repr=False)
+    index: dict = field(repr=False)
     dvs: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     memory_bytes: int = 0
@@ -60,16 +67,18 @@ class EnsembleCache:
             raise InputError(f"cache has no block for time index {s_index}")
         if not 0 <= node_index < self.n_nodes:
             raise InputError(f"node index {node_index} out of range")
-        return self.blocks[s_index][node_index]
+        paths = slice(node_index * self.M, (node_index + 1) * self.M)
+        return self.blocks[s_index][:, paths].transpose(1, 0, 2)
 
 
 def cache_memory_estimate(grid: SpaceTimeGrid, M: int) -> int:
-    """Bytes needed for the full per-cell path storage."""
+    """Bytes needed for the full per-cell path storage: each cached
+    coordinate as a float and its kept grid bracket."""
     n_nodes = int(np.prod(grid.space_nodes))
     n_t = grid.n_times
     d = grid.dimension
     per_time = sum(n_t - i for i in range(n_t))
-    return per_time * n_nodes * M * d * 8
+    return per_time * n_nodes * M * d * (8 + bracket_dtype(grid.axes).itemsize)
 
 
 def build_cache(
@@ -85,9 +94,9 @@ def build_cache(
 
     Each origin block is evolved in one ``evolve_paths`` call: its rows are
     the nodes repeated M times, node-major, and each node's rows draw from
-    that cell's own Philox stream.  Cell contents are independent of the
-    thread count: each cell's key depends only on (master seed, time index,
-    node index).
+    that cell's own Philox stream; the same worker then brackets the block's
+    positions.  Cell contents are independent of the thread count: each
+    cell's key depends only on (master seed, time index, node index).
     """
     if M < 1:
         raise ConfigurationError("cache path count M must be >= 1")
@@ -108,19 +117,23 @@ def build_cache(
     def block(i):
         rngs = [_rng(derive_cell_seed(master_seed, i, j)) for j in range(n_nodes)]
         paths = evolve_paths(gen, grid.times[i:], dvs[i:], starts, rngs)
-        return paths.reshape(n_nodes, M, n_t - i, d)
+        steps = paths.transpose(1, 0, 2)
+        index = bracket(grid.axes, steps.reshape(-1, d)).index.reshape(steps.shape)
+        steps.flags.writeable = index.flags.writeable = False
+        return steps, index
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = dict(enumerate(pool.map(block, range(n_t))))
+            built = list(pool.map(block, range(n_t)))
     else:
-        blocks = {i: block(i) for i in range(n_t)}
+        built = [block(i) for i in range(n_t)]
 
     return EnsembleCache(
         grid=grid,
         generator_fingerprint=gen.fingerprint(),
         M=int(M),
-        blocks=blocks,
+        blocks={i: steps for i, (steps, _) in enumerate(built)},
+        index={i: index for i, (_, index) in enumerate(built)},
         dvs=dvs,
         nodes=nodes,
         memory_bytes=need,

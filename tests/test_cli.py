@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,44 @@ def test_phase_runs_with_the_phases_it_reads(tmp_path):
     assert manifest["errors"] == {}
     assert (out / "crosscheck.csv").exists() and (out / "u.csv").exists()
     assert json.loads((out / "config.json").read_text())["phases"] == ["crosscheck"]
+
+
+def test_unknown_phase_override_is_reported(tmp_path):
+    # as an unknown phase in the config: under errors.validate, and no phase runs
+    out = tmp_path / "out"
+    path = write_config(tmp_path, smoke_config())
+    assert run(path, out_dir=out, phases_override=["mlid", "cache", "opertors"]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    error = manifest["errors"]["validate"]
+    assert "--phases: unknown phase 'mlid'" in error
+    assert "--phases: unknown phase 'opertors'" in error
+    assert manifest["exit_code"] == 1 and manifest["phases_completed"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--phases", "mild,"]) == 1
+
+
+def test_cache_is_released_after_the_mild_phase(tmp_path, monkeypatch):
+    # no phase after mild reads the cache, so none runs with its memory
+    caches, alive = [], []
+    build, solve = cli.build_cache, cli.lsmc_solve
+
+    def watched_build(*args, **kwargs):
+        cache = build(*args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    def watched_solve(*args, **kwargs):
+        alive.append(caches[0]() is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_cache", watched_build)
+    monkeypatch.setattr(cli, "lsmc_solve", watched_solve)
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, smoke_config()), out_dir=out) == 0
+    assert alive == [False]
+    manifest = json.loads((out / "manifest.json").read_text())
+    peaks = [manifest["peak_rss_mb"][p] for p in cli.PHASE_ORDER]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
 def test_operators_on_a_2d_grid_is_reported(tmp_path):

@@ -202,11 +202,12 @@ def test_multilinear_1d_equals_np_interp_bitwise(lo, hi, n):
     x = np.concatenate([x, rng.permutation(np.resize(x, 2 * core._BLOCK_POINTS + 7))])
     for k in (1, 2, 3):
         tables = rng.normal(size=(k, n))
-        got = core._multilinear((ax,), tables, x[:, None])
+        got = core._multilinear((ax,), tables, core.bracket((ax,), x[:, None]))
         assert got.shape == (k, x.size)
         want = np.stack([np.interp(x, ax, t) for t in tables])
         np.testing.assert_array_equal(_bits(got), _bits(want))
-    got = core._multilinear((ax,), rng.normal(size=(2, n)), np.array([[np.nan], [lo]]))
+    nan_points = core.bracket((ax,), np.array([[np.nan], [lo]]))
+    got = core._multilinear((ax,), rng.normal(size=(2, n)), nan_points)
     assert np.all(np.isnan(got[:, 0])) and np.all(np.isfinite(got[:, 1]))
 
 
@@ -219,13 +220,13 @@ def test_multilinear_2d_equals_searchsorted_reference_bitwise(first, second):
     shape = tuple(ax.size for ax in axes)
     for k in (1, 2, 3):
         tables = rng.normal(size=(k,) + shape)
-        got = core._multilinear(axes, tables, points)
+        got = core._multilinear(axes, tables, core.bracket(axes, points))
         assert got.shape == (k, points.shape[0])
         for table, row in zip(tables, got):
             want = _searchsorted_multilinear(axes, table, points)
             np.testing.assert_array_equal(_bits(row), _bits(want))
     nan_points = np.array([[np.nan, axes[1][0]], [axes[0][0], np.nan], [axes[0][-1], axes[1][-1]]])
-    got = core._multilinear(axes, rng.normal(size=(2,) + shape), nan_points)
+    got = core._multilinear(axes, rng.normal(size=(2,) + shape), core.bracket(axes, nan_points))
     assert np.all(np.isnan(got[:, :2])) and np.all(np.isfinite(got[:, 2]))
 
 

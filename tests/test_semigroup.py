@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudopde import core
 from pseudopde.core import ClockV, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, ResourceError
 from pseudopde.processes import (
@@ -12,7 +13,12 @@ from pseudopde.processes import (
     Stable,
     simulate,
 )
-from pseudopde.semigroup import build_cache, chapman_kolmogorov_test, derive_cell_seed
+from pseudopde.semigroup import (
+    build_cache,
+    cache_memory_estimate,
+    chapman_kolmogorov_test,
+    derive_cell_seed,
+)
 
 from cell_reference import running_expectation, terminal_expectation, terminal_plus_running
 
@@ -38,9 +44,44 @@ def bm_cache():
 
 def test_cache_counts_cells(small_grid):
     cache = build_cache(brownian(), small_grid, 50, master_seed=1)
-    assert sum(b.shape[0] for b in cache.blocks.values()) == 3 * 5
+    assert sum(b.shape[1] // cache.M for b in cache.blocks.values()) == 3 * 5
     for i in range(3):
-        assert cache.blocks[i].shape == (5, 50, 3 - i, 1)
+        # step-major: the steps of block i, then its 5 nodes x 50 paths
+        assert cache.blocks[i].shape == (3 - i, 5 * 50, 1)
+        assert cache.index[i].shape == cache.blocks[i].shape
+
+
+@pytest.mark.parametrize("grid", [
+    SpaceTimeGrid.regular(1.0, 4, -1.0, 1.0, 7),
+    SpaceTimeGrid.regular(1.0, 3, [-1.0, -0.5], [1.0, 0.5], [4, 3]),
+], ids=["1d", "2d"])
+def test_cache_keeps_the_bracket_of_every_position(grid):
+    gen = Diffusion(mu=lambda t, x: 0.0 * x, sigma=lambda t, x: 1.0, dimension=grid.dimension)
+    cache = build_cache(gen, grid, 40, master_seed=3)
+    outside = 0
+    for i, block in cache.blocks.items():
+        assert cache.index[i].dtype == np.uint8
+        for k, ax in enumerate(grid.axes):
+            want = core._bracket(ax, block[..., k])[0]
+            np.testing.assert_array_equal(cache.index[i][..., k], want)
+            outside += int(np.sum((block[..., k] < ax[0]) | (block[..., k] > ax[-1])))
+    assert outside > 0  # the unit-variance paths leave the grid, so clamping is covered
+
+
+def test_cache_memory_counts_positions_and_brackets(small_grid):
+    cache = build_cache(brownian(), small_grid, 30, master_seed=4)
+    stored = sum(a.nbytes for a in (*cache.blocks.values(), *cache.index.values()))
+    assert cache.memory_bytes == cache_memory_estimate(small_grid, 30) == stored
+
+
+def test_bracket_widens_past_256_nodes_per_axis():
+    assert core.bracket_dtype((np.linspace(0.0, 1.0, 256),)) == np.uint8
+    grid = SpaceTimeGrid.regular(1.0, 1, -1.0, 1.0, 257)
+    cache = build_cache(brownian(), grid, 2, master_seed=5)
+    assert all(index.dtype == np.uint16 for index in cache.index.values())
+    assert int(cache.index[1].max()) == 256  # block 1 holds the start points: the last node
+    stored = sum(a.nbytes for a in (*cache.blocks.values(), *cache.index.values()))
+    assert cache.memory_bytes == stored
 
 
 def test_cache_deterministic(small_grid):
