@@ -12,11 +12,13 @@ is directly observable in the delta history.
 Every sweep runs per origin block: the paths of all nodes started at one
 grid time are read together, so each step evaluates the driver once over
 n_nodes*M positions (a working set of n_nodes*M*d floats) and keeps one
-running sum per path.  The fields a step reads (u; u and v; or u, v and w)
-are interpolated by one ``core._multilinear`` call, which reads every field
-from the grid bracket the cache keeps beside each position.  The cached
-positions never change during a solve, so their brackets are found once,
-when the cache is built, and no sweep searches the grid.  Each path's sum
+running sum per path.  At the block's own time every path sits at its start
+node, so that step reads the field rows at the nodes, with no interpolation.
+At each later step the fields it reads (u; u and v; or u, v and w) are
+interpolated by one ``core._multilinear`` call, which reads every field from
+the grid bracket the cache keeps beside each position.  The cached positions
+never change during a solve, so their brackets are found once, when the
+cache is built, and no sweep searches the grid.  Each path's sum
 is accumulated in step order, so the estimates equal a per-cell loop
 exactly; the tests compare against the per-cell reference
 ``terminal_plus_running`` in ``tests/cell_reference.py``.
@@ -104,9 +106,14 @@ def _unflat(grid, arr: np.ndarray) -> ScalarField:
 
 
 def _block_positions(cache: EnsembleCache, i: int, j: int) -> core.Bracketed:
-    """Positions at grid time j of every path started at grid time i, as one
-    (n_nodes*M, d) array, node-major, with their kept brackets; zero-copy."""
-    return core.Bracketed(cache.blocks[i][j - i], cache.index[i][j - i])
+    """Positions at grid time j > i of every path started at grid time i, as
+    one (n_nodes*M, d) array, node-major, with their kept brackets; zero-copy."""
+    return core.Bracketed(cache.blocks[i][j - i - 1], cache.index[i][j - i - 1])
+
+
+def _block_starts(cache: EnsembleCache) -> np.ndarray:
+    """The (n_nodes*M, d) start points of an origin block: each node M times."""
+    return np.repeat(cache.nodes, cache.M, axis=0)
 
 
 def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
@@ -114,22 +121,30 @@ def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
 
     Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and, as a
     (len(rows), n_nodes*M) array, row j of each flat field in ``rows``
-    interpolated at them.  One ``core._multilinear`` call per step reads
-    every field from the brackets the cache keeps, so no step searches the
-    grid.  Steps with dV_j = 0 are skipped; they add nothing to a
-    left-endpoint sum.
+    read at them.  At j = i every path sits at its node, so the rows are
+    read at the nodes and repeated M times; that equals interpolating at the
+    nodes bit for bit, save a -0.0 node value (see ``core._multilinear``).
+    At j > i one ``core._multilinear`` call per step reads every field from
+    the brackets the cache keeps, so no step searches the grid.  Steps with
+    dV_j = 0 are skipped; they add nothing to a left-endpoint sum.
     """
     grid = cache.grid
     for j in range(first, grid.n_times - 1):
         if cache.dvs[j] == 0.0:
             continue
+        fields = np.stack([r[j] for r in rows])
+        if j == i:
+            yield j, _block_starts(cache), np.repeat(fields, cache.M, axis=1)
+            continue
         xs = _block_positions(cache, i, j)
-        tables = np.stack([r[j] for r in rows]).reshape((len(rows),) + grid.space_shape)
+        tables = fields.reshape((len(rows),) + grid.space_shape)
         yield j, xs.points, core._multilinear(grid.axes, tables, xs)
 
 
 def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.ndarray:
     """g(X_T) on every path of origin block i, node-major."""
+    if i == cache.grid.n_times - 1:
+        return problem.g(_block_starts(cache))
     return problem.g(cache.blocks[i][-1])
 
 
@@ -318,18 +333,6 @@ def mild_residuals(u: ScalarField, v: ScalarField, problem: ProblemSpec, cache: 
     )
 
 
-def _out_of_bounds_fraction(cache: EnsembleCache) -> float:
-    grid = cache.grid
-    lo, hi = grid.space_min, grid.space_max
-    outside = 0
-    total = 0
-    for i, block in cache.blocks.items():
-        pts = block.reshape(-1, grid.dimension)
-        outside += int(np.sum(np.any((pts < lo) | (pts > hi), axis=1)))
-        total += pts.shape[0]
-    return outside / total if total else 0.0
-
-
 def picard_solve(
     problem: ProblemSpec, cache: EnsembleCache, cfg: PicardConfig
 ) -> MildSolution:
@@ -390,5 +393,5 @@ def picard_solve(
         converged=converged,
         residuals=residuals,
         clamp=telemetry,
-        out_of_bounds_fraction=_out_of_bounds_fraction(cache),
+        out_of_bounds_fraction=cache.out_of_bounds_fraction,
     )

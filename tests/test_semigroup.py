@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from pseudopde.semigroup import (
     derive_cell_seed,
 )
 
-from cell_reference import running_expectation, terminal_expectation, terminal_plus_running
+from cell_reference import cell, running_expectation, terminal_expectation, terminal_plus_running
 
 
 def brownian():
@@ -46,9 +48,10 @@ def test_cache_counts_cells(small_grid):
     cache = build_cache(brownian(), small_grid, 50, master_seed=1)
     assert sum(b.shape[1] // cache.M for b in cache.blocks.values()) == 3 * 5
     for i in range(3):
-        # step-major: the steps of block i, then its 5 nodes x 50 paths
-        assert cache.blocks[i].shape == (3 - i, 5 * 50, 1)
+        # step-major: the steps of block i after its start, then its 5 nodes x 50 paths
+        assert cache.blocks[i].shape == (2 - i, 5 * 50, 1)
         assert cache.index[i].shape == cache.blocks[i].shape
+    assert cache.blocks[2].size == 0  # a path started at T has no step to store
 
 
 @pytest.mark.parametrize("grid", [
@@ -77,11 +80,23 @@ def test_cache_memory_counts_positions_and_brackets(small_grid):
 def test_bracket_widens_past_256_nodes_per_axis():
     assert core.bracket_dtype((np.linspace(0.0, 1.0, 256),)) == np.uint8
     grid = SpaceTimeGrid.regular(1.0, 1, -1.0, 1.0, 257)
-    cache = build_cache(brownian(), grid, 2, master_seed=5)
+    cache = build_cache(zero_dynamics(), grid, 2, master_seed=5)
     assert all(index.dtype == np.uint16 for index in cache.index.values())
-    assert int(cache.index[1].max()) == 256  # block 1 holds the start points: the last node
+    # the paths stay on their nodes, so block 0 brackets every node up to the last
+    np.testing.assert_array_equal(cache.index[0][0, :, 0], np.repeat(np.arange(257), 2))
     stored = sum(a.nbytes for a in (*cache.blocks.values(), *cache.index.values()))
     assert cache.memory_bytes == stored
+
+
+def test_cache_counts_points_outside_the_grid():
+    grid = SpaceTimeGrid.regular(1.0, 4, -1.0, 1.0, 5)
+    cache = build_cache(brownian(), grid, 40, master_seed=6)
+    # every path point, the start points included, as a per-cell simulation draws it
+    points = np.concatenate([cell(cache, i, j)[:, :, 0].ravel()
+                             for i in range(grid.n_times) for j in range(cache.n_nodes)])
+    outside = int(np.count_nonzero((points < -1.0) | (points > 1.0)))
+    assert outside > 0
+    assert cache.out_of_bounds_fraction == outside / points.size
 
 
 def test_cache_deterministic(small_grid):
@@ -160,7 +175,7 @@ def test_cache_cells_equal_per_cell_simulation(gen, threads):
         for j in range(cache.n_nodes):
             ref = simulate(gen, grid.times[i], cache.nodes[j], grid, M,
                            derive_cell_seed(seed, i, j), clock)
-            np.testing.assert_array_equal(cache.cell(i, j), ref.paths)
+            np.testing.assert_array_equal(cell(cache, i, j), ref.paths)
 
 
 @pytest.mark.parametrize("gen", [Stable(alpha=1.5), _distributional_drift()],
@@ -267,6 +282,31 @@ def test_chapman_kolmogorov_zero_dynamics_exact(small_grid):
         zero_dynamics(), 0.0, 0.5, 1.0, [0.3], lambda xs: np.tanh(xs[:, 0]), 100, 5, small_grid
     )
     assert z == 0.0
+
+
+def test_chapman_kolmogorov_z_is_pinned():
+    # pinned: releasing each ensemble early changes no draw and no estimate
+    grid = SpaceTimeGrid.regular(1.0, 20, -4.0, 4.0, 5)
+    z = chapman_kolmogorov_test(
+        brownian(), 0.0, 0.5, 1.0, [0.3], lambda xs: np.tanh(xs[:, 0]), 2000, 77, grid
+    )
+    assert z == 0.6977282247231963
+
+
+def test_chapman_kolmogorov_holds_one_ensemble_at_a_time():
+    grid = SpaceTimeGrid.regular(1.0, 40, -4.0, 4.0, 5)
+    M = 20000
+    ensemble_bytes = M * grid.n_times * 8
+    # the direct, outer and restarted ensembles are never alive together
+    tracemalloc.start()
+    try:
+        chapman_kolmogorov_test(
+            brownian(), 0.0, 0.5, 1.0, [0.3], lambda xs: np.tanh(xs[:, 0]), M, 3, grid
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ensemble_bytes
 
 
 def test_chapman_kolmogorov_brownian():
