@@ -193,11 +193,13 @@ def _expr_function(section, key, dimension, compile_fn, default=None):
     if text is None:
         return None
     try:
-        fn = compile_fn(xp.parse(text, dimension), dimension)
+        node = xp.parse(text, dimension)
+        fn = compile_fn(node, dimension)
     except PseudoPdeError as err:
         section.error(str(err), key)
         return None
     fn.fingerprint_token = text
+    fn.reads_t = "t" in xp.variables(node)
     return fn
 
 
@@ -495,6 +497,8 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
             threads=threads,
         )
         manifest["cache_memory_bytes"] = cache.memory_bytes
+        manifest["cache_rows_per_path_set"] = cache.rows_per_path_set
+        manifest["cache_stored_rows"] = cache.stored_rows
         return cache
 
     def do_mild():

@@ -1,4 +1,4 @@
-"""Time-homogeneous Markov path simulators paired with their generator data.
+"""Markov path simulators paired with their generator data.
 
 Four generator families are supported:
 
@@ -28,6 +28,12 @@ a fixed (path, step) layout, so results are independent of scheduling and of
 the worker count.  A cache block (one origin time, every node) is evolved in
 one call: each cell's rows draw from the cell's own stream, then all rows of
 the block step together.
+
+Each generator's ``time_homogeneous`` says whether its path law is free of
+t: always for ``Stable`` and ``DistributionalDrift``, and for the other two
+when ``mu`` and ``sigma`` both carry ``reads_t = False``, as functions built
+from expressions without t do.  The path cache shares path sets across start
+times only then (``semigroup.rows_per_path_set``).
 
 ``simulate`` samples the family P^{s,x}: M paths from x at the grid time s
 (located by ``SpaceTimeGrid.time_index``), returned as a ``PathEnsemble`` of
@@ -167,6 +173,12 @@ def _fn_token(fn) -> str:
     return getattr(fn, "fingerprint_token", getattr(fn, "__name__", "fn"))
 
 
+def _reads_t(fn) -> bool:
+    """Whether a coefficient function may depend on t: expression-built
+    functions say so in ``reads_t``, and any other callable is assumed to."""
+    return getattr(fn, "reads_t", True)
+
+
 @dataclass(frozen=True)
 class Diffusion:
     """dX = mu(t,X) dt + sigma(t,X) dW on R^d."""
@@ -174,6 +186,11 @@ class Diffusion:
     mu: Callable
     sigma: Callable
     dimension: int = 1
+
+    @property
+    def time_homogeneous(self) -> bool:
+        """True when neither coefficient reads t, so the path law does not."""
+        return not (_reads_t(self.mu) or _reads_t(self.sigma))
 
     def fingerprint(self) -> str:
         return _fingerprint("diffusion", self.dimension, _fn_token(self.mu), _fn_token(self.sigma))
@@ -191,6 +208,11 @@ class JumpDiffusion:
     def __post_init__(self):
         if self.dimension != 1:
             raise ConfigurationError("jump diffusion simulation is 1-d in this version")
+
+    @property
+    def time_homogeneous(self) -> bool:
+        """True when neither coefficient reads t; the jump kernel never does."""
+        return not (_reads_t(self.mu) or _reads_t(self.sigma))
 
     def fingerprint(self) -> str:
         return _fingerprint(
@@ -212,6 +234,8 @@ class Stable:
             raise ConfigurationError("alpha must lie in (0, 2]")
         if self.scale <= 0:
             raise ConfigurationError("scale must be positive")
+
+    time_homogeneous = True
 
     def fingerprint(self) -> str:
         return _fingerprint("stable", self.alpha, self.scale)
@@ -403,6 +427,8 @@ class DistributionalDrift:
         object.__setattr__(
             self, "transform", build_h_transform(self.b_x, self.b_values, self.sigma_fn)
         )
+
+    time_homogeneous = True  # b and sigma are functions of x alone
 
     def fingerprint(self) -> str:
         t = self.transform

@@ -7,6 +7,16 @@ fields.  The sweeps read the cache one origin block at a time through
 ``mild._block_steps``.  A path of P^{s,x} sits at x at time s, so the cache
 stores each path from its first step on; each stored position's grid bracket
 is found once, when its block is built, and kept beside it.
+
+When the path law is time-homogeneous on the grid (``rows_per_path_set``),
+the law of P^{t_i,x} on [t_i, T] is that of P^{t_h,x} on [t_h, T - (t_i -
+t_h)], shifted in time.  Only the head blocks h = 0, R, 2R, ... are then
+simulated, R = ``ROWS_PER_PATH_SET``, and the rows h+1..h+R-1 read prefixes
+of their head block as views.  R stays small because the cells of one node
+that share a path set share its noise: sharing one set across every row let
+the rms z-score of u over all cells drift past the benchmark's bound on a
+few seeds in 200, and four rows per set did not.  Any other problem gets
+R = 1, one simulated block per row.
 """
 
 from __future__ import annotations
@@ -24,10 +34,33 @@ from .errors import ConfigurationError, ResourceError
 from .processes import check_dimension, evolve_paths, simulate, _rng
 
 
+# Origin rows that one simulated path set serves when the path law is
+# time-homogeneous; see the module docstring for why it is not larger.
+ROWS_PER_PATH_SET = 4
+
+# Grid steps, and clock increments, count as uniform when their spread is
+# within this share of the largest: the steps of ``np.linspace`` differ in
+# their last bits (up to 6e-15 relative at 50 steps).
+UNIFORM_RTOL = 1e-12
+
+
 def derive_cell_seed(master_seed: int, s_index: int, node_index: int) -> int:
     """Deterministic 128-bit Philox key for one cache cell."""
     digest = hashlib.sha256(f"{master_seed}:{s_index}:{node_index}".encode()).digest()
     return int.from_bytes(digest[:16], "little")
+
+
+def _uniform(steps: np.ndarray) -> bool:
+    return np.ptp(steps) <= UNIFORM_RTOL * np.max(np.abs(steps))
+
+
+def rows_per_path_set(gen, grid: SpaceTimeGrid, dvs: np.ndarray) -> int:
+    """``ROWS_PER_PATH_SET`` when the generator's path law does not depend
+    on t (``gen.time_homogeneous``) and both the grid steps and the clock
+    increments ``dvs`` are uniform within ``UNIFORM_RTOL``; otherwise 1."""
+    if gen.time_homogeneous and _uniform(np.diff(grid.times)) and _uniform(dvs):
+        return ROWS_PER_PATH_SET
+    return 1
 
 
 @dataclass
@@ -41,15 +74,23 @@ class EnsembleCache:
     it is ``nodes`` with each row repeated M times, and block N is empty.
     ``index[i]`` has the same shape and holds each position's grid bracket
     per axis, as ``core.bracket`` finds it, in ``core.bracket_dtype`` of the
-    grid (one byte per coordinate up to 256 nodes per axis).  ``dvs`` holds
-    the clock increments over the whole grid and ``nodes`` the (n_nodes, d)
-    start points; ``generator_fingerprint`` lets a solver check that the
-    cache was built for its problem's generator.  The mild sweeps read one
-    origin block at a time: at each step they take the positions of all its
-    paths, with their brackets, as one contiguous slice.  ``memory_bytes``
-    counts the stored positions and brackets.  ``out_of_bounds_fraction`` is
-    the share of path points, start points included, outside the grid's
-    spatial bounds.  Read-only after construction.
+    grid (one byte per coordinate up to 256 nodes per axis).
+
+    With R = ``rows_per_path_set``, only the head blocks h = 0, R, 2R, ...
+    are stored; for 0 < r < R, ``blocks[h + r]`` is the view
+    ``blocks[h][:n_times - h - r - 1]``, and ``index`` likewise.  R is 1
+    unless the path law is time-homogeneous on the grid.
+
+    ``dvs`` holds the clock increments over the whole grid and ``nodes`` the
+    (n_nodes, d) start points; ``generator_fingerprint`` lets a solver check
+    that the cache was built for its problem's generator.  The mild sweeps
+    read one origin block at a time: at each step they take the positions of
+    all its paths, with their brackets, as one contiguous slice.
+    ``memory_bytes`` counts the stored positions and brackets, each once.
+    ``out_of_bounds_fraction`` is the share of path points, start points
+    included, outside the grid's spatial bounds, over every cell's paths: a
+    shared row counts once for each cell that reads it.  Read-only after
+    construction.
     """
 
     grid: SpaceTimeGrid
@@ -59,6 +100,7 @@ class EnsembleCache:
     index: dict = field(repr=False)
     dvs: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
+    rows_per_path_set: int = 1
     memory_bytes: int = 0
     out_of_bounds_fraction: float = 0.0
 
@@ -66,15 +108,23 @@ class EnsembleCache:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def stored_rows(self) -> int:
+        """Position rows (one per step, n_nodes*M paths each) held in memory."""
+        return _stored_rows(self.grid.n_times, self.rows_per_path_set)
 
-def cache_memory_estimate(grid: SpaceTimeGrid, M: int) -> int:
+
+def _stored_rows(n_t: int, rows_per_set: int) -> int:
+    return sum(n_t - h - 1 for h in range(0, n_t, rows_per_set))
+
+
+def cache_memory_estimate(grid: SpaceTimeGrid, M: int, rows_per_set: int = 1) -> int:
     """Bytes needed for the stored path positions: each coordinate after a
-    path's start as a float, and its kept grid bracket."""
+    path's start in a head block as a float, and its kept grid bracket."""
     n_nodes = int(np.prod(grid.space_nodes))
-    n_t = grid.n_times
     d = grid.dimension
-    stored_steps = n_t * (n_t - 1) // 2
-    return stored_steps * n_nodes * M * d * (8 + bracket_dtype(grid.axes).itemsize)
+    rows = _stored_rows(grid.n_times, rows_per_set)
+    return rows * n_nodes * M * d * (8 + bracket_dtype(grid.axes).itemsize)
 
 
 def build_cache(
@@ -88,19 +138,24 @@ def build_cache(
 ) -> EnsembleCache:
     """One ensemble per (grid time, grid node), seeds derived per cell.
 
-    Each origin block is evolved in one ``evolve_paths`` call: its rows are
-    the nodes repeated M times, node-major, and each node's rows draw from
-    that cell's own Philox stream.  The same worker keeps a copy of the
-    steps after the start row, brackets the kept positions and counts those
-    outside the grid; the full paths are freed when it returns.  Cell
-    contents are independent of the thread count: each cell's key depends
-    only on (master seed, time index, node index).
+    Each head block h (every row when R = ``rows_per_path_set`` is 1) is
+    evolved in one ``evolve_paths`` call over the grid times from t_h: its
+    rows are the nodes repeated M times, node-major, and each node's rows
+    draw from that cell's own Philox stream, keyed by (master seed, h,
+    node).  The same worker keeps a copy of the steps after the start row,
+    brackets the kept positions and counts those outside the grid, each row
+    weighted by the number of origin rows that read it; the full paths are
+    freed when it returns.  The rows h+1..h+R-1 are prefixes of block h.
+    ``threads`` workers share the head blocks, and the contents are
+    independent of their number.
     """
     if M < 1:
         raise ConfigurationError("cache path count M must be >= 1")
     check_dimension(gen, grid.dimension)
     clock = clock if clock is not None else ClockV()
-    need = cache_memory_estimate(grid, M)
+    dvs = v_increments(grid, clock)
+    per_set = rows_per_path_set(gen, grid, dvs)
+    need = cache_memory_estimate(grid, M, per_set)
     if need > memory_budget_mb * 2**20:
         raise ResourceError(
             f"path cache needs {need / 2**20:.0f} MiB > budget {memory_budget_mb:.0f} MiB; "
@@ -109,39 +164,46 @@ def build_cache(
     nodes = grid.nodes()
     n_nodes, d = nodes.shape
     n_t = grid.n_times
-    dvs = v_increments(grid, clock)
     starts = np.repeat(nodes, M, axis=0)
     lo, hi = grid.space_min, grid.space_max
+    heads = range(0, n_t, per_set)
 
-    def block(i):
-        rngs = [_rng(derive_cell_seed(master_seed, i, j)) for j in range(n_nodes)]
-        paths = evolve_paths(gen, grid.times[i:], dvs[i:], starts, rngs)
+    def block(h):
+        rngs = [_rng(derive_cell_seed(master_seed, h, j)) for j in range(n_nodes)]
+        paths = evolve_paths(gen, grid.times[h:], dvs[h:], starts, rngs)
         steps = paths.transpose(1, 0, 2)[1:].copy()
         index = bracket(grid.axes, steps.reshape(-1, d)).index.reshape(steps.shape)
+        # stored row k is read by the origin rows h..h+R-1 that reach t_{h+k+1}
+        readers = np.minimum(per_set, n_t - 1 - h - np.arange(len(steps)))
         # one step at a time, so the comparison masks stay small
-        outside = sum(int(np.count_nonzero(np.any((row < lo) | (row > hi), axis=1)))
-                      for row in steps)
+        outside = sum(int(n) * int(np.count_nonzero(np.any((row < lo) | (row > hi), axis=1)))
+                      for n, row in zip(readers, steps))
         steps.flags.writeable = index.flags.writeable = False
         return steps, index, outside
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(block, range(n_t)))
+            built = dict(zip(heads, pool.map(block, heads)))
     else:
-        built = [block(i) for i in range(n_t)]
+        built = {h: block(h) for h in heads}
 
+    blocks, index = {}, {}
+    for i in range(n_t):
+        steps, idx, _ = built[i - i % per_set]
+        blocks[i], index[i] = steps[: n_t - i - 1], idx[: n_t - i - 1]
     # the start points are grid nodes, inside the bounds, and count as points
     points = n_t * (n_t + 1) // 2 * n_nodes * M
     return EnsembleCache(
         grid=grid,
         generator_fingerprint=gen.fingerprint(),
         M=int(M),
-        blocks={i: steps for i, (steps, _, _) in enumerate(built)},
-        index={i: index for i, (_, index, _) in enumerate(built)},
+        blocks=blocks,
+        index=index,
         dvs=dvs,
         nodes=nodes,
+        rows_per_path_set=per_set,
         memory_bytes=need,
-        out_of_bounds_fraction=sum(outside for *_, outside in built) / points,
+        out_of_bounds_fraction=sum(outside for *_, outside in built.values()) / points,
     )
 
 

@@ -479,6 +479,19 @@ def test_cache_is_released_after_the_mild_phase(tmp_path, monkeypatch):
     assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
+@pytest.mark.parametrize("mu, per_set, rows", [("0", 4, 10 + 6 + 2), ("0.1*t", 1, 55)])
+def test_manifest_records_the_cache_layout(tmp_path, mu, per_set, rows):
+    # 11 grid times: a generator free of t simulates the head rows 0, 4 and 8
+    cfg = smoke_config(phases=["cache"])
+    cfg["problem"]["generator"]["mu"] = mu
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cache_rows_per_path_set"] == per_set
+    assert manifest["cache_stored_rows"] == rows
+    assert manifest["cache_memory_bytes"] == rows * 11 * 400 * (8 + 1)
+
+
 def test_operators_on_a_2d_grid_is_reported(tmp_path):
     # the built-in test functions are 1-d; the run records that and exits 1
     cfg = smoke_config(phases=["operators"])

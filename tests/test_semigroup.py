@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pseudopde import core
+from pseudopde import cli, core
 from pseudopde.core import ClockV, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, ResourceError
 from pseudopde.processes import (
@@ -16,10 +16,12 @@ from pseudopde.processes import (
     simulate,
 )
 from pseudopde.semigroup import (
+    ROWS_PER_PATH_SET,
     build_cache,
     cache_memory_estimate,
     chapman_kolmogorov_test,
     derive_cell_seed,
+    rows_per_path_set,
 )
 
 from cell_reference import cell, running_expectation, terminal_expectation, terminal_plus_running
@@ -176,6 +178,120 @@ def test_cache_cells_equal_per_cell_simulation(gen, threads):
             ref = simulate(gen, grid.times[i], cache.nodes[j], grid, M,
                            derive_cell_seed(seed, i, j), clock)
             np.testing.assert_array_equal(cell(cache, i, j), ref.paths)
+
+
+def _generator_from_config(kind="diffusion", **section):
+    """A generator built as the CLI builds it from its config section."""
+    errors = []
+    gen = cli._build_generator(kind, cli._Section(section, "generator", errors), 1, [-4.0, 4.0])
+    assert not errors
+    return gen
+
+
+def _assert_cells_are_simulated(cache, gen, seed, clock=None):
+    """Cell (i, node) holds the first n_t - i positions of the ensemble that
+    ``simulate`` draws from (t_h, node) with key (seed, h, node), h the head
+    row of i; each position's kept bracket is the one ``core._bracket`` finds."""
+    grid = cache.grid
+    per_set = cache.rows_per_path_set
+    for i in range(grid.n_times):
+        h = i - i % per_set
+        for j in range(cache.n_nodes):
+            ref = simulate(gen, grid.times[h], cache.nodes[j], grid, cache.M,
+                           derive_cell_seed(seed, h, j), clock)
+            np.testing.assert_array_equal(cell(cache, i, j), ref.paths[:, : grid.n_times - i])
+        for k, ax in enumerate(grid.axes):
+            want = core._bracket(ax, cache.blocks[i][..., k])[0]
+            np.testing.assert_array_equal(cache.index[i][..., k], want)
+
+
+def _one_row_per_path_set_cases():
+    regular = SpaceTimeGrid.regular(1.0, 5, -1.5, 1.5, 4)
+    uneven = SpaceTimeGrid(times=np.array([0.0, 0.1, 0.3, 0.35, 0.7, 1.0]),
+                           space_min=[-1.5], space_max=[1.5], space_nodes=[4])
+    ts = np.linspace(0.0, 1.0, 11)
+    curved = ClockV(kind="tabulated", times=ts, values=ts**2)
+    homogeneous = _generator_from_config(mu="-0.5*x1", sigma="0.8")
+    return [
+        pytest.param(_generator_from_config(mu="0.1*t"), regular, None, id="mu-reads-t"),
+        pytest.param(brownian(), regular, None, id="bare-callable"),
+        pytest.param(homogeneous, regular, curved, id="curved-clock"),
+        pytest.param(homogeneous, uneven, None, id="uneven-grid"),
+    ]
+
+
+@pytest.mark.parametrize("gen, grid, clock", _one_row_per_path_set_cases())
+def test_inhomogeneous_problems_simulate_every_row(gen, grid, clock):
+    cache = build_cache(gen, grid, 12, master_seed=29, clock=clock)
+    assert cache.rows_per_path_set == 1
+    assert cache.stored_rows == grid.n_times * (grid.n_times - 1) // 2
+    _assert_cells_are_simulated(cache, gen, 29, clock)
+    blocks = [cache.blocks[i] for i in range(grid.n_times)]
+    assert not any(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
+
+
+def test_time_homogeneity_is_read_from_the_generator():
+    assert _generator_from_config(mu="0", sigma="1").time_homogeneous
+    assert not _generator_from_config(mu="0.1*t").time_homogeneous
+    assert not _generator_from_config(mu="0", sigma="1 + 0*t").time_homogeneous
+    assert not brownian().time_homogeneous  # a bare callable may read t
+    levy = {"rate": 1.0, "jump_law": {"kind": "two_point", "param": 0.3}}
+    assert _generator_from_config("jump_diffusion", mu="-x1", levy=levy).time_homogeneous
+    assert not _generator_from_config("jump_diffusion", sigma="exp(-t)", levy=levy).time_homogeneous
+    assert Stable(alpha=1.5).time_homogeneous
+    assert _distributional_drift().time_homogeneous
+
+
+def test_uniform_steps_are_read_within_a_tolerance():
+    gen = Stable(alpha=1.5)
+    grid = SpaceTimeGrid.regular(1.0, 50, -1.0, 1.0, 3)
+    dvs = core.v_increments(grid, ClockV())
+    assert np.unique(np.diff(grid.times)).size > 1  # linspace steps differ in their last bits
+    assert rows_per_path_set(gen, grid, dvs) == ROWS_PER_PATH_SET == 4
+    assert rows_per_path_set(gen, grid, dvs * (1.0 + 1e-9 * (np.arange(50) == 7))) == 1
+    bent = grid.times.copy()
+    bent[20] += 1e-9
+    uneven = SpaceTimeGrid(times=bent, space_min=[-1.0], space_max=[1.0], space_nodes=[3])
+    assert rows_per_path_set(gen, uneven, dvs) == 1
+    assert rows_per_path_set(brownian(), grid, dvs) == 1
+
+
+@pytest.mark.parametrize("gen", [Stable(alpha=1.4, scale=0.7),
+                                 _generator_from_config(mu="0", sigma="1")],
+                         ids=["stable", "heat"])
+def test_homogeneous_cache_shares_one_path_set_across_rows(gen):
+    # 10 grid times: head rows 0, 4 and 8 are simulated, the others are views
+    grid = SpaceTimeGrid.regular(1.0, 9, -1.0, 1.0, 5)
+    M = 16
+    cache = build_cache(gen, grid, M, master_seed=31)
+    assert cache.rows_per_path_set == 4
+    heads = (0, 4, 8)
+    for i in range(grid.n_times):
+        h = i - i % 4
+        assert cache.blocks[i].shape == (grid.n_times - i - 1, 5 * M, 1)
+        if i != h and i < grid.n_times - 1:  # block N is empty
+            assert np.shares_memory(cache.blocks[i], cache.blocks[h])
+            assert np.shares_memory(cache.index[i], cache.index[h])
+    _assert_cells_are_simulated(cache, gen, 31)
+
+    stored = sum(cache.blocks[h].nbytes + cache.index[h].nbytes for h in heads)
+    assert cache.stored_rows == 9 + 5 + 1
+    assert cache.memory_bytes == cache_memory_estimate(grid, M, 4) == stored
+    # the budget is checked against the rows stored, not the rows read
+    build_cache(gen, grid, M, master_seed=31, memory_budget_mb=1.01 * stored / 2**20)
+
+    # every cell's paths, start points included, with the shared rows read once per cell
+    points = np.concatenate([cell(cache, i, j)[:, :, 0].ravel()
+                             for i in range(grid.n_times) for j in range(cache.n_nodes)])
+    outside = int(np.count_nonzero((points < -1.0) | (points > 1.0)))
+    assert outside > 0
+    assert cache.out_of_bounds_fraction == outside / points.size
+
+    threaded = build_cache(gen, grid, M, master_seed=31, threads=2)
+    for i in range(grid.n_times):
+        np.testing.assert_array_equal(threaded.blocks[i], cache.blocks[i])
+        np.testing.assert_array_equal(threaded.index[i], cache.index[i])
+    assert threaded.out_of_bounds_fraction == cache.out_of_bounds_fraction
 
 
 @pytest.mark.parametrize("gen", [Stable(alpha=1.5), _distributional_drift()],
