@@ -24,7 +24,10 @@ def main():
     parser.add_argument("--seed", type=int, default=20240612)
     args = parser.parse_args()
 
-    gen = Diffusion(mu=lambda t, x: 0.0, sigma=lambda t, x: 1.0)
+    mu, sigma = (lambda t, x: 0.0), (lambda t, x: 1.0)
+    # coefficients free of t, so the path cache shares path sets across start times
+    mu.reads_t = sigma.reads_t = False
+    gen = Diffusion(mu=mu, sigma=sigma)
     grid = SpaceTimeGrid.regular(1.0, 50, -4.0, 4.0, 41)
     c = args.driver_slope
     driver = LipschitzDriver(fn=lambda t, x, y, z: c * np.asarray(y), K_Y=abs(c))

@@ -210,10 +210,10 @@ def _drift_table(b, grid_bounds):
         xs = b.numbers("x", None, required=True)
         values = b.numbers("values", None, required=True)
         return None if xs is None or values is None else (np.asarray(xs), np.asarray(values))
-    b_fn = _expr_function(b, "expr", 1, xp.as_coefficient_fn)
+    b_fn = _expr_function(b, "expr", 1, xp.as_function_of_x)
     lo, hi = b.numbers("bounds", grid_bounds, length=2)
     xs = np.linspace(lo, hi, b.count("nodes", 10001, minimum=3))
-    return None if b_fn is None else (xs, b_fn(0.0, xs[:, None]))
+    return None if b_fn is None else (xs, b_fn(xs[:, None]))
 
 
 def _build_generator(kind, gen, dimension, grid_bounds):
@@ -223,14 +223,17 @@ def _build_generator(kind, gen, dimension, grid_bounds):
                              bound=("in (0, 2]", lambda v: 0 < v <= 2)),
             scale=gen.number("scale", 1.0, bound=_POSITIVE),
         )
-    sigma = _expr_function(gen, "sigma", dimension, xp.as_coefficient_fn, "1")
-    if kind == "distributional_drift":
+    # the drift's b and sigma are functions of x alone
+    drift = kind == "distributional_drift"
+    sigma = _expr_function(gen, "sigma", dimension,
+                           xp.as_function_of_x if drift else xp.as_coefficient_fn, "1")
+    if drift:
         b = gen.section("b", required=True)
         try:
             table = _drift_table(b, grid_bounds)
             if sigma is None or table is None:
                 return None
-            sigma_of_x = lambda xs: sigma(0.0, np.asarray(xs, dtype=float)[:, None])
+            sigma_of_x = lambda xs: sigma(np.asarray(xs, dtype=float)[:, None])
             sigma_of_x.fingerprint_token = sigma.fingerprint_token
             return DistributionalDrift(b_x=table[0], b_values=table[1], sigma_fn=sigma_of_x)
         except PseudoPdeError as err:
@@ -390,7 +393,7 @@ def validate_config(path) -> RunPlan:
                 f"implicit-step contraction requirement; refine {grid_cfg.path('time_steps')}"
             )
     growth_zeta = problem_cfg.number("growth_zeta", 0.0)
-    growth_eta = problem_cfg.number("growth_eta", 0.0)
+    problem_cfg.number("growth_eta", 0.0)  # read by no computation; echoed only
     if isinstance(generator, Stable) and growth_zeta and growth_zeta >= generator.alpha:
         problem_cfg.error(
             "terminal growth exponent >= alpha has no finite moments under the stable "
@@ -406,8 +409,6 @@ def validate_config(path) -> RunPlan:
         terminal_g=terminal,
         horizon_T=horizon,
         clock=clock,
-        growth_zeta=growth_zeta,
-        growth_eta=growth_eta,
     )
     if verify_lipschitz:
         problem.driver.check_lipschitz(

@@ -8,7 +8,9 @@ Grammar (EBNF):
     base   := number | ident | ident '(' expr (',' expr)? ')' | '(' expr ')'
 
 Precedence: ^  >  unary -  >  * /  >  + -, with ^ right-associative.
-Identifiers: t, y, z, x1..xd and the function names below.  Evaluation is
+Identifiers: t, y, z, x1..xd and the function names below; each role reads
+only its own variables (``as_driver_fn`` t, y and z, ``as_coefficient_fn``
+t, ``as_function_of_x`` none besides x1..xd).  Evaluation is
 vectorized over numpy arrays and raises on domain errors (log/sqrt of a
 negative, division by zero) instead of returning non-finite values.
 """
@@ -308,45 +310,40 @@ def pretty(node: Node) -> str:
     raise InputError(f"unknown node {node!r}")  # pragma: no cover
 
 
-def as_function_of_x(node: Node, dimension: int):
-    """Wrap a t/x-only expression as fn(points (n,d)) -> (n,)."""
-    names = variables(node)
-    if names & {"y", "z"}:
-        raise InputError("expression for a terminal condition cannot use y or z")
+def _as_function(node: Node, dimension: int, allowed: tuple):
+    """Wrap an expression that may read ``allowed`` of t, y, z besides
+    x1..xd as fn(points (n,d), **values of allowed) -> (n,)."""
+    extra = variables(node) & ({"t", "y", "z"} - set(allowed))
+    if extra:
+        xs = "x1" if dimension == 1 else f"x1..x{dimension}"
+        raise InputError(
+            f"may not use {', '.join(sorted(extra))} (allowed: {', '.join((*allowed, xs))})"
+        )
 
-    def fn(points):
+    def fn(points, **env):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = {f"x{k + 1}": points[:, k] for k in range(dimension)}
-        env["t"] = 0.0
+        env.update({f"x{k + 1}": points[:, k] for k in range(dimension)})
         out = evaluate(node, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
 
     return fn
+
+
+def as_function_of_x(node: Node, dimension: int):
+    """Wrap an x-only expression as fn(points (n,d)) -> (n,): a terminal
+    condition, or a coefficient of the distributional drift."""
+    return _as_function(node, dimension, ())
 
 
 def as_driver_fn(node: Node, dimension: int):
     """Wrap an expression as fn(t, x (n,d), y (n,), z (n,)) -> (n,)."""
-
-    def fn(t, x, y, z):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        env = {f"x{k + 1}": x[:, k] for k in range(dimension)}
-        env["t"] = t
-        env["y"] = np.asarray(y, dtype=float)
-        env["z"] = np.asarray(z, dtype=float)
-        out = evaluate(node, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
-
-    return fn
+    fn = _as_function(node, dimension, ("t", "y", "z"))
+    return lambda t, x, y, z: fn(
+        x, t=t, y=np.asarray(y, dtype=float), z=np.asarray(z, dtype=float)
+    )
 
 
 def as_coefficient_fn(node: Node, dimension: int):
     """Wrap a t/x-only expression as fn(t, points (n,d)) -> (n,)."""
-
-    def fn(t, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = {f"x{k + 1}": points[:, k] for k in range(dimension)}
-        env["t"] = t
-        out = evaluate(node, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
-
-    return fn
+    fn = _as_function(node, dimension, ("t",))
+    return lambda t, points: fn(points, t=t)

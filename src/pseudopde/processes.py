@@ -13,14 +13,9 @@ Four generator families are supported:
                        driftless SDE dY = sigma0(Y) dW, mapped back via h^-1
                        at every grid time.
 
-The h-transform's tables are read piecewise-linearly, one O(1) bracket per
-point for every table on an abscissa (``h_table`` for x and sigma0,
-``x_table`` for h, sigma and Sigma').  A guide of fractional table indices at
-uniformly spaced points estimates the bracket; one correction step each way
-fixes it, and ``np.searchsorted`` resolves any point still off, so each read
-equals ``np.interp`` bit for bit.  On the smooth drift tables the correction
-resolves every point; on a strained table (exp(Sigma) spanning e^20) the
-search fallback is what keeps the reads exact.
+The h-transform's tables are read as ``np.interp`` reads them, bit for bit,
+through ``core.Abscissa`` (one bracket per point for every table on an
+abscissa).
 
 Path generation is deterministic given (seed, path index): each cache cell
 (one origin time and node) draws from its own counter-based Philox stream with
@@ -54,15 +49,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClockV, SpaceTimeGrid, v_increments
+from .core import Abscissa, ClockV, SpaceTimeGrid, interp_slopes, v_increments
 from .errors import ConfigurationError, InputError, InternalError
 
 _QUAD_NODES = 96
-
-# Points per pass of a table read, so that the pass's dozen temporaries stay in
-# the L2 cache: on a 2-vCPU Xeon, 30,000 points read 1.3 ms in passes of 8,192
-# and 1.8 ms in passes of 16,384 (the pass size of ``core._multilinear``).
-_READ_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -241,92 +231,16 @@ class Stable:
         return _fingerprint("stable", self.alpha, self.scale)
 
 
-class _TableRead:
-    """Piecewise-linear reads of k tables that share one increasing abscissa.
-
-    Each point's bracket ``i``, with ``ax[i] <= y < ax[i + 1]`` and the last
-    node its own bracket, is found once (in O(1) unless the fallback search
-    below is needed) and every table is read from it as ``slope[i] * (y -
-    ax[i]) + fp[i]``.
-
-    The bracket comes from a guide (Chen & Asau 1974; Devroye 1986, III.2.4):
-    the fractional table index at n uniformly spaced points of the abscissa,
-    n the table size.  A point's uniform position, interpolated in the guide,
-    estimates its index; one correction step each way fixes the estimate as
-    ``core._bracket`` does, and any point still off its bracket (the estimate
-    missed by two nodes or more, where the table is far from linear within a
-    guide interval) is searched with ``np.searchsorted``.  So the index always
-    equals ``searchsorted(ax, y, side="right") - 1`` on the clamped ``y``, and
-    a NaN point gets the last node.  With slopes formed as ``np.interp`` forms
-    them and a zero slope for the last node, each read equals ``np.interp`` bit
-    for bit, NaN staying NaN, except that a -0.0 node value read on its node
-    may come out +0.0.
-    """
-
-    def __init__(self, ax: np.ndarray, tables: tuple):
-        n = ax.size
-        self.ax = ax
-        self._ax_inf = np.append(ax, np.inf)  # lets the last node be its own bracket
-        self._scale = (n - 1) / (ax[-1] - ax[0])
-        self._guide = np.interp(np.linspace(ax[0], ax[-1], n), ax, np.arange(n, dtype=float))
-        self._guide_slope = np.append(np.diff(self._guide), 0.0)
-        self.tables = tables
-        dx = np.diff(ax)
-        self.slopes = tuple(np.append(np.diff(fp) / dx, 0.0) for fp in tables)
-
-    def _estimate(self, y: np.ndarray) -> np.ndarray:
-        """Each clamped point's index from the guide, corrected one step each way."""
-        ax, ax_inf = self.ax, self._ax_inf
-        # fmin turns a NaN position into the last guide point, so the estimate is finite
-        q = np.fmin((y - ax[0]) * self._scale, ax.size - 1)
-        k = q.astype(np.intp)
-        q -= k
-        q *= self._guide_slope.take(k)
-        q += self._guide.take(k)
-        i = q.astype(np.intp)
-        i -= ax_inf.take(i) > y
-        i += ax_inf.take(i + 1) <= y
-        return i
-
-    def bracket(self, y: np.ndarray):
-        """``(i, y_clamped)`` for 1-d ``y``: ``y`` clamped to the abscissa and
-        ``i == searchsorted(ax, y_clamped, side="right") - 1``."""
-        ax, ax_inf = self.ax, self._ax_inf
-        y = np.minimum(np.maximum(y, ax[0]), ax[-1])
-        i = self._estimate(y)
-        ok = ax_inf.take(i) <= y
-        ok &= ax_inf.take(i + 1) > y
-        if not ok.all():
-            off = np.flatnonzero(~ok)
-            i[off] = np.searchsorted(ax, y[off], side="right") - 1
-        return i, y
-
-    def read(self, y, rows) -> np.ndarray:
-        """Tables ``rows`` read at the points ``y``: shape (len(rows), *y.shape)."""
-        y = np.asarray(y, dtype=float)
-        flat = y.reshape(-1)
-        out = np.empty((len(rows), flat.size))
-        for start in range(0, flat.size, _READ_BLOCK):
-            block = slice(start, start + _READ_BLOCK)
-            i, yb = self.bracket(flat[block])
-            dy = yb - self.ax.take(i)
-            for row, r in zip(out[:, block], rows):
-                np.multiply(self.slopes[r].take(i), dy, out=row)
-                row += self.tables[r].take(i)
-        return out.reshape((len(rows),) + y.shape)
-
-
 @dataclass(frozen=True)
 class HTransform:
     """Tables for Sigma, the harmonic map h (h' = exp(-Sigma)) and sigma0.
 
-    Each abscissa has one read (``_TableRead``): ``h_table`` for x (that is
-    h^-1) and sigma0, ``x_table`` for h, sigma and Sigma'.  A read finds each
-    point's bracket once from a guide, corrects it one step each way and
-    falls back to ``np.searchsorted`` for any point still off, so every table
-    read from it equals ``np.interp`` on that table bit for bit (clamped to
-    the table, NaN staying NaN, up to the sign of a zero node value).  Sigma'
-    is ``np.gradient`` of the Sigma table, built once with the reads.
+    Each abscissa is built once as a ``core.Abscissa`` with its tables
+    stacked and their slopes: ``h_table`` for x (that is h^-1) and sigma0,
+    ``x_table`` for h, sigma and Sigma'.  Every read finds each point's
+    bracket once for all its tables and equals ``np.interp`` on each table bit
+    for bit (clamped to the table, NaN staying NaN, up to the sign of a zero
+    node value).  Sigma' is ``np.gradient`` of the Sigma table.
     """
 
     x_table: np.ndarray
@@ -334,35 +248,39 @@ class HTransform:
     Sigma_table: np.ndarray
     h_table: np.ndarray
     sigma0_table: np.ndarray
-    _on_x: _TableRead = field(init=False, compare=False, repr=False)
-    _on_h: _TableRead = field(init=False, compare=False, repr=False)
+    _on_x: tuple = field(init=False, compare=False, repr=False)
+    _on_h: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         Sigma_prime = np.gradient(self.Sigma_table, self.x_table)
-        object.__setattr__(
-            self, "_on_x",
-            _TableRead(self.x_table, (self.h_table, self.sigma_table, Sigma_prime)),
-        )
-        object.__setattr__(
-            self, "_on_h", _TableRead(self.h_table, (self.x_table, self.sigma0_table))
-        )
+        for name, ax, tables in (
+            ("_on_x", self.x_table, (self.h_table, self.sigma_table, Sigma_prime)),
+            ("_on_h", self.h_table, (self.x_table, self.sigma0_table)),
+        ):
+            tables = np.stack(tables)
+            object.__setattr__(self, name, (Abscissa(ax), tables, interp_slopes(ax, tables)))
+
+    @staticmethod
+    def _read(on: tuple, rows: slice, points) -> np.ndarray:
+        abscissa, tables, slopes = on
+        return abscissa.read(tables[rows], slopes[rows], points)
 
     def h(self, x):
-        return self._on_x.read(x, (0,))[0]
+        return self._read(self._on_x, slice(0, 1), x)[0]
 
     def sigma(self, x):
-        return self._on_x.read(x, (1,))[0]
+        return self._read(self._on_x, slice(1, 2), x)[0]
 
     def sigma_and_Sigma_prime(self, x):
         """``(sigma(x), Sigma'(x))`` from one bracket per point."""
-        return self._on_x.read(x, (1, 2))
+        return self._read(self._on_x, slice(1, 3), x)
 
     def sigma0(self, y):
-        return self._on_h.read(y, (1,))[0]
+        return self._read(self._on_h, slice(1, 2), y)[0]
 
     def h_inv_and_sigma0(self, y):
         """``(h^-1(y), sigma0(y))`` from one bracket per point."""
-        return self._on_h.read(y, (0, 1))
+        return self._read(self._on_h, slice(0, 2), y)
 
 
 def build_h_transform(b_x, b_values, sigma_fn: Callable, ta_ratio_warn: float = 1e4) -> HTransform:

@@ -243,6 +243,20 @@ def _set(*keys_and_value):
      "problem.generator.alpha: must be in (0, 2] (got 2.5)"),
     (_set("problem", "generator", {"kind": "stable", "alpha": 1.5, "scale": 0}),
      "problem.generator.scale: must be positive (got 0)"),
+    (_set("problem", "generator", "mu", "0.1*z"),
+     "problem.generator.mu: may not use z (allowed: t, x1)"),
+    (_set("problem", "generator", "sigma", "1 + 0*y"),
+     "problem.generator.sigma: may not use y (allowed: t, x1)"),
+    (_set("problem", "generator", {"kind": "jump_diffusion", "sigma": "1 + y*z", "levy": {
+        "rate": 1.0, "jump_law": {"kind": "two_point", "param": 0.5}}}),
+     "problem.generator.sigma: may not use y, z (allowed: t, x1)"),
+    (_set("problem", "terminal_g", "expr", "x1 + t"),
+     "problem.terminal_g.expr: may not use t (allowed: x1)"),
+    (_set("problem", "generator", {"kind": "distributional_drift", "b": {"expr": "-x1^2/4 + t"}}),
+     "problem.generator.b.expr: may not use t (allowed: x1)"),
+    (_set("problem", "generator", {"kind": "distributional_drift", "sigma": "1 + 0.1*t",
+                                   "b": {"expr": "-x1^2/4"}}),
+     "problem.generator.sigma: may not use t (allowed: x1)"),
 ], ids=["top_level", "grid", "clock", "horizon_T", "growth_eta", "mild", "memory_budget_mb",
         "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
         "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z", "C_prime",
@@ -251,7 +265,9 @@ def _set(*keys_and_value):
         "clock_times", "b_bounds", "b_x", "atoms_string", "clock_kind", "clock_values_missing",
         "b_x_missing", "atoms_short", "atoms_bare", "dimension_zero", "memory_budget_zero",
         "ridge_negative", "degree_negative", "max_iterations_zero", "v_scheme_unknown",
-        "damping_zero", "damping_above_one", "K_Z_negative", "alpha_above_two", "scale_zero"])
+        "damping_zero", "damping_above_one", "K_Z_negative", "alpha_above_two", "scale_zero",
+        "mu_reads_z", "sigma_reads_y", "jump_sigma_reads_y_z", "terminal_reads_t",
+        "drift_b_reads_t", "drift_sigma_reads_t"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     cfg = smoke_config(seed="abc")
     cfg = edit(cfg)

@@ -14,6 +14,8 @@ from pseudopde.core import (
 )
 from pseudopde.errors import ConfigurationError, InputError
 
+from test_processes import _drift_config_table, _oscillating_table, _strained_table
+
 
 @pytest.fixture
 def grid_1d():
@@ -190,14 +192,41 @@ def _searchsorted_multilinear(axes, table, points):
     return out
 
 
+def _reader_cases():
+    """Abscissa makers: the uniform grid axes, and both abscissae of three h
+    tables, the strained one's far from uniform."""
+    for lo, hi, n in BRACKET_AXES:
+        yield pytest.param(lambda lo=lo, hi=hi, n=n: np.linspace(lo, hi, n),
+                           id=f"grid-{lo}-{hi}-{n}")
+    for make in (_oscillating_table, _drift_config_table, _strained_table):
+        for name in ("x_table", "h_table"):
+            yield pytest.param(lambda make=make, name=name: getattr(make(), name),
+                               id=f"{make.__name__.strip('_')}-{name}")
+
+
+@pytest.mark.parametrize("make_axis", _reader_cases())
+def test_abscissa_brackets_as_searchsorted_and_reads_as_np_interp_bitwise(make_axis):
+    ax = make_axis()
+    rng = np.random.default_rng(ax.size)
+    reader = core.Abscissa(ax)
+    x = np.append(_probes(ax, rng), np.nan)
+    i, clamped = reader.bracket(x)
+    np.testing.assert_array_equal(clamped, np.clip(x, ax[0], ax[-1]))
+    np.testing.assert_array_equal(i, np.searchsorted(ax, clamped, side="right") - 1)
+    assert i[-1] == ax.size - 1  # NaN gets the last node
+    # and the same probes again, shuffled over more than two passes
+    x = rng.permutation(np.resize(x, 2 * core._BLOCK_POINTS + 7))
+    tables = rng.normal(size=(3, ax.size))
+    got = reader.read(tables, core.interp_slopes(ax, tables), x)
+    want = np.stack([np.interp(x, ax, t) for t in tables])
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("lo, hi, n", BRACKET_AXES)
 def test_multilinear_1d_equals_np_interp_bitwise(lo, hi, n):
     ax = np.linspace(lo, hi, n)
     rng = np.random.default_rng(n)
     x = _probes(ax, rng)
-    i, clamped = core._bracket(ax, x)
-    np.testing.assert_array_equal(clamped, np.clip(x, lo, hi))
-    np.testing.assert_array_equal(i, np.searchsorted(ax, clamped, side="right") - 1)
     # and the same probes again, shuffled over more than two read blocks
     x = np.concatenate([x, rng.permutation(np.resize(x, 2 * core._BLOCK_POINTS + 7))])
     for k in (1, 2, 3):
@@ -267,11 +296,9 @@ def test_driver_constants_validated():
 def test_driver_lipschitz_check_passes_and_flags():
     ok = LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5)
     assert ok.check_lipschitz((0.0, 1.0), ([-1.0], [1.0]))
-    assert ok.lipschitz_verified
     lying = LipschitzDriver(fn=lambda t, x, y, z: 2.0 * np.asarray(y), K_Y=0.5)
     with pytest.warns(UserWarning):
         assert not lying.check_lipschitz((0.0, 1.0), ([-1.0], [1.0]))
-    assert not lying.lipschitz_verified
 
 
 def test_problem_spec_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudopde.core import ClockV, SpaceTimeGrid
+from pseudopde.core import Abscissa, ClockV, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, InputError
 from pseudopde.processes import (
     Diffusion,
@@ -258,15 +258,6 @@ def _check_reads_against_interp(tr):
     _assert_bits_equal(sp_got, np.interp(x, tr.x_table, Sigma_prime))
     _assert_bits_equal(tr.sigma(x), sig_got)
 
-    # the index on both abscissae is searchsorted's; NaN gets the last node
-    for read, pts in ((tr._on_h, y), (tr._on_x, x)):
-        ax = read.ax
-        i, _ = read.bracket(pts)
-        np.testing.assert_array_equal(
-            i, np.searchsorted(ax, np.clip(pts, ax[0], ax[-1]), side="right") - 1
-        )
-        assert i[-1] == ax.size - 1
-
 
 @pytest.mark.parametrize("make, resolved", [
     (_oscillating_table, True), (_drift_config_table, True), (_strained_table, False),
@@ -277,11 +268,10 @@ def test_h_transform_guide_estimate(make, resolved):
     # the searchsorted fallback is what keeps the reads exact there.
     tr = make()
     rng = np.random.default_rng(9)
-    for read, want_resolved in ((tr._on_h, resolved), (tr._on_x, True)):
-        ax = read.ax
+    for ax, want_resolved in ((tr.h_table, resolved), (tr.x_table, True)):
         pts = np.clip(_probe_points(ax, rng)[:-1], ax[0], ax[-1])
         want = np.searchsorted(ax, pts, side="right") - 1
-        assert np.array_equal(read._estimate(pts), want) == want_resolved
+        assert np.array_equal(Abscissa(ax)._estimate(pts), want) == want_resolved
 
 
 def test_distributional_smooth_case_matches_direct_euler():

@@ -67,7 +67,7 @@ def test_cache_keeps_the_bracket_of_every_position(grid):
     for i, block in cache.blocks.items():
         assert cache.index[i].dtype == np.uint8
         for k, ax in enumerate(grid.axes):
-            want = core._bracket(ax, block[..., k])[0]
+            want = core.Abscissa(ax).bracket(block[..., k])[0]
             np.testing.assert_array_equal(cache.index[i][..., k], want)
             outside += int(np.sum((block[..., k] < ax[0]) | (block[..., k] > ax[-1])))
     assert outside > 0  # the unit-variance paths leave the grid, so clamping is covered
@@ -191,7 +191,7 @@ def _generator_from_config(kind="diffusion", **section):
 def _assert_cells_are_simulated(cache, gen, seed, clock=None):
     """Cell (i, node) holds the first n_t - i positions of the ensemble that
     ``simulate`` draws from (t_h, node) with key (seed, h, node), h the head
-    row of i; each position's kept bracket is the one ``core._bracket`` finds."""
+    row of i; each position's kept bracket is the one ``core.Abscissa`` finds."""
     grid = cache.grid
     per_set = cache.rows_per_path_set
     for i in range(grid.n_times):
@@ -201,7 +201,7 @@ def _assert_cells_are_simulated(cache, gen, seed, clock=None):
                            derive_cell_seed(seed, h, j), clock)
             np.testing.assert_array_equal(cell(cache, i, j), ref.paths[:, : grid.n_times - i])
         for k, ax in enumerate(grid.axes):
-            want = core._bracket(ax, cache.blocks[i][..., k])[0]
+            want = core.Abscissa(ax).bracket(cache.blocks[i][..., k])[0]
             np.testing.assert_array_equal(cache.index[i][..., k], want)
 
 
