@@ -385,12 +385,14 @@ def validate_config(path) -> RunPlan:
     )
 
     # cross-field constraints
-    if driver is not None and grid is not None and ("fbsde" in phases or "crosscheck" in phases):
+    # the mild sweep and the backward solver both solve y = c + f(t, x, y, z) dV
+    if driver is not None and grid is not None and {"mild", "fbsde", "crosscheck"} & set(phases):
         max_dv = float(np.max(v_increments(grid, clock)))
         if driver.K_Y * max_dv >= 1.0:
-            fb_cfg.error(
+            d_cfg.error(
                 f"K_Y * max dV = {driver.K_Y * max_dv:.3g} >= 1 violates the "
-                f"implicit-step contraction requirement; refine {grid_cfg.path('time_steps')}"
+                f"implicit-step contraction requirement; refine {grid_cfg.path('time_steps')}",
+                "K_Y",
             )
     growth_zeta = problem_cfg.number("growth_zeta", 0.0)
     problem_cfg.number("growth_eta", 0.0)  # read by no computation; echoed only

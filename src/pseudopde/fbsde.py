@@ -142,20 +142,16 @@ def lsmc_solve(
     Per step: C_i regresses Y_{i+1} on the basis at X_{t_i}; the bracket rate
     Z_i^2 regresses the squared innovation (Y_{i+1} - C_i)^2 on the same
     design, divided by dV_i and clamped nonnegative; Y_i solves the implicit
-    one-step equation Y = C_i + f(t_i, X, Y, Z_i) dV_i by damped fixed point
-    (contraction is guaranteed by K_Y * dV_i < 1, enforced up front); a step
+    one-step equation Y = C_i + f(t_i, X, Y, Z_i) dV_i by fixed point through
+    ``core.ImplicitSteps`` (K_Y * dV_i < 1 is enforced up front); a step
     still above ``inner_tolerance`` after ``inner_iterations`` keeps its last
     iterate, and one warning names the worst such step.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean,
     and records a regression residual of 0.0.  Only the current step's
     values along the paths are held; no per-step fit is stored.
     """
-    max_dv = v_increments(grid, problem.clock).max()
-    if problem.driver.K_Y * max_dv >= 1.0:
-        raise ConfigurationError(
-            f"K_Y * max dV = {problem.driver.K_Y * max_dv:.3g} >= 1: "
-            "the implicit one-step solve needs a finer grid"
-        )
+    steps = core.ImplicitSteps(problem.driver, v_increments(grid, problem.clock),
+                               inner_iterations, inner_tolerance)
     ens = simulate(gen, s, x, grid, M, seed, problem.clock)
 
     y = problem.g(ens.paths[:, -1, :])
@@ -166,7 +162,6 @@ def lsmc_solve(
     y0 = float(np.mean(y))
     z0 = 0.0
     z0_se = 0.0
-    unconverged = []  # (last change, step) of inner solves that hit the cap
 
     for i in range(ens.dvs.size - 1, -1, -1):
         dv = float(ens.dvs[i])
@@ -197,31 +192,17 @@ def lsmc_solve(
                 warnings.warn(f"dV = 0 at backward step {i}: carrying Z from the later step")
                 zx = z_prev
 
-        y_new = cx.copy()
         if dv > 0:
-            change = np.inf
-            for _ in range(inner_iterations):
-                y_try = cx + problem.driver(t_i, xs, y_new, zx) * dv
-                change = np.max(np.abs(y_try - y_new))
-                y_new = y_try
-                if change < inner_tolerance:
-                    break
-            else:
-                unconverged.append((change, i))
-            driver_sums += problem.driver(t_i, xs, y_new, zx) * dv
-        y = y_new
+            y = steps.solve(i, t_i, xs, cx, zx, dv)
+            driver_sums += problem.driver(t_i, xs, y, zx) * dv
+        else:
+            y = cx
         z_prev = zx
         if i == 0:
             y0 = float(y[0])
             z0 = float(zx[0])
 
-    if unconverged:
-        change, step = max(unconverged)
-        warnings.warn(
-            f"LSMC inner fixed point did not converge within {inner_iterations} iterations "
-            f"at {len(unconverged)} backward steps; worst at backward step {step}: "
-            f"last change {change:.3g} >= tolerance {inner_tolerance:.3g}"
-        )
+    steps.warn("LSMC inner fixed point", "backward step")
     rms.reverse()
     # pathwise noise proxy: the chain of regressions averages the per-path
     # functional g(X_T) + sum f dV, whose dispersion sets the sampling error

@@ -6,8 +6,18 @@ The unknown pair solves, for every grid cell (s, x),
     u^2(s,x) = E[g(X_T)^2] - E[ sum_j (v^2 - 2 u f)(t_j, X_j) dV_j ]
 
 with all expectations read from one frozen ensemble cache (common random
-numbers), so the iteration map is deterministic and its geometric contraction
-is directly observable in the delta history.
+numbers), so the iteration map is deterministic.
+
+Every path of cell (t_i, x) starts at x, so the j = i term of the first
+line is the pointwise f(t_i, x, u, v) dV_i and the terms j > i read only
+later rows: given v, the first line is triangular in time.  ``update_u``
+therefore sweeps the rows backward, from the last to the first, reading the
+rows it has already written and solving each node's one-unknown diagonal
+(Gobet, Lemor & Warin's backward programming, on the cached paths).  With a
+z-free driver one sweep lands on the fixed point, and the second Picard
+iteration reads a delta of exactly 0.  A z-coupled driver reads v from the
+previous iterate, so only then does the delta history show the Picard
+map's contraction.
 
 Every sweep runs per origin block: the paths of all nodes started at one
 grid time are read together, so each step evaluates the driver once over
@@ -163,28 +173,38 @@ def _scalar_square(a: np.ndarray) -> np.ndarray:
     return np.array([x**2 for x in a.tolist()])
 
 
-def update_u(u_k: ScalarField, v_k: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
-    """One sweep of the first line: terminal expectation plus running driver term.
+def update_u(v_k: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
+    """One backward sweep of the first line, rows N-1 down to 0.
 
-    Returns the updated field and its per-cell stderr (pathwise combined).
-    ``v`` is not read when the driver is z-independent (K_Z = 0).
+    Row i reads the rows j > i this sweep has already written, so the sweep
+    lands on the fixed point of the first line for the given v.  Per node,
+    B_i is the path mean of g(X_T) + sum_{j>i} f(t_j, X_j, u, v) dV_j, and
+    u(t_i, x) solves y = B_i + f(t_i, x, y, v(t_i, x)) dV_i at the node (no
+    diagonal term when dV_i = 0).  Returns the field and its per-cell stderr
+    (that of the path values of B_i).  No earlier u is read, and ``v_k``
+    only when the driver is z-coupled (K_Z > 0).
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
+    steps = core.ImplicitSteps(problem.driver, cache.dvs)
     z_coupled = problem.driver.K_Z > 0
-    rows = (_flat(u_k), _flat(v_k)) if z_coupled else (_flat(u_k),)
     out = np.empty((n_t, n_nodes))
     se = np.zeros((n_t, n_nodes))
-    for i in range(n_t - 1):
-        acc = np.zeros(n_nodes * cache.M)
-        for j, xs, vals in _block_steps(cache, i, rows, i):
-            uu, vv = vals if z_coupled else (vals[0], np.zeros(1))
-            acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
-        out[i], se[i] = _node_stats(_terminal_values(problem, cache, i) + acc, n_nodes)
+    v_rows = _flat(v_k) if z_coupled else np.zeros((n_t, 1))  # z-free: z reads 0
+    rows = (out, v_rows) if z_coupled else (out,)
     # terminal row is exact: the running integral vanishes at s = T
     out[-1] = problem.g(cache.nodes)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("u update produced non-finite values")
+    for i in range(n_t - 2, -1, -1):
+        acc = np.zeros(n_nodes * cache.M)
+        for j, xs, vals in _block_steps(cache, i, rows, i + 1):
+            uu, vv = vals if z_coupled else (vals[0], v_rows[j])
+            acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
+        b_i, se[i] = _node_stats(_terminal_values(problem, cache, i) + acc, n_nodes)
+        dv = cache.dvs[i]
+        out[i] = steps.solve(i, grid.times[i], cache.nodes, b_i, v_rows[i], dv) if dv else b_i
+        if not np.all(np.isfinite(out[i])):
+            raise NumericalError(f"u update produced non-finite values in row {i}")
+    steps.warn("implicit row solve of u", "row")
     return _unflat(grid, out), se
 
 
@@ -339,9 +359,15 @@ def picard_solve(
     """Iterate the coupled system from u0 = v0 = 0 until the sup-norm u-delta
     falls below tolerance or the iteration budget runs out.
 
-    Non-convergence is flagged on the result, not raised.  With a z-decoupled
-    driver (K_Z = 0 declares f constant in z) the v update is deferred to the
-    end: it cannot influence the u iterates and costs a full sweep each pass.
+    Each iteration is one backward ``update_u`` sweep (blended with the
+    previous iterate when ``damping`` < 1) and, for a z-coupled driver, one
+    v update.  With a z-decoupled driver (K_Z = 0 declares f constant in z)
+    the sweep does not read v, so without damping the first sweep is the
+    fixed point and the second reads a delta of 0; the v update is then
+    deferred to the end.  Without damping, only a z-coupled driver shows the
+    contraction in the delta history.  Non-convergence is flagged on the result, not
+    raised; K_Y * max dV >= 1 raises ``ConfigurationError``, since the
+    sweep's per-node implicit solve needs it below 1.
     """
     grid = cache.grid
     if problem.generator.fingerprint() != cache.generator_fingerprint:
@@ -359,7 +385,7 @@ def picard_solve(
     iterations = 0
     for k in range(cfg.max_iterations):
         iterations = k + 1
-        u_next, u_se = update_u(u, v, problem, cache)
+        u_next, u_se = update_u(v, problem, cache)
         if cfg.damping < 1.0:
             blended = (1.0 - cfg.damping) * _flat(u) + cfg.damping * _flat(u_next)
             blended[-1] = problem.g(cache.nodes)

@@ -37,7 +37,7 @@ driver = core.LipschitzDriver(fn=lambda t, x, y, z: 0.5 * y + 0.1 * z, K_Y=0.5, 
 problem = core.ProblemSpec(generator=gen, driver=driver, terminal_g=lambda p: p[:, 0],
                            horizon_T=1.0)
 zero = core.ScalarField.constant(grid, 0.0)
-mild.update_u(zero, zero, problem, cache)
+mild.update_u(zero, problem, cache)
 m = tracer.metrics()
 print(m["core.interp_calls"], m["core.interp_points"], m["core.axes_calls"])
 """

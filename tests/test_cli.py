@@ -387,6 +387,15 @@ def test_validate_contraction_rule(tmp_path):
         validate_config(write_config(tmp_path, cfg))
 
 
+def test_validate_contraction_rule_when_only_mild_runs(tmp_path):
+    # the mild sweep solves y = B + f(t, x, y, z) dV at each node as well
+    cfg = smoke_config(phases=["cache", "mild"])
+    cfg["problem"]["driver"] = {"expr": "2*y", "K_Y": 2.0}
+    cfg["grid"]["time_steps"] = 2  # max dV = 0.5, K_Y dV = 1
+    with pytest.raises(ConfigurationError, match=r"problem\.driver\.K_Y: K_Y \* max dV = 1 >= 1"):
+        validate_config(write_config(tmp_path, cfg))
+
+
 def test_validate_stable_needs_dimension_one(tmp_path):
     cfg = smoke_config()
     cfg["problem"]["generator"] = {"kind": "stable", "alpha": 1.5}

@@ -66,7 +66,7 @@ def test_zero_driver_converges_in_one_update(square_problem, bm_cache):
 
 def test_update_u_first_sweep_matches_gaussian_moment(square_problem, bm_cache, grid):
     zero = ScalarField.constant(grid, 0.0)
-    u1, se = update_u(zero, zero, square_problem, bm_cache)
+    u1, se = update_u(zero, square_problem, bm_cache)
     x0 = bm_cache.nodes[6, 0]
     assert abs(u1.values[0, 6] - (x0**2 + 1.0)) < 3 * se[0, 6]
 
@@ -80,8 +80,8 @@ def test_update_u_constant_driver_shift(bm_cache, grid):
         horizon_T=1.0,
     )
     zero = ScalarField.constant(grid, 0.0)
-    u1, _ = update_u(zero, zero, prob, bm_cache)
-    u0, _ = update_u(zero, zero, ProblemSpec(
+    u1, _ = update_u(zero, prob, bm_cache)
+    u0, _ = update_u(zero, ProblemSpec(
         generator=brownian(), driver=zero_driver(),
         terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0,
     ), bm_cache)
@@ -97,7 +97,7 @@ def test_update_u_zero_dynamics_reproduces_terminal(grid):
         horizon_T=1.0,
     )
     zero = ScalarField.constant(grid, 0.0)
-    u1, _ = update_u(zero, zero, prob, cache)
+    u1, _ = update_u(zero, prob, cache)
     for i in range(grid.n_times):
         np.testing.assert_allclose(u1.values[i], np.sin(grid.nodes()[:, 0]), atol=1e-12)
 
@@ -192,6 +192,24 @@ def test_contraction_observable(bm_cache):
     deltas = sol.deltas
     assert all(deltas[k + 1] <= deltas[k] for k in range(1, len(deltas) - 1))
     assert all(deltas[k + 1] / deltas[k] <= 0.9 for k in range(1, len(deltas) - 1))
+    # z-free: the backward sweep lands on the fixed point, the second confirms it
+    assert sol.iterations <= 2 and deltas[1] <= 1e-12 * deltas[0]
+    assert sol.residuals.residual_1 <= 1e-10
+
+
+def test_z_coupled_solve_contracts(bm_cache):
+    # v enters each sweep from the previous iterate, so the deltas still shrink
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + 0.3 * z,
+                               K_Y=0.5, K_Z=0.3),
+        terminal_g=lambda p: p[:, 0] ** 2,
+        horizon_T=1.0,
+    )
+    sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=8, tolerance=1e-6))
+    deltas = sol.deltas
+    assert len(deltas) >= 3
+    assert all(deltas[k + 1] / deltas[k] <= 0.9 for k in range(len(deltas) - 1))
 
 
 def test_terminal_row_is_exact(square_problem, bm_cache, grid):
@@ -213,7 +231,7 @@ def test_nonconvergence_is_flagged_not_raised(bm_cache):
         horizon_T=1.0,
     )
     with pytest.warns(UserWarning, match="did not reach tolerance"):
-        sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=2, tolerance=1e-9))
+        sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=1, tolerance=1e-9))
     assert not sol.converged
 
 
@@ -269,6 +287,32 @@ def test_cache_generator_mismatch_rejected(square_problem, grid):
         picard_solve(square_problem, cache, PicardConfig())
 
 
+def test_picard_solve_rejects_a_noncontracting_row_solve(bm_cache):
+    # K_Y dV = 10 * 0.1 = 1: the implicit solve at each node need not contract
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: 10.0 * np.asarray(y), K_Y=10.0),
+        terminal_g=lambda p: p[:, 0] ** 2,
+        horizon_T=1.0,
+    )
+    with pytest.raises(ConfigurationError, match="finer grid"):
+        picard_solve(prob, bm_cache, PicardConfig())
+
+
+def test_row_solve_warns_once_when_it_hits_the_cap(bm_cache, grid):
+    # K_Y dV = 0.99: 50 fixed-point steps leave each row short of 1e-12
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: 9.9 * np.asarray(y), K_Y=9.9),
+        terminal_g=lambda p: p[:, 0] ** 2,
+        horizon_T=1.0,
+    )
+    with pytest.warns(UserWarning, match=r"implicit row solve of u did not converge within 50 "
+                      r"iterations at 10 rows; worst at row \d+: last change \d") as record:
+        update_u(ScalarField.constant(grid, 0.0), prob, bm_cache)
+    assert len(record) == 1
+
+
 def test_flat_clock_suffix_sets_v_zero_with_warning(grid):
     from pseudopde.core import ClockV
 
@@ -313,17 +357,38 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
 
     n_t, n_nodes = grid.n_times, cache.n_nodes
     ref = np.empty((n_t, n_nodes))
-    ref_se = np.zeros((n_t, n_nodes))
     for i in range(n_t):
         for nd in range(n_nodes):
-            ref[i, nd], ref_se[i, nd] = terminal_plus_running(cache, i, nd, prob.g, psi)
+            ref[i, nd], _ = terminal_plus_running(cache, i, nd, prob.g, psi)
 
     res = mild_residuals(u, v, prob, cache)
     assert res.residual_1 == np.max(np.abs(u.values.reshape(n_t, -1) - ref))
 
-    # update_u sets the terminal row to g at the nodes, exactly
-    ref[-1] = prob.g(cache.nodes)
-    ref_se[-1] = 0.0
-    got, got_se = update_u(u, v, prob, cache)
-    np.testing.assert_array_equal(got.values.reshape(n_t, -1), ref)
-    np.testing.assert_array_equal(got_se, ref_se)
+    # update_u solves the rows backward: the terminal row is g at the nodes;
+    # row i sums the steps j > i on the rows already solved, then solves its
+    # diagonal y = B + f(t_i, x, y, v) dV_i at the nodes (none where dV_i = 0)
+    back = np.zeros((n_t, n_nodes))
+    back_se = np.zeros((n_t, n_nodes))
+    back[-1] = prob.g(cache.nodes)
+    nodes, v_rows = cache.nodes, v.values.reshape(n_t, -1)
+    for i in range(n_t - 2, -1, -1):
+        solved = ScalarField(grid, back.reshape(u.values.shape))
+
+        def psi_later(j, xs, i=i, solved=solved):
+            if j == i:
+                return np.zeros(xs.shape[0])
+            return prob.driver(grid.times[j], xs, solved.at_points(j, xs), v.at_points(j, xs))
+
+        for nd in range(n_nodes):
+            back[i, nd], back_se[i, nd] = terminal_plus_running(cache, i, nd, prob.g, psi_later)
+        if cache.dvs[i] > 0:
+            b, y = back[i].copy(), back[i].copy()
+            for _ in range(50):
+                y_next = b + prob.driver(grid.times[i], nodes, y, v_rows[i]) * cache.dvs[i]
+                change, y = np.max(np.abs(y_next - y)), y_next
+                if change < 1e-12:
+                    break
+            back[i] = y
+    got, got_se = update_u(v, prob, cache)
+    np.testing.assert_array_equal(got.values.reshape(n_t, -1), back)
+    np.testing.assert_array_equal(got_se, back_se)
