@@ -9,8 +9,11 @@ workloads (configs built by `perfbench/workloads.make_config` at the
 benchmark's sizes, seed 1) and on every `scripts/configs/*.json` (its own
 seed), then prints one line per output file: run, file name, sha256.
 `manifest.json` is hashed without `timings_seconds` and `peak_rss_mb`, the
-parts of the output that depend on the host. Run it in two checkouts and diff the
-printed lines to see whether a change keeps the output bytes.
+parts of the output that depend on the host. Each CSV gets a second line,
+`<name>:values`, hashed without its first line, `# config_hash=...`, so a
+change that only edits the echoed config shows its values unchanged. Run it
+in two checkouts and diff the printed lines to see whether a change keeps the
+output bytes.
 """
 
 import argparse
@@ -29,14 +32,17 @@ import workloads  # noqa: E402
 WORKLOAD_SEED = 1
 
 
-def file_digest(path: Path) -> str:
+def digests(path: Path):
+    """(name, sha256) of the file and, for a CSV, of the lines below its hash line."""
     data = path.read_bytes()
     if path.name == "manifest.json":
         manifest = json.loads(data)
         manifest.pop("timings_seconds", None)
         manifest.pop("peak_rss_mb", None)
         data = json.dumps(manifest, indent=2, sort_keys=True).encode()
-    return hashlib.sha256(data).hexdigest()
+    yield path.name, hashlib.sha256(data).hexdigest()
+    if path.suffix == ".csv":
+        yield f"{path.name}:values", hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest()
 
 
 def runs(tmp: Path):
@@ -60,7 +66,8 @@ def main(argv=None):
             code = cli.run(config, out_dir=out, threads=args.threads, seed_override=seed)
             print(f"{label} exit_code {code}", flush=True)
             for path in sorted(out.iterdir()):
-                print(f"{label} {path.name} {file_digest(path)}", flush=True)
+                for name, digest in digests(path):
+                    print(f"{label} {name} {digest}", flush=True)
 
 
 if __name__ == "__main__":

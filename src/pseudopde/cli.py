@@ -320,7 +320,6 @@ def validate_config(path) -> RunPlan:
     fn = _expr_function(d_cfg, "expr", dimension, xp.as_driver_fn)
     k_y = d_cfg.number("K_Y", 0.0, bound=_NONNEGATIVE)
     k_z = d_cfg.number("K_Z", 0.0, bound=_NONNEGATIVE)
-    d_cfg.number("C_prime", 0.0, bound=_NONNEGATIVE)  # read by no computation; echoed only
     verify_lipschitz = d_cfg.flag("verify_lipschitz", False)
     driver = None if fn is None else LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
 
@@ -343,7 +342,6 @@ def validate_config(path) -> RunPlan:
         max_iterations=mild_cfg.count("max_iterations", 15, minimum=1),
         tolerance=mild_cfg.number("tolerance", 1e-3, bound=_POSITIVE),
         v_scheme=mild_cfg.choice("v_scheme", ("variance", "volterra"), "variance"),
-        damping=mild_cfg.number("damping", 1.0, bound=("in (0, 1]", lambda v: 0 < v <= 1)),
     )
 
     fb_cfg = top.section("fbsde")
@@ -395,7 +393,6 @@ def validate_config(path) -> RunPlan:
                 "K_Y",
             )
     growth_zeta = problem_cfg.number("growth_zeta", 0.0)
-    problem_cfg.number("growth_eta", 0.0)  # read by no computation; echoed only
     if isinstance(generator, Stable) and growth_zeta and growth_zeta >= generator.alpha:
         problem_cfg.error(
             "terminal growth exponent >= alpha has no finite moments under the stable "

@@ -460,13 +460,15 @@ class ImplicitSteps:
 
     Each solve iterates the map from y = c; it contracts because
     K_Y * dv < 1, which the constructor enforces over every step weight in
-    ``dvs``.  A solve whose largest change is still at or above ``tolerance``
-    after ``iterations`` keeps its last iterate and is recorded, and
-    ``warn`` names the worst such step in one warning.
+    ``dvs``.  A solve whose largest change is still at or above
+    ``TOLERANCE`` after ``ITERATIONS`` keeps its last iterate and is
+    recorded, and ``warn`` names the worst such step in one warning.
     """
 
-    def __init__(self, driver: LipschitzDriver, dvs, iterations: int = 50,
-                 tolerance: float = 1e-12):
+    ITERATIONS = 50
+    TOLERANCE = 1e-12
+
+    def __init__(self, driver: LipschitzDriver, dvs):
         max_dv = float(np.max(dvs))
         if driver.K_Y * max_dv >= 1.0:
             raise ConfigurationError(
@@ -474,19 +476,17 @@ class ImplicitSteps:
                 "the implicit one-step solve needs a finer grid"
             )
         self.driver = driver
-        self.iterations = iterations
-        self.tolerance = tolerance
         self.unconverged = []  # (last change, step) of solves that hit the cap
 
     def solve(self, step, t, x, c, z, dv):
         """y at the points ``x`` of step ``step``, given c and z there."""
         y = c.copy()
         change = np.inf
-        for _ in range(self.iterations):
+        for _ in range(self.ITERATIONS):
             y_try = c + self.driver(t, x, y, z) * dv
             change = np.max(np.abs(y_try - y))
             y = y_try
-            if change < self.tolerance:
+            if change < self.TOLERANCE:
                 return y
         self.unconverged.append((change, step))
         return y
@@ -495,9 +495,9 @@ class ImplicitSteps:
         if self.unconverged:
             change, step = max(self.unconverged)
             warnings.warn(
-                f"{what} did not converge within {self.iterations} iterations "
+                f"{what} did not converge within {self.ITERATIONS} iterations "
                 f"at {len(self.unconverged)} {unit}s; worst at {unit} {step}: "
-                f"last change {change:.3g} >= tolerance {self.tolerance:.3g}"
+                f"last change {change:.3g} >= tolerance {self.TOLERANCE:.3g}"
             )
 
 

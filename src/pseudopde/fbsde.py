@@ -134,8 +134,6 @@ def lsmc_solve(
     M: int,
     basis: RegressionBasis,
     seed: int,
-    inner_iterations: int = 50,
-    inner_tolerance: float = 1e-12,
 ) -> BsdeSolution:
     """One forward ensemble from (s, x), then dynamic programming backward.
 
@@ -144,14 +142,13 @@ def lsmc_solve(
     design, divided by dV_i and clamped nonnegative; Y_i solves the implicit
     one-step equation Y = C_i + f(t_i, X, Y, Z_i) dV_i by fixed point through
     ``core.ImplicitSteps`` (K_Y * dV_i < 1 is enforced up front); a step
-    still above ``inner_tolerance`` after ``inner_iterations`` keeps its last
-    iterate, and one warning names the worst such step.  The degenerate initial
+    that does not converge within its iteration cap keeps its last iterate,
+    and one warning names the worst such step.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean,
     and records a regression residual of 0.0.  Only the current step's
     values along the paths are held; no per-step fit is stored.
     """
-    steps = core.ImplicitSteps(problem.driver, v_increments(grid, problem.clock),
-                               inner_iterations, inner_tolerance)
+    steps = core.ImplicitSteps(problem.driver, v_increments(grid, problem.clock))
     ens = simulate(gen, s, x, grid, M, seed, problem.clock)
 
     y = problem.g(ens.paths[:, -1, :])

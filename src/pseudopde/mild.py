@@ -14,10 +14,10 @@ later rows: given v, the first line is triangular in time.  ``update_u``
 therefore sweeps the rows backward, from the last to the first, reading the
 rows it has already written and solving each node's one-unknown diagonal
 (Gobet, Lemor & Warin's backward programming, on the cached paths).  With a
-z-free driver one sweep lands on the fixed point, and the second Picard
-iteration reads a delta of exactly 0.  A z-coupled driver reads v from the
-previous iterate, so only then does the delta history show the Picard
-map's contraction.
+z-free driver one sweep lands on the fixed point, so the solve is that one
+sweep and one v update.  A z-coupled driver reads v from the previous
+iterate, so it iterates, and its delta history shows the Picard map's
+contraction.
 
 Every sweep runs per origin block: the paths of all nodes started at one
 grid time are read together, so each step evaluates the driver once over
@@ -61,15 +61,12 @@ class PicardConfig:
     max_iterations: int = 20
     tolerance: float = 1e-4
     v_scheme: str = "variance"
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ConfigurationError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigurationError("damping factor must lie in (0, 1]")
         if self.v_scheme not in ("volterra", "variance"):
             raise ConfigurationError(f"unknown v scheme {self.v_scheme!r}")
 
@@ -356,52 +353,37 @@ def mild_residuals(u: ScalarField, v: ScalarField, problem: ProblemSpec, cache: 
 def picard_solve(
     problem: ProblemSpec, cache: EnsembleCache, cfg: PicardConfig
 ) -> MildSolution:
-    """Iterate the coupled system from u0 = v0 = 0 until the sup-norm u-delta
-    falls below tolerance or the iteration budget runs out.
+    """Iterate the coupled system from u0 = v0 = 0.
 
-    Each iteration is one backward ``update_u`` sweep (blended with the
-    previous iterate when ``damping`` < 1) and, for a z-coupled driver, one
-    v update.  With a z-decoupled driver (K_Z = 0 declares f constant in z)
-    the sweep does not read v, so without damping the first sweep is the
-    fixed point and the second reads a delta of 0; the v update is then
-    deferred to the end.  Without damping, only a z-coupled driver shows the
-    contraction in the delta history.  Non-convergence is flagged on the result, not
-    raised; K_Y * max dV >= 1 raises ``ConfigurationError``, since the
-    sweep's per-node implicit solve needs it below 1.
+    Each iteration is one backward ``update_u`` sweep, then one v update.
+    With a z-free driver (K_Z = 0 declares f constant in z) the sweep does
+    not read v, so the first iteration lands on the fixed point and ends the
+    solve as converged.  A z-coupled driver iterates until the sup-norm
+    u-delta falls below ``cfg.tolerance`` or ``cfg.max_iterations`` run out;
+    only those drivers read the two settings.  Non-convergence is flagged on
+    the result, not raised; K_Y * max dV >= 1 raises ``ConfigurationError``,
+    since the sweep's per-node implicit solve needs it below 1.
     """
     grid = cache.grid
     if problem.generator.fingerprint() != cache.generator_fingerprint:
         raise ConfigurationError("cache was built for a different generator")
     u = ScalarField.constant(grid, 0.0)
     v = ScalarField.constant(grid, 0.0)
-    u_se = np.zeros((grid.n_times, cache.n_nodes))
-    v_se = np.zeros((grid.n_times, cache.n_nodes))
-    telemetry = ClampTelemetry()
     z_coupled = problem.driver.K_Z > 0
     update_v = update_v_volterra if cfg.v_scheme == "volterra" else update_v_variance
 
     deltas = []
     converged = False
-    iterations = 0
-    for k in range(cfg.max_iterations):
-        iterations = k + 1
+    for iterations in range(1, cfg.max_iterations + 1):
         u_next, u_se = update_u(v, problem, cache)
-        if cfg.damping < 1.0:
-            blended = (1.0 - cfg.damping) * _flat(u) + cfg.damping * _flat(u_next)
-            blended[-1] = problem.g(cache.nodes)
-            u_next = _unflat(grid, blended)
         if not np.all(np.isfinite(u_next.values)):
             raise NumericalError(f"NaN in u at iteration {iterations}")
-        delta = field_distance(u_next, u)
-        deltas.append(delta)
+        deltas.append(field_distance(u_next, u))
         u = u_next
-        if z_coupled:
-            v, v_se, telemetry = update_v(u, v, problem, cache)
-        if delta < cfg.tolerance:
+        v, v_se, telemetry = update_v(u, v, problem, cache)
+        if deltas[-1] < cfg.tolerance or not z_coupled:
             converged = True
             break
-    if not z_coupled:
-        v, v_se, telemetry = update_v(u, v, problem, cache)
     if not converged:
         warnings.warn(
             f"fixed-point iteration did not reach tolerance {cfg.tolerance} "

@@ -54,6 +54,10 @@ from .errors import ConfigurationError, InputError, InternalError
 
 _QUAD_NODES = 96
 
+# ``build_h_transform`` warns when exp(Sigma)/sigma spreads by more than this
+# factor over its table: the h-transform's two-sided bound is then strained.
+H_RATIO_WARN = 1e4
+
 
 @dataclass(frozen=True)
 class JumpLaw:
@@ -283,7 +287,7 @@ class HTransform:
         return self._read(self._on_h, slice(0, 2), y)
 
 
-def build_h_transform(b_x, b_values, sigma_fn: Callable, ta_ratio_warn: float = 1e4) -> HTransform:
+def build_h_transform(b_x, b_values, sigma_fn: Callable) -> HTransform:
     """Build (Sigma, h, h^-1, sigma0) from a sampled continuous b and sigma > 0.
 
     Sigma(x) = 2 * integral_0^x sigma^-2(y) db(y) as a Riemann-Stieltjes sum
@@ -310,7 +314,7 @@ def build_h_transform(b_x, b_values, sigma_fn: Callable, ta_ratio_warn: float = 
 
     ratio = np.exp(S) / sig
     spread = ratio.max() / ratio.min()
-    if spread > ta_ratio_warn:
+    if spread > H_RATIO_WARN:
         warnings.warn(
             f"exp(Sigma)/sigma varies by a factor {spread:.3g} over the table; "
             "the two-sided boundedness assumption is numerically strained"

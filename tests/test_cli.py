@@ -90,19 +90,12 @@ def test_validate_rejects_non_polynomial_basis_with_other_errors(tmp_path):
 def test_validate_rejects_off_grid_origin_with_other_errors(tmp_path):
     cfg = smoke_config()
     cfg["fbsde"]["origins"] = [[0.1 + 5e-8, 0.0]]  # 10 steps: 0.1 is a grid time
-    cfg["problem"]["driver"]["C_prime"] = -1.0
+    cfg["problem"]["driver"]["K_Z"] = -1.0
     with pytest.raises(ConfigurationError) as err:
         validate_config(write_config(tmp_path, cfg))
     text = str(err.value)
     assert "fbsde.origins[0]: time 0.10000005" in text and "not a grid time" in text
-    assert "problem.driver.C_prime: must be >= 0 (got -1.0)" in text
-    # C_prime is echoed as a float, 0.0 when absent
-    assert validate_config(write_config(tmp_path, smoke_config())).normalized[
-        "problem"]["driver"]["C_prime"] == 0.0
-    cfg = smoke_config()
-    cfg["problem"]["driver"]["C_prime"] = 2
-    echoed = validate_config(write_config(tmp_path, cfg)).normalized["problem"]["driver"]
-    assert echoed["C_prime"] == 2.0 and isinstance(echoed["C_prime"], float)
+    assert "problem.driver.K_Z: must be >= 0 (got -1.0)" in text
 
 
 def test_validate_rejects_path_and_function_counts_with_other_errors(tmp_path):
@@ -169,7 +162,6 @@ def _set(*keys_and_value):
     (_set("grid", 5), "grid: must be an object (got 5)"),
     (_set("problem", "clock", "identity"), "problem.clock: must be an object (got 'identity')"),
     (_set("problem", "horizon_T", "abc"), "problem.horizon_T: must be a number (got 'abc')"),
-    (_set("problem", "growth_eta", [2]), "problem.growth_eta: must be a number (got [2])"),
     (_set("mild", 5), "mild: must be an object (got 5)"),
     (_set("mild", "memory_budget_mb", "big"), "mild.memory_budget_mb: must be a number (got 'big')"),
     (_set("fbsde", "lsmc"), "fbsde: must be an object (got 'lsmc')"),
@@ -186,12 +178,10 @@ def _set(*keys_and_value):
     (_set("problem", "generator", "sigma", 1), "problem.generator.sigma: must be a string (got 1)"),
     (_set("problem", "driver", "K_Y", "0.5"), "problem.driver.K_Y: must be a number (got '0.5')"),
     (_set("problem", "driver", "K_Z", None), "problem.driver.K_Z: must be a number (got None)"),
-    (_set("problem", "driver", "C_prime", [0]), "problem.driver.C_prime: must be a number (got [0])"),
     (_set("problem", "driver", "verify_lipschitz", "no"),
      "problem.driver.verify_lipschitz: must be true or false (got 'no')"),
     (_set("mild", "tolerance", "1e-3"), "mild.tolerance: must be a number (got '1e-3')"),
     (_set("mild", "tolerance", float("inf")), "mild.tolerance: must be a number (got inf)"),
-    (_set("mild", "damping", True), "mild.damping: must be a number (got True)"),
     (_set("fbsde", "ridge", "1e-9"), "fbsde.ridge: must be a number (got '1e-9')"),
     (_set("problem", "generator", {"kind": "stable", "alpha": "1.5"}),
      "problem.generator.alpha: must be a number (got '1.5')"),
@@ -236,8 +226,6 @@ def _set(*keys_and_value):
     (_set("mild", "max_iterations", 0), "mild.max_iterations: must be >= 1 (got 0)"),
     (_set("mild", "v_scheme", "secant"),
      "mild.v_scheme: must be one of variance, volterra (got 'secant')"),
-    (_set("mild", "damping", 0), "mild.damping: must be in (0, 1] (got 0)"),
-    (_set("mild", "damping", 1.5), "mild.damping: must be in (0, 1] (got 1.5)"),
     (_set("problem", "driver", "K_Z", -1), "problem.driver.K_Z: must be >= 0 (got -1)"),
     (_set("problem", "generator", {"kind": "stable", "alpha": 2.5}),
      "problem.generator.alpha: must be in (0, 2] (got 2.5)"),
@@ -257,15 +245,15 @@ def _set(*keys_and_value):
     (_set("problem", "generator", {"kind": "distributional_drift", "sigma": "1 + 0.1*t",
                                    "b": {"expr": "-x1^2/4"}}),
      "problem.generator.sigma: may not use t (allowed: x1)"),
-], ids=["top_level", "grid", "clock", "horizon_T", "growth_eta", "mild", "memory_budget_mb",
+], ids=["top_level", "grid", "clock", "horizon_T", "mild", "memory_budget_mb",
         "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
-        "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z", "C_prime",
-        "verify_lipschitz", "tolerance", "tolerance_inf", "damping", "ridge", "alpha", "scale",
+        "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z",
+        "verify_lipschitz", "tolerance", "tolerance_inf", "ridge", "alpha", "scale",
         "rate", "param", "space_min_strings", "space_max_strings", "space_min_bare",
         "clock_times", "b_bounds", "b_x", "atoms_string", "clock_kind", "clock_values_missing",
         "b_x_missing", "atoms_short", "atoms_bare", "dimension_zero", "memory_budget_zero",
         "ridge_negative", "degree_negative", "max_iterations_zero", "v_scheme_unknown",
-        "damping_zero", "damping_above_one", "K_Z_negative", "alpha_above_two", "scale_zero",
+        "K_Z_negative", "alpha_above_two", "scale_zero",
         "mu_reads_z", "sigma_reads_y", "jump_sigma_reads_y_z", "terminal_reads_t",
         "drift_b_reads_t", "drift_sigma_reads_t"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
@@ -282,9 +270,9 @@ def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("distributional_drift", "a54c0189248bb48f14d4f4d25f6a8d28619dc8d6739b3a8a0e26c8094e0c702c"),
-    ("fractional_semilinear", "dacef82ab865d119ebdd55a57330c42d517b981557cff93130f76ff8e482e256"),
-    ("heat_baseline", "9d6f703b546aaa42e0e4caabd96b04277ca83c590aeff254ea0e5d4c9fed8e82"),
+    ("distributional_drift", "b763ac8e8a377dbf2f5ae3c60a5ac448888b8bb0f44fdc031bf94a76601b4968"),
+    ("fractional_semilinear", "e005f8437a2ae801597f14a80f747b5bfcf19731ae74b0b24d287f392b643596"),
+    ("heat_baseline", "698d4ea795bbda0f9bb10710fd8bf1ecb00b451ca8c9bd8575cfd7c2f1642e24"),
 ])
 def test_shipped_config_echo_bytes_are_pinned(name, digest):
     # config.json, and with it config_hash and every CSV header, depends on these bytes
@@ -534,7 +522,8 @@ def test_operators_on_a_2d_grid_is_reported(tmp_path):
 
 def test_nonconvergence_exit_code(tmp_path):
     cfg = smoke_config()
-    cfg["problem"]["driver"] = {"expr": "0.5*y", "K_Y": 0.5}
+    # only a z-coupled driver iterates, so only it can run out of iterations
+    cfg["problem"]["driver"] = {"expr": "0.5*y + 0.3*z", "K_Y": 0.5, "K_Z": 0.3}
     cfg["mild"].update({"max_iterations": 1, "tolerance": 1e-9})
     cfg["phases"] = ["cache", "mild"]
     assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 2

@@ -172,16 +172,18 @@ def test_lsmc_contraction_precondition(grid):
 
 
 def test_lsmc_warns_when_inner_fixed_point_does_not_converge(grid):
+    # K_Y dV = 0.99: 50 fixed-point steps leave each step short of 1e-12
     prob = ProblemSpec(
         generator=brownian(),
-        driver=LipschitzDriver(fn=lambda t, x, y, z: -0.5 * y + np.cos(x[:, 0]), K_Y=0.5),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: -49.5 * y + np.cos(x[:, 0]), K_Y=49.5),
         terminal_g=lambda p: p[:, 0] ** 2,
         horizon_T=1.0,
     )
     basis = RegressionBasis(degree=2)
-    with pytest.warns(UserWarning, match=r"within 1 iterations at 50 backward steps; "
-                      r"worst at backward step \d+: last change \d"):
-        lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 500, basis, 907, inner_iterations=1)
+    with pytest.warns(UserWarning, match=r"within 50 iterations at 50 backward steps; "
+                      r"worst at backward step \d+: last change \d") as record:
+        lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 500, basis, 907)
+    assert len(record) == 1
 
 
 def test_crosscheck_rejects_off_grid_origin(square_problem):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pseudopde.core import LipschitzDriver, ProblemSpec, ScalarField, SpaceTimeGrid
+from pseudopde import mild
+from pseudopde.core import LipschitzDriver, ProblemSpec, ScalarField, SpaceTimeGrid, field_distance
 from pseudopde.errors import ConfigurationError, NumericalError
 from pseudopde.mild import (
     PicardConfig,
@@ -49,19 +50,36 @@ def test_picard_config_validation():
     with pytest.raises(ConfigurationError):
         PicardConfig(max_iterations=0)
     with pytest.raises(ConfigurationError):
-        PicardConfig(damping=0.0)
-    with pytest.raises(ConfigurationError):
         PicardConfig(v_scheme="secant")
+
+
+def _assert_one_sweep_fixed_point(sol, problem, cache):
+    # z-free: the solve stops after one sweep, and one more sweep reproduces it
+    assert sol.converged and sol.iterations == 1 and len(sol.deltas) == 1
+    again, _ = update_u(sol.v, problem, cache)
+    assert field_distance(again, sol.u) <= 1e-12 * sol.deltas[0]
 
 
 def test_zero_driver_converges_in_one_update(square_problem, bm_cache):
     sol = picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9))
-    # the value lands after one update; the second delta confirms it exactly
-    assert sol.converged
-    assert sol.deltas[-1] == 0.0
-    assert len(sol.deltas) == 2
+    _assert_one_sweep_fixed_point(sol, square_problem, bm_cache)
     est, _ = terminal_expectation(bm_cache, 0, 4, square_problem.g)
     assert sol.u.values[0, 4] == pytest.approx(est, rel=1e-14)
+
+
+def test_z_free_solve_is_one_sweep_and_one_v_update(square_problem, bm_cache, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("update_u", "update_v_variance", "update_v_volterra"):
+        monkeypatch.setattr(mild, name, counted(getattr(mild, name)))
+    picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9))
+    assert calls == ["update_u", "update_v_variance"]
 
 
 def test_update_u_first_sweep_matches_gaussian_moment(square_problem, bm_cache, grid):
@@ -189,11 +207,7 @@ def test_contraction_observable(bm_cache):
         horizon_T=1.0,
     )
     sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=8, tolerance=1e-3))
-    deltas = sol.deltas
-    assert all(deltas[k + 1] <= deltas[k] for k in range(1, len(deltas) - 1))
-    assert all(deltas[k + 1] / deltas[k] <= 0.9 for k in range(1, len(deltas) - 1))
-    # z-free: the backward sweep lands on the fixed point, the second confirms it
-    assert sol.iterations <= 2 and deltas[1] <= 1e-12 * deltas[0]
+    _assert_one_sweep_fixed_point(sol, prob, bm_cache)
     assert sol.residuals.residual_1 <= 1e-10
 
 
@@ -224,9 +238,11 @@ def test_v_nonnegative_everywhere(square_problem, bm_cache):
 
 
 def test_nonconvergence_is_flagged_not_raised(bm_cache):
+    # only a z-coupled driver iterates, so only it can run out of iterations
     prob = ProblemSpec(
         generator=brownian(),
-        driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + 0.3 * z,
+                               K_Y=0.5, K_Z=0.3),
         terminal_g=lambda p: p[:, 0] ** 2,
         horizon_T=1.0,
     )
@@ -244,14 +260,6 @@ def test_nan_driver_raises_with_iteration(square_problem, bm_cache):
     )
     with pytest.raises(NumericalError):
         picard_solve(bad, bm_cache, PicardConfig(tolerance=1e-9))
-
-
-def test_damping_keeps_terminal_row(square_problem, bm_cache, grid):
-    sol = picard_solve(
-        square_problem, bm_cache, PicardConfig(tolerance=1e-6, damping=0.5, max_iterations=40)
-    )
-    np.testing.assert_array_equal(sol.u.values[-1].ravel(), square_problem.g(grid.nodes()))
-    assert sol.converged
 
 
 def test_residual_of_perturbed_solution(square_problem, bm_cache, grid):
