@@ -49,7 +49,7 @@ def main():
     print("\n  x      u(0,x)      v(0,x)")
     xs = grid.nodes()[:, 0]
     for j in range(0, xs.size, 2):
-        print(f"{xs[j]:5.1f}  {sol.u.values[0, j]:9.5f}  {sol.v.values[0, j]:9.5f}")
+        print(f"{xs[j]:5.1f}  {sol.u[0, j]:9.5f}  {sol.v[0, j]:9.5f}")
 
 
 if __name__ == "__main__":

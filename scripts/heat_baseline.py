@@ -42,7 +42,7 @@ def main():
     t2 = time.perf_counter()
 
     node0 = int(np.argmin(np.abs(grid.nodes()[:, 0])))
-    u00, se = sol.u.values[0, node0], sol.u_stderr[0, node0]
+    u00, se = sol.u[0, node0], sol.u_stderr[0, node0]
     exact = np.exp(c) * 1.0  # integrating factor applied to E[g(W_1)] = 1
     print(f"cache build      {t1 - t0:6.1f}s  ({cache.memory_bytes / 2**20:.0f} MiB)")
     print(f"fixed-point      {t2 - t1:6.1f}s  ({sol.iterations} iterations)")

@@ -42,7 +42,7 @@ def cell_z(plan, grid_cfg, exact, seed, threads):
     del cache
     x = grid.nodes()[:, 0]
     cells = np.column_stack([np.repeat(grid.times, x.size), np.tile(x, grid.n_times),
-                             sol.u.values.reshape(-1), sol.u_stderr.reshape(-1)])
+                             sol.u.reshape(-1), sol.u_stderr.reshape(-1)])
     t, x, u, se = cells[workloads._interior(cells, grid_cfg)].T
     return (u - exact(t, x)) / np.maximum(se, 1e-12), sol.converged
 

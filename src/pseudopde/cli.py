@@ -77,12 +77,15 @@ class _Section:
     ``<path>: required`` and a value of the wrong type or out of bounds as
     ``<path>: must be <what> (got <value!r>)``; either way ``default`` stands
     in for it, so one pass collects every error.  The value a getter returns
-    is recorded in ``echo``, from which ``config.json`` is assembled.
+    is recorded in ``echo``, from which ``config.json`` is assembled, so the
+    keys of ``echo`` are the keys read; ``report_unread`` reports the rest.
     """
 
     def __init__(self, cfg: dict, name: str, errors: list):
         self.cfg, self.name, self.errors = cfg, name, errors
         self.echo = {}
+        self.sections = []  # the sections read from this one
+        self.checked = True  # whether report_unread looks at this section's keys
 
     def __contains__(self, key) -> bool:
         return key in self.cfg
@@ -123,7 +126,20 @@ class _Section:
         sub = _Section(value, self.path(key), self.errors if len(self.errors) == before else [])
         if not raw:
             self.echo[key] = sub.echo
+        self.sections.append(sub)
         return sub
+
+    def report_unread(self):
+        """Report, here and in every section read from this one, each key
+        that was never read as ``<path>: unknown key``; a section that an
+        earlier error kept from being read (``checked`` false) is passed over."""
+        if not self.checked:
+            return
+        for key in self.cfg:
+            if key not in self.echo:
+                self.error("unknown key", key)
+        for sub in self.sections:
+            sub.report_unread()
 
     def number(self, key, default, *, required=False, bound=None) -> float:
         """A finite number; ``bound`` is one more ``(what, test)`` it must pass."""
@@ -329,9 +345,12 @@ def validate_config(path) -> RunPlan:
         required=True,
     )
     generator = None
+    # which keys a generator reads depends on its kind: unchecked unless it is built
+    gen_cfg.checked = False
     if kind in ("jump_diffusion", "stable", "distributional_drift") and dimension != 1:
         gen_cfg.error(f"{kind} requires {grid_cfg.path('dimension')} = 1")
     elif kind is not None and grid is not None:
+        gen_cfg.checked = True
         bounds = [float(grid.space_min[0]), float(grid.space_max[0])]
         generator = _build_generator(kind, gen_cfg, dimension, bounds)
 
@@ -399,6 +418,7 @@ def validate_config(path) -> RunPlan:
             "generator", "growth_zeta"
         )
 
+    top.report_unread()
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))
 
@@ -515,12 +535,10 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
                 "fall outside the spatial bounds and were clamped during interpolation"
             )
         nodes = grid.nodes()
-        for name, values, stderr in (("u.csv", sol.u.values, sol.u_stderr),
-                                     ("v.csv", sol.v.values, sol.v_stderr)):
-            flat = values.reshape(grid.n_times, -1)
-            se = np.asarray(stderr).reshape(grid.n_times, -1)
+        for name, values, stderr in (("u.csv", sol.u, sol.u_stderr),
+                                     ("v.csv", sol.v, sol.v_stderr)):
             _write_csv(out / name, config_hash, ["t", *coords, "value", "stderr"],
-                       ((t, *x, value, err) for t, row, row_se in zip(grid.times, flat, se)
+                       ((t, *x, value, err) for t, row, row_se in zip(grid.times, values, stderr)
                         for x, value, err in zip(nodes, row, row_se)))
         _write_csv(out / "deltas.csv", config_hash, ["iteration", "sup_delta"],
                    enumerate(sol.deltas, start=1))

@@ -1,4 +1,4 @@
-"""Grids, the clock V, scalar fields with interpolation, and the problem data model.
+"""Grids, the clock V, the piecewise-linear table reader, and the problem data model.
 
 All types are immutable after construction and safe to share across workers.
 State space is R^d with d configurable; spatial evaluation off the grid clamps
@@ -9,7 +9,10 @@ fields and the h-transform tables alike: ``Abscissa`` brackets points on an
 increasing abscissa in O(1), ``interp_slopes`` forms the slopes, and
 ``_read`` reads k tables from the brackets in place, so that each read equals
 ``np.interp`` bit for bit.  ``bracket`` finds the brackets of grid points
-(the path cache keeps them), and ``_multilinear`` reads fields from them.
+(the path cache keeps them), and ``_multilinear`` reads fields from them.  A
+field is an (n_times, n_nodes) array of values at the grid times and at the
+nodes of ``SpaceTimeGrid.nodes()``; ``_multilinear`` reads one row of it,
+reshaped to the grid's ``space_shape``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,10 @@ class SpaceTimeGrid:
         return tuple(int(k) for k in self.space_nodes)
 
     @classmethod
-    def regular(cls, horizon, time_steps, space_min, space_max, space_nodes, t0=0.0):
+    def regular(cls, horizon, time_steps, space_min, space_max, space_nodes):
+        """``time_steps`` uniform steps over [0, horizon]."""
         return cls(
-            times=np.linspace(t0, horizon, time_steps + 1),
+            times=np.linspace(0.0, horizon, time_steps + 1),
             space_min=np.atleast_1d(space_min),
             space_max=np.atleast_1d(space_max),
             space_nodes=np.atleast_1d(space_nodes),
@@ -167,56 +171,6 @@ def mean_and_stderr(vals: np.ndarray):
     if m < 2:
         return mean, np.zeros_like(mean)
     return mean, np.std(vals, axis=-1, ddof=1) / np.sqrt(m)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Field values on grid times x grid nodes, multilinear in space.
-
-    ``values`` has shape (n_times, *space_shape).  Evaluation between nodes is
-    multilinear per axis; points outside the bounds are clamped to the nearest
-    boundary node.  There is no temporal interpolation: evaluation is always
-    at a grid time index.
-    """
-
-    grid: SpaceTimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        want = (self.grid.n_times,) + self.grid.space_shape
-        if v.shape != want:
-            raise InputError(f"field values shape {v.shape} != grid shape {want}")
-        if not np.all(np.isfinite(v)):
-            raise InputError("field values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def constant(cls, grid: SpaceTimeGrid, c: float) -> "ScalarField":
-        return cls(grid, np.full((grid.n_times,) + grid.space_shape, float(c)))
-
-    @classmethod
-    def from_function(cls, grid: SpaceTimeGrid, fn: Callable) -> "ScalarField":
-        """Tabulate fn(t, points) with points of shape (n_nodes, d)."""
-        pts = grid.nodes()
-        rows = [np.asarray(fn(t, pts), dtype=float).reshape(grid.space_shape) for t in grid.times]
-        return cls(grid, np.stack(rows, axis=0))
-
-    def at(self, time_index: int, x) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return float(self.at_points(time_index, x)[0])
-
-    def at_points(self, time_index: int, points: np.ndarray) -> np.ndarray:
-        """Vectorized multilinear interpolation at points (n, d), clamped to bounds."""
-        if not 0 <= time_index < self.grid.n_times:
-            raise InputError(f"time index {time_index} out of range")
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        if not np.all(np.isfinite(points)):
-            raise InputError("interpolation points must be finite")
-        axes = self.grid.axes
-        return _multilinear(axes, self.values[time_index][None], bracket(axes, points))[0]
 
 
 # Points per pass of a bracket or read, so that a pass's few temporaries stay
@@ -393,17 +347,6 @@ def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: Brack
     return out
 
 
-def field_distance(a: ScalarField, b: ScalarField) -> float:
-    """Sup norm over grid nodes of |a - b|; the fixed-point stopping metric."""
-    if a.grid is not b.grid and (
-        a.grid.space_shape != b.grid.space_shape
-        or a.grid.n_times != b.grid.n_times
-        or not np.array_equal(a.grid.times, b.grid.times)
-    ):
-        raise InputError("field grids differ")
-    return float(np.max(np.abs(a.values - b.values)))
-
-
 @dataclass
 class LipschitzDriver:
     """Driver f(t, x, y, z) with declared Lipschitz constants in y and z.
@@ -412,6 +355,11 @@ class LipschitzDriver:
     Constants are user-declared; ``check_lipschitz`` spot-checks them with
     sampled difference quotients and warns (never errors) on violation.
     """
+
+    # points per sampled (t, h) draw of check_lipschitz, and the relative
+    # excess over a declared constant that it tolerates
+    CHECK_SAMPLES = 512
+    CHECK_SLACK = 0.01
 
     fn: Callable
     K_Y: float = 0.0
@@ -424,13 +372,15 @@ class LipschitzDriver:
     def __call__(self, t, x, y, z):
         return np.asarray(self.fn(t, x, y, z), dtype=float)
 
-    def check_lipschitz(self, t_range, space_box, n_samples=512, seed=0, slack=0.01):
+    def check_lipschitz(self, t_range, space_box):
         """Sample finite-difference quotients in y and z against K_Y, K_Z.
 
         Returns True on success; warns and returns False when a sampled
-        quotient exceeds the declared constant by more than `slack`.
+        quotient exceeds the declared constant by more than ``CHECK_SLACK``
+        (relative).  The samples are drawn from a fixed seed.
         """
-        rng = np.random.default_rng(seed)
+        n_samples, slack = self.CHECK_SAMPLES, self.CHECK_SLACK
+        rng = np.random.default_rng(0)
         lo, hi = np.atleast_1d(space_box[0]), np.atleast_1d(space_box[1])
         d = lo.size
         ok = True

@@ -249,12 +249,12 @@ def crosscheck(
     """Backward solves at each origin (seed ``seed + 7919 * idx``) against the mild
     fields; the CLI passes its fbsde phase's seed, so they repeat that phase bit for bit."""
     rows = []
-    u_se_rows = mild.u_stderr.reshape(mild.u.values.shape)
     for idx, (s, x) in enumerate(origins):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         i_s = grid.time_index(s)
         sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, seed + 7919 * idx)
-        tables = np.stack((mild.u.values[i_s], mild.v.values[i_s], u_se_rows[i_s]))
+        tables = np.stack((mild.u[i_s], mild.v[i_s], mild.u_stderr[i_s]))
+        tables = tables.reshape((3,) + grid.space_shape)
         at_x = core.bracket(grid.axes, x_arr[None, :])
         u_val, v_val, u_se = map(float, core._multilinear(grid.axes, tables, at_x)[:, 0])
         rows.append(

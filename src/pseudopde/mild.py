@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import ProblemSpec, ScalarField, field_distance
+from .core import ProblemSpec
 from .errors import ConfigurationError, NumericalError
 from .semigroup import EnsembleCache
 
@@ -92,8 +92,15 @@ class ResidualReport:
 
 @dataclass
 class MildSolution:
-    u: ScalarField
-    v: ScalarField
+    """The solved pair (u, v) with per-cell stderrs and the solve's record.
+
+    ``u``, ``v``, ``u_stderr`` and ``v_stderr`` share one layout, an
+    (n_times, n_nodes) array: row i is grid time t_i and column k is node k
+    of ``grid.nodes()``.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
     u_stderr: np.ndarray
     v_stderr: np.ndarray
     iterations: int
@@ -102,14 +109,6 @@ class MildSolution:
     residuals: ResidualReport
     clamp: ClampTelemetry
     out_of_bounds_fraction: float = 0.0
-
-
-def _flat(fieldobj: ScalarField) -> np.ndarray:
-    return fieldobj.values.reshape(fieldobj.grid.n_times, -1)
-
-
-def _unflat(grid, arr: np.ndarray) -> ScalarField:
-    return ScalarField(grid, arr.reshape((grid.n_times,) + grid.space_shape))
 
 
 def _block_positions(cache: EnsembleCache, i: int, j: int) -> core.Bracketed:
@@ -170,16 +169,17 @@ def _scalar_square(a: np.ndarray) -> np.ndarray:
     return np.array([x**2 for x in a.tolist()])
 
 
-def update_u(v_k: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
+def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
     """One backward sweep of the first line, rows N-1 down to 0.
 
     Row i reads the rows j > i this sweep has already written, so the sweep
     lands on the fixed point of the first line for the given v.  Per node,
     B_i is the path mean of g(X_T) + sum_{j>i} f(t_j, X_j, u, v) dV_j, and
     u(t_i, x) solves y = B_i + f(t_i, x, y, v(t_i, x)) dV_i at the node (no
-    diagonal term when dV_i = 0).  Returns the field and its per-cell stderr
-    (that of the path values of B_i).  No earlier u is read, and ``v_k``
-    only when the driver is z-coupled (K_Z > 0).
+    diagonal term when dV_i = 0).  Returns u and its per-cell stderr (that
+    of the path values of B_i), both in the layout of ``MildSolution``.  No
+    earlier u is read, and ``v_k`` only when the driver is z-coupled
+    (K_Z > 0).
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
@@ -187,7 +187,7 @@ def update_u(v_k: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
     z_coupled = problem.driver.K_Z > 0
     out = np.empty((n_t, n_nodes))
     se = np.zeros((n_t, n_nodes))
-    v_rows = _flat(v_k) if z_coupled else np.zeros((n_t, 1))  # z-free: z reads 0
+    v_rows = v_k if z_coupled else np.zeros((n_t, 1))  # z-free: z reads 0
     rows = (out, v_rows) if z_coupled else (out,)
     # terminal row is exact: the running integral vanishes at s = T
     out[-1] = problem.g(cache.nodes)
@@ -202,7 +202,7 @@ def update_u(v_k: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
         if not np.all(np.isfinite(out[i])):
             raise NumericalError(f"u update produced non-finite values in row {i}")
     steps.warn("implicit row solve of u", "row")
-    return _unflat(grid, out), se
+    return out, se
 
 
 def _clamp_w(w: np.ndarray, telemetry: ClampTelemetry) -> np.ndarray:
@@ -235,18 +235,21 @@ def _fill_carries(w: np.ndarray, se_w: np.ndarray, computed: np.ndarray):
         se_w[i] = se_w[last]
 
 
-def _finish_v(grid, w, se_w, computed, telemetry: ClampTelemetry):
+def _finish_v(w, se_w, computed, telemetry: ClampTelemetry):
     """Shared end of both v updates: carry unidentified rows, clamp w = v^2
     at zero, and map (w, se_w) to (v, se_v) by the delta method."""
     _fill_carries(w, se_w, computed)
     w = _clamp_w(w, telemetry)
     v = np.sqrt(w)
+    bad_rows = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if bad_rows.size:
+        raise NumericalError(f"v update produced non-finite values in row {bad_rows[0]}")
     se_v = np.where(v > 1e-8, se_w / (2.0 * np.maximum(v, 1e-8)), np.sqrt(se_w))
-    return _unflat(grid, v), se_v, telemetry
+    return v, se_v, telemetry
 
 
 def update_v_variance(
-    u_next: ScalarField, v_prev: ScalarField, problem: ProblemSpec, cache: EnsembleCache
+    u_next: np.ndarray, v_prev: np.ndarray, problem: ProblemSpec, cache: EnsembleCache
 ):
     """v^2 as the conditional variance rate of one-step increments of u.
 
@@ -255,7 +258,6 @@ def update_v_variance(
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    u_rows, v_rows = _flat(u_next), _flat(v_prev)
     w = np.full((n_t, n_nodes), _CARRY)
     se_w = np.zeros((n_t, n_nodes))
     computed = np.zeros(n_t, dtype=bool)
@@ -265,19 +267,19 @@ def update_v_variance(
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
-        f_row = problem.driver(grid.times[i], cache.nodes, u_rows[i], v_rows[i])
-        u_table = u_rows[i + 1].reshape((1,) + grid.space_shape)
+        f_row = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
+        u_table = u_next[i + 1].reshape((1,) + grid.space_shape)
         u_then = core._multilinear(grid.axes, u_table, _block_positions(cache, i, i + 1))[0]
-        incr = u_then.reshape(n_nodes, -1) - u_rows[i][:, None] + (f_row * dv)[:, None]
+        incr = u_then.reshape(n_nodes, -1) - u_next[i][:, None] + (f_row * dv)[:, None]
         mean_sq, se_sq = _node_stats(incr * incr, n_nodes)
         w[i] = mean_sq / dv
         se_w[i] = se_sq / dv
         computed[i] = True
-    return _finish_v(grid, w, se_w, computed, telemetry)
+    return _finish_v(w, se_w, computed, telemetry)
 
 
 def update_v_volterra(
-    u_next: ScalarField, v_prev: ScalarField, problem: ProblemSpec, cache: EnsembleCache
+    u_next: np.ndarray, v_prev: np.ndarray, problem: ProblemSpec, cache: EnsembleCache
 ):
     """Backward time-stepping solve of the second line for w = v^2.
 
@@ -293,7 +295,6 @@ def update_v_volterra(
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    u_rows, v_rows = _flat(u_next), _flat(v_prev)
     w = np.full((n_t, n_nodes), _CARRY)
     se_w = np.zeros((n_t, n_nodes))
     computed = np.zeros(n_t, dtype=bool)
@@ -305,27 +306,26 @@ def update_v_volterra(
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
-        f_here = problem.driver(grid.times[i], cache.nodes, u_rows[i], v_rows[i])
+        f_here = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
         sys_var = float(np.sum((cache.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
         vals = _terminal_values(problem, cache, i) ** 2
-        for j, xs, (uu, vv, ww) in _block_steps(cache, i, (u_rows, v_rows, w), i + 1):
+        for j, xs, (uu, vv, ww) in _block_steps(cache, i, (u_next, v_prev, w), i + 1):
             ff = problem.driver(grid.times[j], xs, uu, vv)
             vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
         est, se_path = _node_stats(vals, n_nodes)
-        w[i] = (est - _scalar_square(u_rows[i])) / dv + 2.0 * u_rows[i] * f_here
+        w[i] = (est - _scalar_square(u_next[i])) / dv + 2.0 * u_next[i] * f_here
         se_w[i] = np.sqrt(_scalar_square(se_path) + sys_var) / dv
         # clamp this row before later (earlier-time) rows consume it
         w[i] = _clamp_w(w[i], telemetry)
         row_mean_se[i] = float(np.mean(se_w[i]))
         computed[i] = True
-    return _finish_v(grid, w, se_w, computed, telemetry)
+    return _finish_v(w, se_w, computed, telemetry)
 
 
-def mild_residuals(u: ScalarField, v: ScalarField, problem: ProblemSpec, cache: EnsembleCache):
+def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
     """Plug-in residuals of both lines, sup over grid cells, with stderr floors."""
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    u_rows, v_rows = _flat(u), _flat(v)
     res1 = np.zeros((n_t, n_nodes))
     res2 = np.zeros((n_t, n_nodes))
     floor1 = np.zeros((n_t, n_nodes))
@@ -334,14 +334,14 @@ def mild_residuals(u: ScalarField, v: ScalarField, problem: ProblemSpec, cache: 
         g_vals = _terminal_values(problem, cache, i)
         vals1 = g_vals.copy()
         vals2 = g_vals**2
-        for j, xs, (uu, vv) in _block_steps(cache, i, (u_rows, v_rows), i):
+        for j, xs, (uu, vv) in _block_steps(cache, i, (u, v), i):
             ff = problem.driver(grid.times[j], xs, uu, vv)
             vals1 += ff * cache.dvs[j]
             vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]
         mean1, floor1[i] = _node_stats(vals1, n_nodes)
         mean2, floor2[i] = _node_stats(vals2, n_nodes)
-        res1[i] = np.abs(u_rows[i] - mean1)
-        res2[i] = np.abs(_scalar_square(u_rows[i]) - mean2)
+        res1[i] = np.abs(u[i] - mean1)
+        res2[i] = np.abs(_scalar_square(u[i]) - mean2)
     return ResidualReport(
         residual_1=float(res1.max()),
         residual_2=float(res2.max()),
@@ -367,8 +367,8 @@ def picard_solve(
     grid = cache.grid
     if problem.generator.fingerprint() != cache.generator_fingerprint:
         raise ConfigurationError("cache was built for a different generator")
-    u = ScalarField.constant(grid, 0.0)
-    v = ScalarField.constant(grid, 0.0)
+    u = np.zeros((grid.n_times, cache.n_nodes))
+    v = np.zeros((grid.n_times, cache.n_nodes))
     z_coupled = problem.driver.K_Z > 0
     update_v = update_v_volterra if cfg.v_scheme == "volterra" else update_v_variance
 
@@ -376,9 +376,7 @@ def picard_solve(
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         u_next, u_se = update_u(v, problem, cache)
-        if not np.all(np.isfinite(u_next.values)):
-            raise NumericalError(f"NaN in u at iteration {iterations}")
-        deltas.append(field_distance(u_next, u))
+        deltas.append(float(np.max(np.abs(u_next - u))))
         u = u_next
         v, v_se, telemetry = update_v(u, v, problem, cache)
         if deltas[-1] < cfg.tolerance or not z_coupled:

@@ -10,8 +10,10 @@ Three independent routes to Gamma(phi, psi) are provided:
 * ``gamma_from_generator`` the defining combination a(phi psi) - phi a(psi)
                            - psi a(phi) for any generator action
 
-plus a spectral evaluation of the stable generator on a periodized grid,
-used solely as a cross-check oracle for the quadrature route.
+plus a spectral evaluation of the stable generator on a periodized grid
+(``SpectralFractional``): ``generator_action`` uses it as the stable
+generator's action, which the operators phase tests, and the tests use it as
+a cross-check oracle for the quadrature route.
 
 scipy is imported only inside ``stable_intensity`` (its gamma function) and
 ``gamma_fractional`` (``integrate.quad``).  The jump terms of ``gamma_local``
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ScalarField, SpaceTimeGrid
+from .core import SpaceTimeGrid
 from .errors import (
     ConfigurationError,
     InputError,
@@ -179,23 +181,19 @@ def stable_intensity(alpha: float, scale: float = 1.0) -> float:
     return scale * gamma_fn(1.0 + alpha) * np.sin(np.pi * alpha / 2.0) / np.pi
 
 
-def gamma_fractional(
-    phi: SmoothTestFunction,
-    alpha: float,
-    scale: float = 1.0,
-    split: float = 1.0,
-    cutoff: float = 50.0,
-) -> Callable:
+def gamma_fractional(phi: SmoothTestFunction, alpha: float, scale: float = 1.0) -> Callable:
     """Gamma(phi, phi) for the symmetric stable generator by direct quadrature.
 
     The squared difference removes the principal-value cancellation, so the
-    integral converges absolutely: the inner part (|y| < split) uses an
+    integral converges absolutely: the inner part (|y| < split = 1) uses an
     algebraic-weight quadrature against |y|^(1-alpha), the outer part is
-    quadrature up to ``cutoff`` plus the closed-form tail of phi(x)^2 (valid
-    when phi decays beyond the cutoff; the neglected cross terms are bounded
-    and reported as ``remainder_bound``).
+    quadrature up to the cutoff |y| = 50 plus the closed-form tail of
+    phi(x)^2 (valid when phi decays beyond the cutoff; the neglected cross
+    terms are bounded and reported as ``remainder_bound``).
     """
     from scipy import integrate
+
+    split, cutoff = 1.0, 50.0
 
     if not 0.0 < alpha < 2.0:
         raise InputError("alpha must lie in (0, 2) for the fractional Gamma")
@@ -252,16 +250,21 @@ def gamma_fractional(
 
 class SpectralFractional:
     """(-Delta)^{alpha/2} via the Fourier multiplier |xi|^alpha on a
-    periodized grid; a test oracle, not a solver path."""
+    periodized grid of ``N`` points over [-``HALF_WIDTH``, ``HALF_WIDTH``):
+    the stable generator's action in ``generator_action``, and a test oracle
+    for ``gamma_fractional``."""
 
-    def __init__(self, alpha: float, scale: float = 1.0, half_width: float = 80.0, n: int = 1 << 14):
+    HALF_WIDTH = 80.0
+    N = 1 << 14
+
+    def __init__(self, alpha: float, scale: float = 1.0):
         if not 0.0 < alpha < 2.0:
             raise InputError("alpha must lie in (0, 2)")
         self.alpha = alpha
         self.scale = scale
-        self.grid = np.linspace(-half_width, half_width, n, endpoint=False)
+        self.grid = np.linspace(-self.HALF_WIDTH, self.HALF_WIDTH, self.N, endpoint=False)
         dx = self.grid[1] - self.grid[0]
-        self.multiplier = np.abs(2 * np.pi * np.fft.fftfreq(n, dx)) ** alpha
+        self.multiplier = np.abs(2 * np.pi * np.fft.fftfreq(self.N, dx)) ** alpha
 
     def apply_to_values(self, values: np.ndarray) -> np.ndarray:
         """scale * (-Delta)^{alpha/2} of grid samples."""
@@ -273,7 +276,7 @@ class SpectralFractional:
         return np.interp(np.asarray(xs, dtype=float).reshape(-1), self.grid, out)
 
 
-def generator_action(gen, spectral: Optional[SpectralFractional] = None) -> Callable:
+def generator_action(gen) -> Callable:
     """Map a SmoothTestFunction to its generator action a(phi)(t, x).
 
     The action is taken per unit model time (the clock V enters through the
@@ -281,7 +284,7 @@ def generator_action(gen, spectral: Optional[SpectralFractional] = None) -> Call
     finite-activity form rate * E[phi(. + Y) - phi].
     """
     if isinstance(gen, Stable):
-        spectral = spectral if spectral is not None else SpectralFractional(gen.alpha, gen.scale)
+        spectral = SpectralFractional(gen.alpha, gen.scale)
 
         def a_stable(phi: SmoothTestFunction) -> Callable:
             def act(t, x):
@@ -383,19 +386,17 @@ def classical_residual(
     problem,
     grid: SpaceTimeGrid,
     gamma_impl: Optional[Callable] = None,
-    a_action: Optional[Callable] = None,
-    gamma_floor_tol: float = 1e-8,
-) -> ScalarField:
-    """Pointwise residual field a(u) + f(., ., u, sqrt(Gamma(u,u))) on the grid.
+) -> np.ndarray:
+    """Pointwise residual a(u) + f(., ., u, sqrt(Gamma(u,u))) at the grid cells,
+    as an (n_times, n_nodes) array over the grid times and ``grid.nodes()``.
 
-    Gamma values below -tolerance flag a broken Gamma implementation (the
-    bracket density is nonnegative); small negative noise is clamped.
+    Gamma values below -1e-8 flag a broken Gamma implementation (the bracket
+    density is nonnegative); smaller negative noise is clamped.
     """
-    if a_action is None:
-        a_action = generator_action(problem.generator)
+    gamma_floor_tol = 1e-8
     if gamma_impl is None:
         gamma_impl = gamma_for_generator(problem.generator)(u, u)
-    a_u = a_action(u)
+    a_u = generator_action(problem.generator)(u)
     pts = grid.nodes()
     rows = []
     for t in grid.times:
@@ -406,10 +407,8 @@ def classical_residual(
                 "the gamma implementation is broken (bracket densities are nonnegative)"
             )
         z = np.sqrt(np.clip(g, 0.0, None))
-        rows.append(
-            (a_u(t, pts) + problem.driver(t, pts, u(t, pts), z)).reshape(grid.space_shape)
-        )
-    return ScalarField(grid, np.stack(rows, axis=0))
+        rows.append(a_u(t, pts) + problem.driver(t, pts, u(t, pts), z))
+    return np.stack(rows)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from pseudopde.core import LipschitzDriver, ProblemSpec, SpaceTimeGrid, field_distance
+from pseudopde.core import LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from pseudopde.fbsde import RegressionBasis, crosscheck
 from pseudopde.mild import PicardConfig, mild_residuals, picard_solve, update_u, update_v_volterra
 from pseudopde.operators import (
@@ -128,10 +128,10 @@ def _node(grid, x):
 
 def test_criterion_01_heat_baseline(grid, solve1):
     n0 = _node(grid, 0.0)
-    u00, se = solve1.u.values[0, n0], solve1.u_stderr[0, n0]
+    u00, se = solve1.u[0, n0], solve1.u_stderr[0, n0]
     ok_u = abs(u00 - 1.0) < 3 * se
     n1 = _node(grid, 1.0)
-    v_val, v_se = solve1.v.values[25, n1], solve1.v_stderr[25, n1]
+    v_val, v_se = solve1.v[25, n1], solve1.v_stderr[25, n1]
     ok_v = abs(v_val - 2.0) < max(3 * v_se, 0.10 * 2.0)
     runtime = TIMINGS["cache"] + TIMINGS["solve1"]
     ok_t = runtime < 60.0
@@ -144,7 +144,7 @@ def test_criterion_01_heat_baseline(grid, solve1):
 
 def test_criterion_02_linear_y_driver(grid, solve2):
     n0 = _node(grid, 0.0)
-    u00, se = solve2.u.values[0, n0], solve2.u_stderr[0, n0]
+    u00, se = solve2.u[0, n0], solve2.u_stderr[0, n0]
     target = np.exp(0.5)
     gap = abs(u00 - target)
     ok_u = gap <= max(3 * se, 0.02 * target)
@@ -161,7 +161,7 @@ def test_criterion_03_linear_z_driver(grid, solve3):
     oracle, err = integrate.quad(lambda w: np.tanh(0.3 + w) * norm.pdf(w), -12.0, 12.0)
     assert err < 1e-8
     n0 = _node(grid, 0.0)
-    u00, se = solve3.u.values[0, n0], solve3.u_stderr[0, n0]
+    u00, se = solve3.u[0, n0], solve3.u_stderr[0, n0]
     gap = abs(u00 - oracle)
     ok = gap <= max(3 * se, 0.02 * abs(oracle))
     _report(3, ok, f"u(0,0)={u00:.4f}+-{se:.4f} vs quadrature oracle {oracle:.5f} (gap {gap:.4f})")
@@ -173,7 +173,7 @@ def test_criterion_04_picard_contraction(problem2, heat_cache, solve2, solve3):
     deltas = solve2.deltas
     again, _ = update_u(solve2.v, problem2, heat_cache)
     one_sweep = (solve2.converged and solve2.iterations == 1
-                 and field_distance(again, solve2.u) <= 1e-12 * deltas[0]
+                 and np.max(np.abs(again - solve2.u)) <= 1e-12 * deltas[0]
                  and solve2.residuals.residual_1 <= 1e-10)
     # z-coupled (f = 0.3z): v enters from the previous iterate, so it contracts
     deltas_z = solve3.deltas
@@ -199,7 +199,7 @@ def test_criterion_05_mild_fbsde_equivalence(grid, problem1, problem2, problem3,
     ]:
         row = crosscheck(sol, prob, brownian(), grid, [(0.0, [0.0])], 50000, basis, seed)[0]
         u_tol = max(3 * row.combined_stderr, 0.02 * max(abs(row.u_value), abs(row.y0)))
-        v_scale = float(np.max(np.abs(sol.v.values)))
+        v_scale = float(np.max(np.abs(sol.v)))
         v_tol = 0.10 * v_scale
         ok_here = row.u_gap <= u_tol and row.v_gap <= v_tol
         ok = ok and ok_here
@@ -220,14 +220,14 @@ def test_criterion_06_second_line_residual(grid, problem1, problem2, problem3, s
     ]:
         v_volt, _, _ = update_v_volterra(sol.u, sol.v, prob, cache)
         res = mild_residuals(sol.u, v_volt, prob, cache)
-        scale = float(np.max(sol.u.values**2))
+        scale = float(np.max(sol.u**2))
         tol = max(3 * res.stderr_floor_2, 0.02 * scale)
         ok_here = res.residual_2 <= tol
         ok = ok and ok_here
         details.append(f"{label}: r2={res.residual_2:.3g}<={tol:.3g}")
     # the z-coupled problem is checked with its own converged pair
     res3 = solve3.residuals
-    scale3 = float(np.max(solve3.u.values**2))
+    scale3 = float(np.max(solve3.u**2))
     tol3 = max(3 * res3.stderr_floor_2, 0.02 * scale3)
     ok3 = res3.residual_2 <= tol3
     ok = ok and ok3
@@ -354,7 +354,7 @@ def test_criterion_11_distributional_drift():
     basis = RegressionBasis(degree=4, ridge=1e-9)
     row = crosscheck(sol, prob, dd, grid, [(0.0, [0.4])], 30000, basis, 999)[0]
     u_tol = max(3 * row.combined_stderr, 0.02 * max(abs(row.u_value), abs(row.y0)))
-    v_tol = 0.10 * float(np.max(np.abs(sol.v.values)))
+    v_tol = 0.10 * float(np.max(np.abs(sol.v)))
     ok_c = row.u_gap <= u_tol and row.v_gap <= v_tol
     _report(
         11, ok_a and ok_b and ok_c,
@@ -379,7 +379,7 @@ def test_criterion_12_fractional_semilinear():
     )
     row = crosscheck(sol, prob, gen, grid, [(0.0, [0.4])], 50000, basis, 888)[0]
     u_tol = max(3 * row.combined_stderr, 0.02 * max(abs(row.u_value), abs(row.y0)))
-    v_tol = 0.10 * float(np.max(np.abs(sol.v.values)))
+    v_tol = 0.10 * float(np.max(np.abs(sol.v)))
     ok = row.u_gap <= u_tol and row.v_gap <= v_tol
     _report(
         12, ok,

@@ -245,6 +245,9 @@ def _set(*keys_and_value):
     (_set("problem", "generator", {"kind": "distributional_drift", "sigma": "1 + 0.1*t",
                                    "b": {"expr": "-x1^2/4"}}),
      "problem.generator.sigma: may not use t (allowed: x1)"),
+    (_set("mild", "tolerence", 1e-9), "mild.tolerence: unknown key"),
+    (_set("mild", "damping", 0.5), "mild.damping: unknown key"),
+    (_set("problem", "driver", "C_prime", -3), "problem.driver.C_prime: unknown key"),
 ], ids=["top_level", "grid", "clock", "horizon_T", "mild", "memory_budget_mb",
         "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
         "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z",
@@ -255,7 +258,8 @@ def _set(*keys_and_value):
         "ridge_negative", "degree_negative", "max_iterations_zero", "v_scheme_unknown",
         "K_Z_negative", "alpha_above_two", "scale_zero",
         "mu_reads_z", "sigma_reads_y", "jump_sigma_reads_y_z", "terminal_reads_t",
-        "drift_b_reads_t", "drift_sigma_reads_t"])
+        "drift_b_reads_t", "drift_sigma_reads_t",
+        "tolerence_unknown", "damping_unknown", "C_prime_unknown"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     cfg = smoke_config(seed="abc")
     cfg = edit(cfg)
@@ -269,11 +273,31 @@ def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     assert line in json.loads((out / "manifest.json").read_text())["errors"]["validate"]
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("distributional_drift", "b763ac8e8a377dbf2f5ae3c60a5ac448888b8bb0f44fdc031bf94a76601b4968"),
-    ("fractional_semilinear", "e005f8437a2ae801597f14a80f747b5bfcf19731ae74b0b24d287f392b643596"),
-    ("heat_baseline", "698d4ea795bbda0f9bb10710fd8bf1ecb00b451ca8c9bd8575cfd7c2f1642e24"),
-])
+def test_unknown_keys_are_reported_once_and_only_where_known(tmp_path):
+    # a malformed section's stand-in reports nothing more, and a generator
+    # whose kind failed has no known keys to compare its own with
+    cfg = smoke_config()
+    cfg["mild"]["tolerence"] = 1e-9
+    cfg["fbsde"]["basis"] = "polynomial"
+    cfg["problem"]["generator"]["kind"] = "brownian"
+    with pytest.raises(ConfigurationError) as err:
+        validate_config(write_config(tmp_path, cfg))
+    assert sorted(line.strip() for line in str(err.value).splitlines()[1:]) == [
+        "fbsde.basis: must be an object (got 'polynomial')",
+        "mild.tolerence: unknown key",
+        "problem.generator.kind: must be one of diffusion, jump_diffusion, stable, "
+        "distributional_drift (got 'brownian')",
+    ]
+
+
+SHIPPED_ECHO_DIGESTS = {
+    "distributional_drift": "b763ac8e8a377dbf2f5ae3c60a5ac448888b8bb0f44fdc031bf94a76601b4968",
+    "fractional_semilinear": "e005f8437a2ae801597f14a80f747b5bfcf19731ae74b0b24d287f392b643596",
+    "heat_baseline": "698d4ea795bbda0f9bb10710fd8bf1ecb00b451ca8c9bd8575cfd7c2f1642e24",
+}
+
+
+@pytest.mark.parametrize("name, digest", SHIPPED_ECHO_DIGESTS.items(), ids=SHIPPED_ECHO_DIGESTS)
 def test_shipped_config_echo_bytes_are_pinned(name, digest):
     # config.json, and with it config_hash and every CSV header, depends on these bytes
     path = ROOT / "scripts" / "configs" / f"{name}.json"

@@ -7,12 +7,10 @@ from pseudopde.core import (
     ClockV,
     LipschitzDriver,
     ProblemSpec,
-    ScalarField,
     SpaceTimeGrid,
-    field_distance,
     v_increments,
 )
-from pseudopde.errors import ConfigurationError, InputError
+from pseudopde.errors import ConfigurationError
 
 from test_processes import _drift_config_table, _oscillating_table, _strained_table
 
@@ -99,56 +97,43 @@ def test_grid_axes_built_once():
         grid.axes[0][0] = 7.0
 
 
+def _read_row(grid, row, points):
+    """A field row, shaped ``grid.space_shape``, read at ``points`` (n, d)."""
+    points = np.asarray(points, dtype=float)
+    return core._multilinear(grid.axes, row[None], core.bracket(grid.axes, points))[0]
+
+
 def test_interpolate_constant_field(grid_1d):
-    fld = ScalarField.constant(grid_1d, 3.5)
-    assert fld.at(0, [0.123]) == 3.5
-    assert fld.at(2, [-0.9]) == 3.5
+    assert _read_row(grid_1d, np.full(3, 3.5), [[0.123], [-0.9]]).tolist() == [3.5, 3.5]
 
 
 def test_interpolate_linear_between_nodes(grid_1d):
     # nodes at -1, 0, 1 with values x^2: between 0 and 1 the interpolant is linear
-    vals = np.tile(np.array([1.0, 0.0, 1.0]), (3, 1))
-    fld = ScalarField(grid_1d, vals)
-    assert fld.at(0, [0.5]) == pytest.approx(0.5)
-    assert fld.at(0, [-0.25]) == pytest.approx(0.25)
+    got = _read_row(grid_1d, np.array([1.0, 0.0, 1.0]), [[0.5], [-0.25]])
+    np.testing.assert_allclose(got, [0.5, 0.25])
 
 
 def test_interpolate_clamps_out_of_bounds(grid_1d):
-    vals = np.tile(np.array([2.0, 0.0, 7.0]), (3, 1))
-    fld = ScalarField(grid_1d, vals)
-    assert fld.at(1, [10.0]) == 7.0
-    assert fld.at(1, [-10.0]) == 2.0
-
-
-def test_interpolate_rejects_bad_inputs(grid_1d):
-    fld = ScalarField.constant(grid_1d, 0.0)
-    with pytest.raises(InputError):
-        fld.at(5, [0.0])
-    with pytest.raises(InputError):
-        fld.at(0, [np.nan])
+    got = _read_row(grid_1d, np.array([2.0, 0.0, 7.0]), [[10.0], [-10.0]])
+    assert got.tolist() == [7.0, 2.0]
 
 
 def test_interpolate_exact_at_nodes_and_monotone(grid_1d):
-    rng = np.random.default_rng(3)
-    vals = rng.normal(size=(3, 3))
-    fld = ScalarField(grid_1d, vals)
-    for j, x in enumerate([-1.0, 0.0, 1.0]):
-        assert fld.at(1, [x]) == pytest.approx(vals[1, j], abs=0)
+    row = np.random.default_rng(3).normal(size=3)
+    assert _read_row(grid_1d, row, [[-1.0], [0.0], [1.0]]).tolist() == row.tolist()
     # multilinear between adjacent nodes: values stay inside the node bracket
-    qs = np.linspace(0.0, 1.0, 17)[:, None]
-    lo, hi = min(vals[1, 1], vals[1, 2]), max(vals[1, 1], vals[1, 2])
-    out = fld.at_points(1, qs)
+    out = _read_row(grid_1d, row, np.linspace(0.0, 1.0, 17)[:, None])
+    lo, hi = min(row[1], row[2]), max(row[1], row[2])
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 def test_interpolate_2d_multilinear():
     grid = SpaceTimeGrid.regular(1.0, 2, [-1.0, -1.0], [1.0, 1.0], [3, 3])
     pts = grid.nodes()
-    vals = (2.0 * pts[:, 0] + 3.0 * pts[:, 1]).reshape(grid.space_shape)
-    fld = ScalarField(grid, np.tile(vals, (3, 1, 1)))
+    row = (2.0 * pts[:, 0] + 3.0 * pts[:, 1]).reshape(grid.space_shape)
     # multilinear interpolation reproduces affine functions exactly
     q = np.array([[0.3, -0.7], [0.15, 0.45]])
-    np.testing.assert_allclose(fld.at_points(0, q), 2.0 * q[:, 0] + 3.0 * q[:, 1], atol=1e-12)
+    np.testing.assert_allclose(_read_row(grid, row, q), 2.0 * q[:, 0] + 3.0 * q[:, 1], atol=1e-12)
 
 
 # (lo, hi, nodes): odd and even node counts, a two-node axis, and an axis far
@@ -257,35 +242,6 @@ def test_multilinear_2d_equals_searchsorted_reference_bitwise(first, second):
     nan_points = np.array([[np.nan, axes[1][0]], [axes[0][0], np.nan], [axes[0][-1], axes[1][-1]]])
     got = core._multilinear(axes, rng.normal(size=(2,) + shape), core.bracket(axes, nan_points))
     assert np.all(np.isnan(got[:, :2])) and np.all(np.isfinite(got[:, 2]))
-
-
-def test_field_distance_examples(grid_1d):
-    a = ScalarField.constant(grid_1d, 1.0)
-    b = ScalarField.constant(grid_1d, 0.0)
-    assert field_distance(a, a) == 0.0
-    assert field_distance(a, b) == 1.0
-    xs = np.array([-1.0, 0.0, 1.0])
-    fa = ScalarField(grid_1d, np.tile(xs, (3, 1)))
-    fb = ScalarField(grid_1d, np.tile(2 * xs, (3, 1)))
-    assert field_distance(fa, fb) == 1.0  # attained at the boundary nodes
-
-
-def test_field_distance_grid_mismatch(grid_1d):
-    other = SpaceTimeGrid.regular(1.0, 2, -1.0, 1.0, 5)
-    with pytest.raises(InputError):
-        field_distance(ScalarField.constant(grid_1d, 0.0), ScalarField.constant(other, 0.0))
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_field_distance_metric_properties(seed):
-    rng = np.random.default_rng(seed)
-    grid = SpaceTimeGrid.regular(1.0, 2, -1.0, 1.0, 4)
-    fa, fb, fc = (ScalarField(grid, rng.normal(size=(3, 4))) for _ in range(3))
-    dab, dba = field_distance(fa, fb), field_distance(fb, fa)
-    assert dab == dba
-    assert field_distance(fa, fc) <= dab + field_distance(fb, fc) + 1e-12
-    assert field_distance(fa, fa) == 0.0
 
 
 def test_driver_constants_validated():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pseudopde import mild
-from pseudopde.core import LipschitzDriver, ProblemSpec, ScalarField, SpaceTimeGrid, field_distance
+from pseudopde import core, mild
+from pseudopde.core import LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, NumericalError
 from pseudopde.mild import (
     PicardConfig,
@@ -57,14 +57,14 @@ def _assert_one_sweep_fixed_point(sol, problem, cache):
     # z-free: the solve stops after one sweep, and one more sweep reproduces it
     assert sol.converged and sol.iterations == 1 and len(sol.deltas) == 1
     again, _ = update_u(sol.v, problem, cache)
-    assert field_distance(again, sol.u) <= 1e-12 * sol.deltas[0]
+    assert np.max(np.abs(again - sol.u)) <= 1e-12 * sol.deltas[0]
 
 
 def test_zero_driver_converges_in_one_update(square_problem, bm_cache):
     sol = picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9))
     _assert_one_sweep_fixed_point(sol, square_problem, bm_cache)
     est, _ = terminal_expectation(bm_cache, 0, 4, square_problem.g)
-    assert sol.u.values[0, 4] == pytest.approx(est, rel=1e-14)
+    assert sol.u[0, 4] == pytest.approx(est, rel=1e-14)
 
 
 def test_z_free_solve_is_one_sweep_and_one_v_update(square_problem, bm_cache, monkeypatch):
@@ -83,10 +83,10 @@ def test_z_free_solve_is_one_sweep_and_one_v_update(square_problem, bm_cache, mo
 
 
 def test_update_u_first_sweep_matches_gaussian_moment(square_problem, bm_cache, grid):
-    zero = ScalarField.constant(grid, 0.0)
+    zero = np.zeros((grid.n_times, bm_cache.n_nodes))
     u1, se = update_u(zero, square_problem, bm_cache)
     x0 = bm_cache.nodes[6, 0]
-    assert abs(u1.values[0, 6] - (x0**2 + 1.0)) < 3 * se[0, 6]
+    assert abs(u1[0, 6] - (x0**2 + 1.0)) < 3 * se[0, 6]
 
 
 def test_update_u_constant_driver_shift(bm_cache, grid):
@@ -97,14 +97,14 @@ def test_update_u_constant_driver_shift(bm_cache, grid):
         terminal_g=lambda p: p[:, 0] ** 2,
         horizon_T=1.0,
     )
-    zero = ScalarField.constant(grid, 0.0)
+    zero = np.zeros((grid.n_times, bm_cache.n_nodes))
     u1, _ = update_u(zero, prob, bm_cache)
     u0, _ = update_u(zero, ProblemSpec(
         generator=brownian(), driver=zero_driver(),
         terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0,
     ), bm_cache)
     for i, t in enumerate(grid.times):
-        np.testing.assert_allclose(u1.values[i] - u0.values[i], 1.0 - t, atol=1e-12)
+        np.testing.assert_allclose(u1[i] - u0[i], 1.0 - t, atol=1e-12)
 
 
 def test_update_u_zero_dynamics_reproduces_terminal(grid):
@@ -114,10 +114,10 @@ def test_update_u_zero_dynamics_reproduces_terminal(grid):
         generator=frozen, driver=zero_driver(), terminal_g=lambda p: np.sin(p[:, 0]),
         horizon_T=1.0,
     )
-    zero = ScalarField.constant(grid, 0.0)
+    zero = np.zeros((grid.n_times, cache.n_nodes))
     u1, _ = update_u(zero, prob, cache)
     for i in range(grid.n_times):
-        np.testing.assert_allclose(u1.values[i], np.sin(grid.nodes()[:, 0]), atol=1e-12)
+        np.testing.assert_allclose(u1[i], np.sin(grid.nodes()[:, 0]), atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -132,14 +132,14 @@ def test_volterra_recovers_unit_bracket(linear_terminal_problem, bm_cache, grid)
     # u(t,x) = x has bracket density 1 under unit volatility
     sol = picard_solve(linear_terminal_problem, bm_cache, PicardConfig(tolerance=1e-9))
     w, se_w, _ = update_v_volterra(sol.u, sol.v, linear_terminal_problem, bm_cache)
-    inner = w.values[:7, 2:7]  # away from terminal carry row and boundary
+    inner = w[:7, 2:7]  # away from terminal carry row and boundary
     tol = np.maximum(3 * se_w[:7, 2:7] * 2 * np.maximum(inner, 0.5), 0.05)
     assert np.all(np.abs(inner**2 - 1.0) < tol)
 
 
 def test_variance_recovers_unit_bracket(linear_terminal_problem, bm_cache):
     sol = picard_solve(linear_terminal_problem, bm_cache, PicardConfig(tolerance=1e-9))
-    v = sol.v.values[:9, 2:7]
+    v = sol.v[:9, 2:7]
     assert np.max(np.abs(v - 1.0)) < 0.05
 
 
@@ -147,8 +147,8 @@ def test_v_schemes_agree_on_linear_terminal(linear_terminal_problem, bm_cache):
     sol = picard_solve(linear_terminal_problem, bm_cache, PicardConfig(tolerance=1e-9))
     v_var = sol.v
     v_vol, se_vol, _ = update_v_volterra(sol.u, sol.v, linear_terminal_problem, bm_cache)
-    gap = np.abs(v_var.values[:9, 2:7] - v_vol.values[:9, 2:7])
-    tol = np.maximum(3 * np.abs(se_vol[:9, 2:7]), 0.1 * np.max(np.abs(v_var.values)))
+    gap = np.abs(v_var[:9, 2:7] - v_vol[:9, 2:7])
+    tol = np.maximum(3 * np.abs(se_vol[:9, 2:7]), 0.1 * np.max(np.abs(v_var)))
     assert np.all(gap < tol)
 
 
@@ -159,7 +159,7 @@ def test_constant_terminal_gives_zero_v(bm_cache, grid):
     )
     for scheme in ("volterra", "variance"):
         sol = picard_solve(prob, bm_cache, PicardConfig(tolerance=1e-9, v_scheme=scheme))
-        np.testing.assert_allclose(sol.v.values, 0.0, atol=1e-6)
+        np.testing.assert_allclose(sol.v, 0.0, atol=1e-6)
 
 
 def test_zero_dynamics_gives_zero_v(grid):
@@ -172,7 +172,7 @@ def test_zero_dynamics_gives_zero_v(grid):
     for scheme in ("volterra", "variance"):
         sol = picard_solve(prob, cache, PicardConfig(tolerance=1e-9, v_scheme=scheme))
         # square roots of float dust from means of identical values remain
-        np.testing.assert_allclose(sol.v.values, 0.0, atol=1e-6)
+        np.testing.assert_allclose(sol.v, 0.0, atol=1e-6)
 
 
 def test_variance_scheme_quadratic_bracket():
@@ -185,17 +185,17 @@ def test_variance_scheme_quadratic_bracket():
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0] ** 2,
         horizon_T=dt,
     )
-    u_field = ScalarField.from_function(grid, lambda t, pts: pts[:, 0] ** 2)
-    v_field, _, _ = update_v_variance(u_field, ScalarField.constant(grid, 0.0), prob, cache)
+    u_field = np.tile(grid.nodes()[:, 0] ** 2, (grid.n_times, 1))
+    v_field, _, _ = update_v_variance(u_field, np.zeros_like(u_field), prob, cache)
     node = 16  # x = 2 on the 25-node grid over [-6, 6]
-    assert abs(v_field.values[0, node] ** 2 - 16.0) / 16.0 < 0.10
+    assert abs(v_field[0, node] ** 2 - 16.0) / 16.0 < 0.10
 
 
 def test_picard_deterministic_given_cache(square_problem, bm_cache):
     a = picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9))
     b = picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9))
-    assert np.array_equal(a.u.values, b.u.values)
-    assert np.array_equal(a.v.values, b.v.values)
+    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(a.v, b.v)
     assert a.deltas == b.deltas
 
 
@@ -228,13 +228,13 @@ def test_z_coupled_solve_contracts(bm_cache):
 
 def test_terminal_row_is_exact(square_problem, bm_cache, grid):
     sol = picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9))
-    np.testing.assert_array_equal(sol.u.values[-1].ravel(), square_problem.g(grid.nodes()))
+    np.testing.assert_array_equal(sol.u[-1].ravel(), square_problem.g(grid.nodes()))
 
 
 def test_v_nonnegative_everywhere(square_problem, bm_cache):
     for scheme in ("volterra", "variance"):
         sol = picard_solve(square_problem, bm_cache, PicardConfig(tolerance=1e-9, v_scheme=scheme))
-        assert np.all(sol.v.values >= 0.0)
+        assert np.all(sol.v >= 0.0)
 
 
 def test_nonconvergence_is_flagged_not_raised(bm_cache):
@@ -262,6 +262,33 @@ def test_nan_driver_raises_with_iteration(square_problem, bm_cache):
         picard_solve(bad, bm_cache, PicardConfig(tolerance=1e-9))
 
 
+def _constant_driver_problem(value):
+    return ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: np.full(np.atleast_2d(x).shape[0], value)),
+        terminal_g=lambda p: p[:, 0] ** 2,
+        horizon_T=1.0,
+    )
+
+
+def test_infinite_driver_raises_naming_the_row(bm_cache, grid):
+    # the backward sweep solves row N-1 first, so that row is named
+    zero = np.zeros((grid.n_times, bm_cache.n_nodes))
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalError, match=f"u update .* in row {grid.n_times - 2}$"
+    ):
+        update_u(zero, _constant_driver_problem(np.inf), bm_cache)
+
+
+def test_overflowing_increments_raise_in_the_v_update(bm_cache, grid):
+    # finite u, but f dV ~ 1e199 squares past the float range: v must not come out inf
+    zero = np.zeros((grid.n_times, bm_cache.n_nodes))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match="v update produced non-finite values in row 0$"
+    ):
+        update_v_variance(zero, zero, _constant_driver_problem(1e200), bm_cache)
+
+
 def test_residual_of_perturbed_solution(square_problem, bm_cache, grid):
     # with f = -0.5 y a uniform +0.1 shift leaves at least 0.1 (1 - K_Y V(T))
     prob = ProblemSpec(
@@ -272,7 +299,7 @@ def test_residual_of_perturbed_solution(square_problem, bm_cache, grid):
     )
     sol = picard_solve(prob, bm_cache, PicardConfig(tolerance=1e-6, max_iterations=25))
     base = mild_residuals(sol.u, sol.v, prob, bm_cache)
-    shifted = ScalarField(grid, sol.u.values + 0.1)
+    shifted = sol.u + 0.1
     res = mild_residuals(shifted, sol.v, prob, bm_cache)
     assert res.residual_1 >= 0.05
     assert base.residual_1 < res.residual_1
@@ -317,7 +344,7 @@ def test_row_solve_warns_once_when_it_hits_the_cap(bm_cache, grid):
     )
     with pytest.warns(UserWarning, match=r"implicit row solve of u did not converge within 50 "
                       r"iterations at 10 rows; worst at row \d+: last change \d") as record:
-        update_u(ScalarField.constant(grid, 0.0), prob, bm_cache)
+        update_u(np.zeros((grid.n_times, bm_cache.n_nodes)), prob, bm_cache)
     assert len(record) == 1
 
 
@@ -333,7 +360,7 @@ def test_flat_clock_suffix_sets_v_zero_with_warning(grid):
     )
     with pytest.warns(UserWarning):
         sol = picard_solve(prob, cache, PicardConfig(tolerance=1e-9))
-    np.testing.assert_allclose(sol.v.values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(sol.v, 0.0, atol=1e-12)
 
 
 def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
@@ -357,11 +384,16 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
         terminal_g=lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2,
         horizon_T=1.0, clock=clock,
     )
-    u = ScalarField.from_function(grid, lambda t, p: p[:, 0] * p[:, 1] + t)
-    v = ScalarField.from_function(grid, lambda t, p: 1.0 + 0.5 * np.abs(p[:, 1]) + t)
+    xy = grid.nodes()
+    u = np.stack([xy[:, 0] * xy[:, 1] + t for t in grid.times])
+    v = np.stack([1.0 + 0.5 * np.abs(xy[:, 1]) + t for t in grid.times])
+
+    def at(field, j, xs):
+        table = field[j].reshape((1,) + grid.space_shape)
+        return core._multilinear(grid.axes, table, core.bracket(grid.axes, xs))[0]
 
     def psi(j, xs):
-        return prob.driver(grid.times[j], xs, u.at_points(j, xs), v.at_points(j, xs))
+        return prob.driver(grid.times[j], xs, at(u, j, xs), at(v, j, xs))
 
     n_t, n_nodes = grid.n_times, cache.n_nodes
     ref = np.empty((n_t, n_nodes))
@@ -370,7 +402,7 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
             ref[i, nd], _ = terminal_plus_running(cache, i, nd, prob.g, psi)
 
     res = mild_residuals(u, v, prob, cache)
-    assert res.residual_1 == np.max(np.abs(u.values.reshape(n_t, -1) - ref))
+    assert res.residual_1 == np.max(np.abs(u - ref))
 
     # update_u solves the rows backward: the terminal row is g at the nodes;
     # row i sums the steps j > i on the rows already solved, then solves its
@@ -378,25 +410,23 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
     back = np.zeros((n_t, n_nodes))
     back_se = np.zeros((n_t, n_nodes))
     back[-1] = prob.g(cache.nodes)
-    nodes, v_rows = cache.nodes, v.values.reshape(n_t, -1)
+    nodes = cache.nodes
     for i in range(n_t - 2, -1, -1):
-        solved = ScalarField(grid, back.reshape(u.values.shape))
-
-        def psi_later(j, xs, i=i, solved=solved):
+        def psi_later(j, xs, i=i):
             if j == i:
                 return np.zeros(xs.shape[0])
-            return prob.driver(grid.times[j], xs, solved.at_points(j, xs), v.at_points(j, xs))
+            return prob.driver(grid.times[j], xs, at(back, j, xs), at(v, j, xs))
 
         for nd in range(n_nodes):
             back[i, nd], back_se[i, nd] = terminal_plus_running(cache, i, nd, prob.g, psi_later)
         if cache.dvs[i] > 0:
             b, y = back[i].copy(), back[i].copy()
             for _ in range(50):
-                y_next = b + prob.driver(grid.times[i], nodes, y, v_rows[i]) * cache.dvs[i]
+                y_next = b + prob.driver(grid.times[i], nodes, y, v[i]) * cache.dvs[i]
                 change, y = np.max(np.abs(y_next - y)), y_next
                 if change < 1e-12:
                     break
             back[i] = y
     got, got_se = update_u(v, prob, cache)
-    np.testing.assert_array_equal(got.values.reshape(n_t, -1), back)
+    np.testing.assert_array_equal(got, back)
     np.testing.assert_array_equal(got_se, back_se)
