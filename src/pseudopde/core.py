@@ -412,7 +412,8 @@ class ImplicitSteps:
     K_Y * dv < 1, which the constructor enforces over every step weight in
     ``dvs``.  A solve whose largest change is still at or above
     ``TOLERANCE`` after ``ITERATIONS`` keeps its last iterate and is
-    recorded, and ``warn`` names the worst such step in one warning.
+    recorded, and ``warn`` names the worst such step in one warning.  A solve
+    returns its first non-finite iterate at once, for the caller to reject.
     """
 
     ITERATIONS = 50
@@ -434,6 +435,8 @@ class ImplicitSteps:
         change = np.inf
         for _ in range(self.ITERATIONS):
             y_try = c + self.driver(t, x, y, z) * dv
+            if not np.all(np.isfinite(y_try)):
+                return y_try
             change = np.max(np.abs(y_try - y))
             y = y_try
             if change < self.TOLERANCE:

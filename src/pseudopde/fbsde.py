@@ -52,15 +52,17 @@ class RegressionBasis:
 
 
 def _poly_design(x: np.ndarray, degree: int) -> np.ndarray:
+    """Monomials of total degree <= ``degree`` in the columns of ``x`` (n, d),
+    as one C-order (n, p) array: each column is the column of its monomial's
+    prefix (one factor fewer) times one coordinate."""
     n, d = x.shape
-    cols = []
-    for p in range(degree + 1):
-        for combo in combinations_with_replacement(range(d), p):
-            col = np.ones(n)
-            for k in combo:
-                col = col * x[:, k]
-            cols.append(col)
-    return np.stack(cols, axis=1)
+    combos = [c for p in range(degree + 1) for c in combinations_with_replacement(range(d), p)]
+    column = {c: j for j, c in enumerate(combos)}
+    design = np.empty((n, len(combos)))
+    design[:, 0] = 1.0
+    for j, c in enumerate(combos[1:], start=1):
+        np.multiply(design[:, column[c[:-1]]], x[:, c[-1]], out=design[:, j])
+    return design
 
 
 def regression_design(samples_x: np.ndarray, basis: RegressionBasis) -> np.ndarray:
@@ -143,7 +145,8 @@ def lsmc_solve(
     one-step equation Y = C_i + f(t_i, X, Y, Z_i) dV_i by fixed point through
     ``core.ImplicitSteps`` (K_Y * dV_i < 1 is enforced up front); a step
     that does not converge within its iteration cap keeps its last iterate,
-    and one warning names the worst such step.  The degenerate initial
+    and one warning names the worst such step; a step whose Y turns
+    non-finite raises ``NumericalError`` naming it.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean,
     and records a regression residual of 0.0.  Only the current step's
     values along the paths are held; no per-step fit is stored.
@@ -191,6 +194,8 @@ def lsmc_solve(
 
         if dv > 0:
             y = steps.solve(i, t_i, xs, cx, zx, dv)
+            if not np.all(np.isfinite(y)):
+                raise NumericalError(f"Y turned non-finite at backward step {i}")
             driver_sums += problem.driver(t_i, xs, y, zx) * dv
         else:
             y = cx

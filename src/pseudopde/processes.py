@@ -21,8 +21,13 @@ Path generation is deterministic given (seed, path index): each cache cell
 (one origin time and node) draws from its own counter-based Philox stream with
 a fixed (path, step) layout, so results are independent of scheduling and of
 the worker count.  A cache block (one origin time, every node) is evolved in
-one call: each cell's rows draw from the cell's own stream, then all rows of
-the block step together.
+one call, in chunks of ``core._BLOCK_POINTS`` rows: each cell's rows in a
+chunk draw from the cell's own stream in row order, then the chunk steps over
+all times.  A Philox stream drawn in row pieces gives the numbers of one draw,
+so only one chunk's random numbers are held and the paths do not depend on
+the chunk size.  ``Stable`` and jump draws stay whole per cell (or per
+ensemble): their layout draws one kind of variate for all of a cell's rows
+before the next, so there a chunk is whole cells (``evolve_paths``).
 
 Each generator's ``time_homogeneous`` says whether its path law is free of
 t: always for ``Stable`` and ``DistributionalDrift``, and for the other two
@@ -49,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Abscissa, ClockV, SpaceTimeGrid, interp_slopes, v_increments
+from .core import _BLOCK_POINTS, Abscissa, ClockV, SpaceTimeGrid, interp_slopes, v_increments
 from .errors import ConfigurationError, InputError, InternalError
 
 _QUAD_NODES = 96
@@ -401,9 +406,9 @@ def check_dimension(gen, dimension: int) -> None:
 
 
 def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -> tuple:
-    """All random numbers of ``n`` paths from one stream, in the fixed layout.
+    """The random numbers of the next ``n`` paths of one stream, in the fixed layout.
 
-    Stable: uniform angles and unit exponentials (n, n_steps); distributional
+    Stable: uniform angles, then unit exponentials (n, n_steps); distributional
     drift: normals (n, n_steps); otherwise normals (n, n_steps, d), then, for
     jumps, Poisson counts (n, n_steps) and their jump sums.
     """
@@ -421,6 +426,46 @@ def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -
     return (z,)
 
 
+def _draw_rows(gen, rng: list, m: int, a: int, b: int, dts, dvs, d: int) -> tuple:
+    """The draws of rows a..b-1, whose groups of ``m`` rows each draw from
+    their own Generator in ``rng``, in row order."""
+    parts = [_draw(gen, rng[g], min(b, (g + 1) * m) - max(a, g * m), dts, dvs, d)
+             for g in range(a // m, (b - 1) // m + 1)]
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _evolve_chunk(gen, times, dts, draws, starts: np.ndarray, out: np.ndarray) -> None:
+    """Step the rows ``starts`` (n, d) over ``times`` with their ``draws``,
+    writing positions 1.. into ``out`` (n_times - 1, n, d)."""
+    if isinstance(gen, Stable):
+        u, e = draws
+        if dts.size:
+            incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
+            out[:, :, 0] = (starts[:, 0:1] + np.cumsum(incr, axis=1)).T
+    elif isinstance(gen, DistributionalDrift):
+        tr = gen.transform
+        (z,) = draws
+        y = np.asarray(tr.h(starts[:, 0]), dtype=float)
+        s0 = tr.sigma0(y)
+        for k in range(dts.size):
+            y = y + s0 * np.sqrt(dts[k]) * z[:, k]
+            out[k, :, 0], s0 = tr.h_inv_and_sigma0(y)
+    else:
+        z = draws[0]
+        jumps = draws[1] if len(draws) > 1 else None
+        cur = starts.copy()
+        d = cur.shape[1]
+        for k in range(dts.size):
+            t_k = times[k]
+            drift = _drift_array(gen.mu, t_k, cur, d)
+            vol = _vol_matrix(gen.sigma, t_k, cur, d)
+            step = drift * dts[k] + np.sqrt(dts[k]) * np.einsum("nij,nj->ni", vol, z[:, k, :])
+            cur = cur + step
+            if jumps is not None:
+                cur = cur + jumps[:, k, None]
+            out[k] = cur
+
+
 def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     """Evolve one path per row of ``starts`` (n, d) over ``times``; returns (n, n_times, d).
 
@@ -434,6 +479,16 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     what a one-Generator call on that group alone would. The random draw
     layout per (path, step) is fixed, so each row is a deterministic function
     of (its Generator's state, its index in its group).
+
+    The rows are drawn and stepped over all times one chunk at a time, so
+    only one chunk's random numbers are held: a chunk is ``_BLOCK_POINTS``
+    consecutive rows, each group drawing its rows in the chunk from its own
+    Generator in row order, which gives the numbers of one whole-group draw.
+    Stable and jump (rate > 0) draws cannot be split by rows, since their
+    layout draws one kind of variate for all of a group's rows before the
+    next kind; there a chunk is whole groups: one for ``Stable``, which has
+    no step loop to share, and for jumps as many as fit in ``_BLOCK_POINTS``
+    rows (at least one).
     """
     times = np.asarray(times, dtype=float)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -441,46 +496,24 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     if not rng or n % len(rng):
         raise InputError(f"{n} paths do not split into {len(rng)} equal groups")
     m = n // len(rng)
-    n_steps = times.size - 1
     dts = np.diff(times)
     steps = np.empty((times.size, n, d))
     steps[0] = starts
 
     if isinstance(gen, Stable):
-        # no step loop: each group's draws are transformed as they are drawn
-        for g, r in enumerate(rng):
-            rows = slice(g * m, (g + 1) * m)
-            u, e = _draw(gen, r, m, dts, dvs, d)
-            if n_steps:
-                incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
-                steps[1:, rows, 0] = (starts[rows, 0:1] + np.cumsum(incr, axis=1)).T
+        size = m  # no step loop to share between groups
+    elif isinstance(gen, JumpDiffusion) and gen.levy.rate > 0:
+        size = max(1, _BLOCK_POINTS // m) * m
     else:
-        groups = [_draw(gen, r, m, dts, dvs, d) for r in rng]
-        draws = groups[0] if len(groups) == 1 else [np.concatenate(a) for a in zip(*groups)]
-        if isinstance(gen, DistributionalDrift):
-            tr = gen.transform
-            (z,) = draws
-            y = np.asarray(tr.h(starts[:, 0]), dtype=float)
-            s0 = tr.sigma0(y)
-            for k in range(n_steps):
-                y = y + s0 * np.sqrt(dts[k]) * z[:, k]
-                steps[k + 1, :, 0], s0 = tr.h_inv_and_sigma0(y)
-        else:
-            z = draws[0]
-            jumps = draws[1] if len(draws) > 1 else None
-            cur = starts.copy()
-            for k in range(n_steps):
-                t_k = times[k]
-                drift = _drift_array(gen.mu, t_k, cur, d)
-                vol = _vol_matrix(gen.sigma, t_k, cur, d)
-                step = drift * dts[k] + np.sqrt(dts[k]) * np.einsum("nij,nj->ni", vol, z[:, k, :])
-                cur = cur + step
-                if jumps is not None:
-                    cur = cur + jumps[:, k, None]
-                steps[k + 1] = cur
-
-    if not np.all(np.isfinite(steps)):
-        raise InternalError("simulation produced non-finite path values")
+        size = _BLOCK_POINTS
+    for a in range(0, n, size):
+        b = min(a + size, n)
+        chunk = steps[1:, a:b]
+        # the draws are bound to no name here, so they are freed before the next chunk's
+        _evolve_chunk(gen, times, dts, _draw_rows(gen, rng, m, a, b, dts, dvs, d),
+                      starts[a:b], chunk)
+        if not np.all(np.isfinite(chunk)):
+            raise InternalError("simulation produced non-finite path values")
     return steps.transpose(1, 0, 2)
 
 

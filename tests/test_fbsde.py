@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,32 @@ def test_lsmc_warns_when_inner_fixed_point_does_not_converge(grid):
                       r"worst at backward step \d+: last change \d") as record:
         lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 500, basis, 907)
     assert len(record) == 1
+
+
+def test_lsmc_infinite_driver_raises_naming_the_step():
+    # the backward pass solves step N-1 first, so that step is named, with no warning on the way
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: np.full(np.atleast_2d(x).shape[0], np.inf)),
+        terminal_g=lambda p: p[:, 0] ** 2,
+        horizon_T=1.0,
+    )
+    small = SpaceTimeGrid.regular(1.0, 4, -2.0, 2.0, 5)
+    with warnings.catch_warnings(), pytest.raises(
+        NumericalError, match="Y turned non-finite at backward step 3$"
+    ):
+        warnings.simplefilter("error")
+        lsmc_solve(prob, brownian(), 0.0, [0.0], small, 200, RegressionBasis(degree=2), 908)
+
+
+def test_poly_design_columns_are_prefix_products():
+    # degree 3 in 2 coordinates: 1, a, b, aa, ab, bb, aaa, aab, abb, bbb
+    x = np.array([[2.0, 3.0], [-1.0, 0.5]])
+    a, b = x[:, 0], x[:, 1]
+    want = np.stack([np.ones(2), a, b, a * a, a * b, b * b,
+                     a * a * a, a * a * b, a * b * b, b * b * b], axis=1)
+    design = fbsde._poly_design(x, 3)
+    assert np.array_equal(design, want) and design.flags.c_contiguous
 
 
 def test_crosscheck_rejects_off_grid_origin(square_problem):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pseudopde import processes
 from pseudopde.core import Abscissa, ClockV, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, InputError
 from pseudopde.processes import (
@@ -10,9 +13,11 @@ from pseudopde.processes import (
     JumpLaw,
     LevyKernel,
     Stable,
+    _rng,
     build_h_transform,
     simulate,
 )
+from pseudopde.semigroup import build_cache
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +122,84 @@ def test_simulate_preconditions(grid):
     grid2 = SpaceTimeGrid.regular(1.0, 4, [-1.0, -1.0], [1.0, 1.0], [3, 3])
     with pytest.raises(ConfigurationError):
         simulate(Stable(alpha=1.0), 0.0, [0.0, 0.0], grid2, 10, 1)
+
+
+def test_philox_normals_drawn_in_row_pieces_equal_one_draw():
+    # evolve_paths draws a group's rows one chunk at a time and relies on this
+    whole = _rng(5).standard_normal((23, 4, 2))
+    rng = _rng(5)
+    pieces = [rng.standard_normal((k, 4, 2)) for k in (1, 7, 15)]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+def _state_dependent_2d():
+    def vol(t, x):
+        x = np.atleast_2d(x)
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, 0] = 1.0 + 0.3 * np.tanh(x[:, 1])
+        out[:, 1, 0] = 0.2 * np.cos(x[:, 0])
+        out[:, 1, 1] = 0.8 + 0.1 * np.sin(x[:, 0])
+        return out
+
+    return Diffusion(mu=lambda t, x: -0.3 * np.atleast_2d(x), sigma=vol, dimension=2)
+
+
+def _drift():
+    xs = np.linspace(-4.0, 4.0, 401)
+    return DistributionalDrift(b_x=xs, b_values=-(xs**2) / 4.0 + 0.1 * np.abs(xs),
+                               sigma_fn=lambda v: np.ones_like(v))
+
+
+def _jumps():
+    return JumpDiffusion(mu=lambda t, x: 0.1, sigma=lambda t, x: 0.5,
+                         levy=LevyKernel(rate=2.0, law=JumpLaw(kind="gaussian", param=0.3)))
+
+
+CHUNKED = {
+    "brownian": (brownian, 1),
+    "state_dependent_2d": (_state_dependent_2d, 2),
+    "distributional_drift": (_drift, 1),
+    "jump_diffusion": (_jumps, 1),
+}
+
+
+@pytest.mark.parametrize("name", ["brownian", "state_dependent_2d", "distributional_drift"])
+def test_simulate_is_independent_of_the_chunk_size(name, monkeypatch):
+    make, d = CHUNKED[name]
+    grid = SpaceTimeGrid.regular(1.0, 6, [-3.0] * d, [3.0] * d, [5] * d)
+    ref = simulate(make(), 0.0, [0.1] * d, grid, 40, 3).paths
+    for size in (1, 7):
+        monkeypatch.setattr(processes, "_BLOCK_POINTS", size)
+        assert simulate(make(), 0.0, [0.1] * d, grid, 40, 3).paths.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["brownian", "state_dependent_2d", "jump_diffusion"])
+def test_cache_is_independent_of_the_chunk_size(name, monkeypatch):
+    # 5 paths per cell: chunks of 7 rows cut through the cells' groups; jump
+    # draws stay whole per cell: there a chunk is 1 cell at sizes 1 and 7, all 3 at the default
+    make, d = CHUNKED[name]
+    grid = SpaceTimeGrid.regular(1.0, 4, [-2.0] * d, [2.0] * d, [3] * d)
+
+    def contents():
+        cache = build_cache(make(), grid, 5, 11)
+        return [(cache.blocks[i].tobytes(), cache.index[i].tobytes()) for i in sorted(cache.blocks)]
+
+    ref = contents()
+    for size in (1, 7):
+        monkeypatch.setattr(processes, "_BLOCK_POINTS", size)
+        assert contents() == ref
+
+
+def test_simulate_holds_one_chunk_of_draws_at_a_time():
+    # all 50,000 x 24 normals at once would take 9.2 MiB beside the paths
+    grid = SpaceTimeGrid.regular(1.0, 24, -4.0, 4.0, 5)
+    tracemalloc.start()
+    try:
+        paths = simulate(brownian(), 0.0, [0.0], grid, 50000, 3).paths
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= paths.nbytes + 5 * 2**20
 
 
 def test_two_dimensional_diffusion_moments():
