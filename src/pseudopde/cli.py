@@ -37,7 +37,6 @@ from .operators import bounded_test_functions, generator_action, martingale_test
 from .processes import (
     Diffusion,
     DistributionalDrift,
-    JumpDiffusion,
     JumpLaw,
     LevyKernel,
     Stable,
@@ -277,7 +276,7 @@ def _build_generator(kind, gen, dimension, grid_bounds):
         return None
     if mu is None or sigma is None:
         return None
-    return JumpDiffusion(mu=mu, sigma=sigma, levy=kernel, dimension=dimension)
+    return Diffusion(mu=mu, sigma=sigma, dimension=dimension, levy=kernel)
 
 
 def validate_config(path) -> RunPlan:
@@ -472,10 +471,12 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
     }
     try:
         plan = validate_config(config_path)
-        unknown = [p for p in phases_override or () if p not in PHASE_ORDER]
-        if unknown:
-            raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(
-                f"--phases: unknown phase {p!r}" for p in unknown))
+        problems = [f"--phases: unknown phase {p!r}"
+                    for p in phases_override or () if p not in PHASE_ORDER]
+        if threads < 1:
+            problems.append(f"--threads: must be >= 1, got {threads}")
+        if problems:
+            raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(problems))
     except PseudoPdeError as err:
         manifest["errors"]["validate"] = str(err)
         manifest["exit_code"] = 1

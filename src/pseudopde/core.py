@@ -11,8 +11,8 @@ increasing abscissa in O(1), ``interp_slopes`` forms the slopes, and
 ``np.interp`` bit for bit.  ``bracket`` finds the brackets of grid points
 (the path cache keeps them), and ``_multilinear`` reads fields from them.  A
 field is an (n_times, n_nodes) array of values at the grid times and at the
-nodes of ``SpaceTimeGrid.nodes()``; ``_multilinear`` reads one row of it,
-reshaped to the grid's ``space_shape``.
+nodes of ``SpaceTimeGrid.nodes()``; ``_multilinear`` reads its rows as they
+are stored, flat, by each node's C-order index.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ class SpaceTimeGrid:
         """All spatial nodes as an (n_nodes, d) array, C-order over the axes."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    @property
-    def space_shape(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in self.space_nodes)
 
     @classmethod
     def regular(cls, horizon, time_steps, space_min, space_max, space_nodes):
@@ -308,11 +304,13 @@ def bracket(axes: tuple[np.ndarray, ...], points: np.ndarray) -> Bracketed:
 def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: Bracketed) -> np.ndarray:
     """Multilinear interpolation of k stacked tables at bracketed points (n, d).
 
-    ``tables`` has shape (k, *space_shape), one table per field, and the
-    result has shape (k, n): every table reads from the bracket ``points``
-    carries, so no grid search is made here.  Points outside the axes are
-    clamped to the boundary.  In one dimension each table is read by
-    ``_read``, so it equals ``np.interp`` bit for bit on finite tables.
+    ``tables`` has shape (k, n_nodes), one field row per table in the order
+    of ``SpaceTimeGrid.nodes()``, and the result has shape (k, n): every
+    table reads from the bracket ``points`` carries, so no grid search is made
+    here.  Points outside the axes are clamped to the boundary.  In one
+    dimension each table is read by ``_read``, so it equals ``np.interp`` bit
+    for bit on finite tables; in more, each corner of a point's cell is
+    gathered by its C-order node index.
     """
     d = len(axes)
     n = points.shape[0]
@@ -335,15 +333,12 @@ def _multilinear(axes: tuple[np.ndarray, ...], tables: np.ndarray, points: Brack
     out = np.zeros((tables.shape[0], n))
     for corner in range(1 << d):
         w = np.ones(n)
-        loc = [slice(None)]
+        node = 0
         for k in range(d):
-            if corner >> k & 1:
-                w = w * frac[k]
-                loc.append(idx[k] + 1)
-            else:
-                w = w * (1.0 - frac[k])
-                loc.append(idx[k])
-        out += w * tables[tuple(loc)]
+            up = corner >> k & 1
+            w = w * (frac[k] if up else 1.0 - frac[k])
+            node = node * axes[k].size + idx[k] + up
+        out += w * tables[:, node]
     return out
 
 

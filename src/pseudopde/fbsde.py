@@ -259,7 +259,6 @@ def crosscheck(
         i_s = grid.time_index(s)
         sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, seed + 7919 * idx)
         tables = np.stack((mild.u[i_s], mild.v[i_s], mild.u_stderr[i_s]))
-        tables = tables.reshape((3,) + grid.space_shape)
         at_x = core.bracket(grid.axes, x_arr[None, :])
         u_val, v_val, u_se = map(float, core._multilinear(grid.axes, tables, at_x)[:, 0])
         rows.append(

@@ -20,18 +20,20 @@ iterate, so it iterates, and its delta history shows the Picard map's
 contraction.
 
 Every sweep runs per origin block: the paths of all nodes started at one
-grid time are read together, so each step evaluates the driver once over
-n_nodes*M positions (a working set of n_nodes*M*d floats) and keeps one
-running sum per path.  At the block's own time every path sits at its start
-node, so that step reads the field rows at the nodes, with no interpolation.
-At each later step the fields it reads (u; u and v; or u, v and w) are
-interpolated by one ``core._multilinear`` call, which reads every field from
-the grid bracket the cache keeps beside each position.  The cached positions
-never change during a solve, so their brackets are found once, when the
-cache is built, and no sweep searches the grid.  Each path's sum
-is accumulated in step order, so the estimates equal a per-cell loop
-exactly; the tests compare against the per-cell reference
-``terminal_plus_running`` in ``tests/cell_reference.py``.
+grid time are read together, so each step after the block's own time
+evaluates the driver once over n_nodes*M positions (a working set of
+n_nodes*M*d floats) and keeps one running sum per path.  At the block's own
+time every path sits at its start node, and the kernel at zero lag is the
+identity, so the origin term is pointwise: each sweep evaluates it at the
+n_nodes nodes, and the one path-sum kernel, ``_block_steps``, yields only the
+later steps.  At each of those the fields it reads (u; u and v; or u, v and
+w) are interpolated by one ``core._multilinear`` call, which reads every
+field row as it is stored, from the grid bracket the cache keeps beside each
+position.  The cached positions never change during a solve, so their
+brackets are found once, when the cache is built, and no sweep searches the
+grid.  Each path's sum is accumulated in step order, origin term first, so
+the estimates equal a per-cell loop exactly; the tests compare against the
+per-cell reference ``terminal_plus_running`` in ``tests/cell_reference.py``.
 
 Two v-identification schemes are provided: ``volterra`` solves the second
 line backward in time for w = v^2 (left-endpoint quadrature makes the r = s
@@ -117,40 +119,29 @@ def _block_positions(cache: EnsembleCache, i: int, j: int) -> core.Bracketed:
     return core.Bracketed(cache.blocks[i][j - i - 1], cache.index[i][j - i - 1])
 
 
-def _block_starts(cache: EnsembleCache) -> np.ndarray:
-    """The (n_nodes*M, d) start points of an origin block: each node M times."""
-    return np.repeat(cache.nodes, cache.M, axis=0)
-
-
-def _block_steps(cache: EnsembleCache, i: int, rows, first: int):
-    """The path-sum kernel: steps j = first..N-1 of origin block i.
+def _block_steps(cache: EnsembleCache, i: int, rows):
+    """The path-sum kernel: the steps j = i+1..N-1 of origin block i.
 
     Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and, as a
-    (len(rows), n_nodes*M) array, row j of each flat field in ``rows``
-    read at them.  At j = i every path sits at its node, so the rows are
-    read at the nodes and repeated M times; that equals interpolating at the
-    nodes bit for bit, save a -0.0 node value (see ``core._multilinear``).
-    At j > i one ``core._multilinear`` call per step reads every field from
-    the brackets the cache keeps, so no step searches the grid.  Steps with
-    dV_j = 0 are skipped; they add nothing to a left-endpoint sum.
+    (len(rows), n_nodes*M) array, row j of each field in ``rows`` read at
+    them by one ``core._multilinear`` call from the brackets the cache keeps,
+    so no step searches the grid.  The origin step j = i, where every path
+    sits at its node, is not yielded: callers evaluate it at the nodes.
+    Steps with dV_j = 0 are skipped; they add nothing to a left-endpoint sum.
     """
     grid = cache.grid
-    for j in range(first, grid.n_times - 1):
+    for j in range(i + 1, grid.n_times - 1):
         if cache.dvs[j] == 0.0:
             continue
         fields = np.stack([r[j] for r in rows])
-        if j == i:
-            yield j, _block_starts(cache), np.repeat(fields, cache.M, axis=1)
-            continue
         xs = _block_positions(cache, i, j)
-        tables = fields.reshape((len(rows),) + grid.space_shape)
-        yield j, xs.points, core._multilinear(grid.axes, tables, xs)
+        yield j, xs.points, core._multilinear(grid.axes, fields, xs)
 
 
 def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.ndarray:
     """g(X_T) on every path of origin block i, node-major."""
     if i == cache.grid.n_times - 1:
-        return problem.g(_block_starts(cache))
+        return np.repeat(problem.g(cache.nodes), cache.M)
     return problem.g(cache.blocks[i][-1])
 
 
@@ -193,7 +184,7 @@ def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
     out[-1] = problem.g(cache.nodes)
     for i in range(n_t - 2, -1, -1):
         acc = np.zeros(n_nodes * cache.M)
-        for j, xs, vals in _block_steps(cache, i, rows, i + 1):
+        for j, xs, vals in _block_steps(cache, i, rows):
             uu, vv = vals if z_coupled else (vals[0], v_rows[j])
             acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
         b_i, se[i] = _node_stats(_terminal_values(problem, cache, i) + acc, n_nodes)
@@ -268,8 +259,8 @@ def update_v_variance(
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
         f_row = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
-        u_table = u_next[i + 1].reshape((1,) + grid.space_shape)
-        u_then = core._multilinear(grid.axes, u_table, _block_positions(cache, i, i + 1))[0]
+        at_next = _block_positions(cache, i, i + 1)
+        u_then = core._multilinear(grid.axes, u_next[i + 1][None], at_next)[0]
         incr = u_then.reshape(n_nodes, -1) - u_next[i][:, None] + (f_row * dv)[:, None]
         mean_sq, se_sq = _node_stats(incr * incr, n_nodes)
         w[i] = mean_sq / dv
@@ -309,7 +300,7 @@ def update_v_volterra(
         f_here = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
         sys_var = float(np.sum((cache.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
         vals = _terminal_values(problem, cache, i) ** 2
-        for j, xs, (uu, vv, ww) in _block_steps(cache, i, (u_next, v_prev, w), i + 1):
+        for j, xs, (uu, vv, ww) in _block_steps(cache, i, (u_next, v_prev, w)):
             ff = problem.driver(grid.times[j], xs, uu, vv)
             vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
         est, se_path = _node_stats(vals, n_nodes)
@@ -323,7 +314,12 @@ def update_v_volterra(
 
 
 def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
-    """Plug-in residuals of both lines, sup over grid cells, with stderr floors."""
+    """Plug-in residuals of both lines, sup over grid cells, with stderr floors.
+
+    Each path's sums start with the origin term r = t_i, evaluated at the
+    nodes and repeated over each node's M paths (none at i = N-1, nor where
+    dV_i = 0), then add the later steps of ``_block_steps``.
+    """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
     res1 = np.zeros((n_t, n_nodes))
@@ -334,7 +330,12 @@ def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: En
         g_vals = _terminal_values(problem, cache, i)
         vals1 = g_vals.copy()
         vals2 = g_vals**2
-        for j, xs, (uu, vv) in _block_steps(cache, i, (u, v), i):
+        if i < n_t - 1 and cache.dvs[i] != 0.0:
+            dv = cache.dvs[i]
+            f_i = problem.driver(grid.times[i], cache.nodes, u[i], v[i])
+            vals1 += np.repeat(f_i * dv, cache.M)
+            vals2 -= np.repeat((v[i] ** 2 - 2.0 * u[i] * f_i) * dv, cache.M)
+        for j, xs, (uu, vv) in _block_steps(cache, i, (u, v)):
             ff = problem.driver(grid.times[j], xs, uu, vv)
             vals1 += ff * cache.dvs[j]
             vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]

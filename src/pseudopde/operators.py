@@ -39,7 +39,6 @@ from .errors import (
 from .processes import (
     Diffusion,
     DistributionalDrift,
-    JumpDiffusion,
     LevyKernel,
     PathEnsemble,
     Stable,
@@ -294,7 +293,7 @@ def generator_action(gen) -> Callable:
 
         return a_stable
 
-    if isinstance(gen, (Diffusion, JumpDiffusion)):
+    if isinstance(gen, Diffusion):
         def a_local(phi: SmoothTestFunction) -> Callable:
             def act(t, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -307,7 +306,7 @@ def generator_action(gen) -> Callable:
                     + np.einsum("nk,nk->n", mu, phi.grad_at(t, x))
                     + 0.5 * np.einsum("nij,nij->n", a_mat, phi.hess_at(t, x))
                 )
-                if isinstance(gen, JumpDiffusion) and gen.levy.rate > 0:
+                if gen.jumps:
                     ys, ws = gen.levy.law.quadrature()
                     base = phi(t, x)
                     acc = np.zeros(x.shape[0])
@@ -351,14 +350,13 @@ def gamma_from_generator(a_action: Callable, phi: SmoothTestFunction, psi: Smoot
 
 def gamma_for_generator(gen) -> Callable:
     """The natural Gamma(phi, psi) route for each generator family."""
-    if isinstance(gen, (Diffusion, JumpDiffusion)):
+    if isinstance(gen, Diffusion):
         def alpha_mat(t, x):
             x = np.atleast_2d(x)
             sig = _vol_matrix(gen.sigma, t, x, x.shape[1])
             return np.einsum("nik,njk->nij", sig, sig)
 
-        levy = gen.levy if isinstance(gen, JumpDiffusion) else None
-        return lambda phi, psi: gamma_local(phi, psi, alpha_mat, levy=levy)
+        return lambda phi, psi: gamma_local(phi, psi, alpha_mat, levy=gen.levy)
     if isinstance(gen, Stable):
         def make(phi, psi):
             if phi is not psi:

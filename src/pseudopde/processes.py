@@ -1,10 +1,10 @@
 """Markov path simulators paired with their generator data.
 
-Four generator families are supported:
+Three generator families are supported:
 
-* ``Diffusion``        dX = mu dt + sigma dW            (Euler-Maruyama)
-* ``JumpDiffusion``    diffusion + compound-Poisson jumps, finite activity,
-                       jump count per step ~ Poisson(rate * dV)
+* ``Diffusion``        dX = mu dt + sigma dW            (Euler-Maruyama),
+                       plus, with a ``levy`` kernel, compound-Poisson jumps of
+                       finite activity, jump count per step ~ Poisson(rate * dV)
 * ``Stable``           symmetric alpha-stable, symbol c*|xi|^alpha, exact
                        increments via the Chambers-Mallows-Stuck transform
 * ``DistributionalDrift``  1-d SDE whose drift is the distributional
@@ -30,7 +30,7 @@ ensemble): their layout draws one kind of variate for all of a cell's rows
 before the next, so there a chunk is whole cells (``evolve_paths``).
 
 Each generator's ``time_homogeneous`` says whether its path law is free of
-t: always for ``Stable`` and ``DistributionalDrift``, and for the other two
+t: always for ``Stable`` and ``DistributionalDrift``, and for ``Diffusion``
 when ``mu`` and ``sigma`` both carry ``reads_t = False``, as functions built
 from expressions without t do.  The path cache shares path sets across start
 times only then (``semigroup.rows_per_path_set``).
@@ -180,40 +180,33 @@ def _reads_t(fn) -> bool:
 
 @dataclass(frozen=True)
 class Diffusion:
-    """dX = mu(t,X) dt + sigma(t,X) dW on R^d."""
+    """dX = mu(t,X) dt + sigma(t,X) dW on R^d, plus, with a ``levy`` kernel,
+    state-independent compound-Poisson jumps (1-d only)."""
 
     mu: Callable
     sigma: Callable
     dimension: int = 1
-
-    @property
-    def time_homogeneous(self) -> bool:
-        """True when neither coefficient reads t, so the path law does not."""
-        return not (_reads_t(self.mu) or _reads_t(self.sigma))
-
-    def fingerprint(self) -> str:
-        return _fingerprint("diffusion", self.dimension, _fn_token(self.mu), _fn_token(self.sigma))
-
-
-@dataclass(frozen=True)
-class JumpDiffusion:
-    """Diffusion plus state-independent compound-Poisson jumps."""
-
-    mu: Callable
-    sigma: Callable
-    levy: LevyKernel
-    dimension: int = 1
+    levy: Optional[LevyKernel] = None
 
     def __post_init__(self):
-        if self.dimension != 1:
+        if self.levy is not None and self.dimension != 1:
             raise ConfigurationError("jump diffusion simulation is 1-d in this version")
 
     @property
+    def jumps(self) -> bool:
+        """True when the paths jump: a ``levy`` kernel with a positive rate."""
+        return self.levy is not None and self.levy.rate > 0
+
+    @property
     def time_homogeneous(self) -> bool:
-        """True when neither coefficient reads t; the jump kernel never does."""
+        """True when neither coefficient reads t, so the path law does not;
+        the jump kernel never does."""
         return not (_reads_t(self.mu) or _reads_t(self.sigma))
 
     def fingerprint(self) -> str:
+        if self.levy is None:
+            return _fingerprint(
+                "diffusion", self.dimension, _fn_token(self.mu), _fn_token(self.sigma))
         return _fingerprint(
             "jump_diffusion", self.dimension, _fn_token(self.mu), _fn_token(self.sigma),
             self.levy.rate, self.levy.law.kind, self.levy.law.param, self.levy.law.atoms,
@@ -226,7 +219,6 @@ class Stable:
 
     alpha: float
     scale: float = 1.0
-    dimension: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
@@ -234,6 +226,7 @@ class Stable:
         if self.scale <= 0:
             raise ConfigurationError("scale must be positive")
 
+    dimension = 1
     time_homogeneous = True
 
     def fingerprint(self) -> str:
@@ -348,13 +341,13 @@ class DistributionalDrift:
     b_values: np.ndarray
     sigma_fn: Callable
     transform: HTransform = field(init=False, compare=False, repr=False)
-    dimension: int = 1
 
     def __post_init__(self):
         object.__setattr__(
             self, "transform", build_h_transform(self.b_x, self.b_values, self.sigma_fn)
         )
 
+    dimension = 1
     time_homogeneous = True  # b and sigma are functions of x alone
 
     def fingerprint(self) -> str:
@@ -420,7 +413,7 @@ def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -
     if isinstance(gen, DistributionalDrift):
         return (rng.standard_normal((n, n_steps)),)
     z = rng.standard_normal((n, n_steps, d))
-    if isinstance(gen, JumpDiffusion) and gen.levy.rate > 0:
+    if gen.jumps:
         counts = rng.poisson(gen.levy.rate * dvs[None, :], (n, n_steps))
         return z, gen.levy.law.sample_sums(rng, counts)
     return (z,)
@@ -502,7 +495,7 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
 
     if isinstance(gen, Stable):
         size = m  # no step loop to share between groups
-    elif isinstance(gen, JumpDiffusion) and gen.levy.rate > 0:
+    elif isinstance(gen, Diffusion) and gen.jumps:
         size = max(1, _BLOCK_POINTS // m) * m
     else:
         size = _BLOCK_POINTS

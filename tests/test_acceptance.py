@@ -30,7 +30,6 @@ from pseudopde.operators import (
 from pseudopde.processes import (
     Diffusion,
     DistributionalDrift,
-    JumpDiffusion,
     JumpLaw,
     LevyKernel,
     Stable,
@@ -242,8 +241,8 @@ def test_criterion_07_martingale_problem_tests():
         ("brownian", brownian(), bounded_test_functions(1), 500),
         ("drifted", Diffusion(mu=lambda t, x: -0.2 * np.atleast_2d(x), sigma=lambda t, x: 1.0),
          bounded_test_functions(1), 500),
-        ("jump", JumpDiffusion(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.5,
-                               levy=LevyKernel(rate=1.0, law=JumpLaw(kind="two_point", param=0.7))),
+        ("jump", Diffusion(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.5,
+                           levy=LevyKernel(rate=1.0, law=JumpLaw(kind="two_point", param=0.7))),
          bounded_test_functions(1), 500),
         ("stable", Stable(alpha=1.2), decaying_test_functions(1), 500),
         ("distributional",

@@ -492,6 +492,47 @@ def test_unknown_phase_override_is_reported(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--phases", "mild,"]) == 1
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_is_reported(tmp_path, threads):
+    # as an unknown --phases name: under errors.validate, and no phase runs
+    out = tmp_path / "out"
+    path = write_config(tmp_path, smoke_config())
+    assert run(path, out_dir=out, threads=threads) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert f"--threads: must be >= 1, got {threads}" in manifest["errors"]["validate"]
+    assert manifest["exit_code"] == 1 and manifest["phases_completed"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--threads", str(threads)]) == 1
+
+
+def test_two_dimensional_heat_run_matches_closed_form(tmp_path):
+    # every phase that reads a field runs on a 2-d grid, so the sweeps and the
+    # crosscheck read flat field rows by their corner node indices; with
+    # Brownian motion, g = |x|^2 and f = y/2, u = e^{(1-t)/2} (|x|^2 + 2(1-t))
+    cfg = smoke_config(phases=["cache", "mild", "fbsde", "crosscheck"])
+    cfg["problem"]["driver"] = {"expr": "0.5*y", "K_Y": 0.5, "K_Z": 0.0}
+    cfg["problem"]["terminal_g"] = {"expr": "x1^2 + x2^2"}
+    cfg["grid"].update({"dimension": 2, "space_min": [-3.0, -3.0], "space_max": [3.0, 3.0],
+                        "space_nodes": [11, 9]})
+    cfg["mild"]["cache_paths"] = 300
+    cfg["fbsde"]["basis"]["degree"] = 2
+    cfg["fbsde"]["origins"] = [[0.0, 0.0, 0.0]]
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["phases_completed"] == ["cache", "mild", "fbsde", "crosscheck"]
+    lines = (out / "u.csv").read_text().splitlines()
+    assert lines[1] == "t,x1,x2,value,stderr"
+    t, x1, x2, u, se = np.array([ln.split(",") for ln in lines[2:]], dtype=float).T
+    assert t.size == 11 * 11 * 9
+    # the benchmark's many-cell rule, on the cells before T in the middle half of the box
+    inner = (t < 1.0) & (np.abs(x1) <= 1.5) & (np.abs(x2) <= 1.5)
+    exact = np.exp((1.0 - t) / 2.0) * (x1**2 + x2**2 + 2.0 * (1.0 - t))
+    z = (u - exact)[inner] / se[inner]
+    assert z.size == 10 * 5 * 5
+    assert np.sqrt(np.mean(z * z)) <= 1.5 and np.max(np.abs(z)) <= 6.0
+
+
 def test_cache_is_released_after_the_mild_phase(tmp_path, monkeypatch):
     # no phase after mild reads the cache, so none runs with its memory
     caches, alive = [], []

@@ -98,7 +98,7 @@ def test_grid_axes_built_once():
 
 
 def _read_row(grid, row, points):
-    """A field row, shaped ``grid.space_shape``, read at ``points`` (n, d)."""
+    """A flat field row, in ``grid.nodes()`` order, read at ``points`` (n, d)."""
     points = np.asarray(points, dtype=float)
     return core._multilinear(grid.axes, row[None], core.bracket(grid.axes, points))[0]
 
@@ -130,7 +130,7 @@ def test_interpolate_exact_at_nodes_and_monotone(grid_1d):
 def test_interpolate_2d_multilinear():
     grid = SpaceTimeGrid.regular(1.0, 2, [-1.0, -1.0], [1.0, 1.0], [3, 3])
     pts = grid.nodes()
-    row = (2.0 * pts[:, 0] + 3.0 * pts[:, 1]).reshape(grid.space_shape)
+    row = 2.0 * pts[:, 0] + 3.0 * pts[:, 1]
     # multilinear interpolation reproduces affine functions exactly
     q = np.array([[0.3, -0.7], [0.15, 0.45]])
     np.testing.assert_allclose(_read_row(grid, row, q), 2.0 * q[:, 0] + 3.0 * q[:, 1], atol=1e-12)
@@ -234,13 +234,15 @@ def test_multilinear_2d_equals_searchsorted_reference_bitwise(first, second):
     shape = tuple(ax.size for ax in axes)
     for k in (1, 2, 3):
         tables = rng.normal(size=(k,) + shape)
-        got = core._multilinear(axes, tables, core.bracket(axes, points))
+        # the program reads each table flat, its rows in C order over the axes
+        got = core._multilinear(axes, tables.reshape(k, -1), core.bracket(axes, points))
         assert got.shape == (k, points.shape[0])
         for table, row in zip(tables, got):
             want = _searchsorted_multilinear(axes, table, points)
             np.testing.assert_array_equal(_bits(row), _bits(want))
     nan_points = np.array([[np.nan, axes[1][0]], [axes[0][0], np.nan], [axes[0][-1], axes[1][-1]]])
-    got = core._multilinear(axes, rng.normal(size=(2,) + shape), core.bracket(axes, nan_points))
+    got = core._multilinear(axes, rng.normal(size=(2, np.prod(shape))),
+                            core.bracket(axes, nan_points))
     assert np.all(np.isnan(got[:, :2])) and np.all(np.isfinite(got[:, 2]))
 
 

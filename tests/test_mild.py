@@ -393,8 +393,7 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
     v = np.stack([1.0 + 0.5 * np.abs(xy[:, 1]) + t for t in grid.times])
 
     def at(field, j, xs):
-        table = field[j].reshape((1,) + grid.space_shape)
-        return core._multilinear(grid.axes, table, core.bracket(grid.axes, xs))[0]
+        return core._multilinear(grid.axes, field[j][None], core.bracket(grid.axes, xs))[0]
 
     def psi(j, xs):
         return prob.driver(grid.times[j], xs, at(u, j, xs), at(v, j, xs))

@@ -21,7 +21,6 @@ from pseudopde.operators import (
 from pseudopde.processes import (
     Diffusion,
     DistributionalDrift,
-    JumpDiffusion,
     JumpLaw,
     LevyKernel,
     Stable,
@@ -345,7 +344,7 @@ def test_bracket_consistency_one_step():
 def test_jump_generator_action_consistency():
     # a(phi) for the jump variant includes the uncompensated kernel term
     lam, size = 2.0, 0.8
-    gen = JumpDiffusion(
+    gen = Diffusion(
         mu=lambda t, x: 0.0,
         sigma=lambda t, x: 1.0,
         levy=LevyKernel(rate=lam, law=JumpLaw(kind="atoms", atoms=((size, 1.0),))),

@@ -9,7 +9,6 @@ from pseudopde.errors import ConfigurationError, InputError
 from pseudopde.processes import (
     Diffusion,
     DistributionalDrift,
-    JumpDiffusion,
     JumpLaw,
     LevyKernel,
     Stable,
@@ -151,8 +150,8 @@ def _drift():
 
 
 def _jumps():
-    return JumpDiffusion(mu=lambda t, x: 0.1, sigma=lambda t, x: 0.5,
-                         levy=LevyKernel(rate=2.0, law=JumpLaw(kind="gaussian", param=0.3)))
+    return Diffusion(mu=lambda t, x: 0.1, sigma=lambda t, x: 0.5,
+                     levy=LevyKernel(rate=2.0, law=JumpLaw(kind="gaussian", param=0.3)))
 
 
 CHUNKED = {
@@ -220,7 +219,7 @@ def test_two_dimensional_diffusion_moments():
 
 def test_jump_diffusion_moments(grid):
     lam, size, sig = 2.0, 0.5, 0.3
-    gen = JumpDiffusion(
+    gen = Diffusion(
         mu=lambda t, x: 0.0,
         sigma=lambda t, x: sig,
         levy=LevyKernel(rate=lam, law=JumpLaw(kind="two_point", param=size)),
@@ -236,7 +235,7 @@ def test_jump_intensity_follows_clock(grid):
     # pure-jump process with deterministic unit jumps counts Poisson(rate * V(T))
     ts = np.linspace(0.0, 1.0, 101)
     clock = ClockV(kind="tabulated", times=ts, values=2.0 * ts)
-    gen = JumpDiffusion(
+    gen = Diffusion(
         mu=lambda t, x: 0.0,
         sigma=lambda t, x: 0.0,
         levy=LevyKernel(rate=1.5, law=JumpLaw(kind="atoms", atoms=((1.0, 1.0),))),

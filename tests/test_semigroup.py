@@ -9,7 +9,6 @@ from pseudopde.errors import ConfigurationError, ResourceError
 from pseudopde.processes import (
     Diffusion,
     DistributionalDrift,
-    JumpDiffusion,
     JumpLaw,
     LevyKernel,
     Stable,
@@ -154,7 +153,7 @@ def _cache_generators():
     )
     return [
         pytest.param(diffusion_2d, id="diffusion-2d"),
-        *(pytest.param(JumpDiffusion(levy=LevyKernel(rate=1.3, law=law), **sde_1d),
+        *(pytest.param(Diffusion(levy=LevyKernel(rate=1.3, law=law), **sde_1d),
                        id=f"jump-{law.kind}") for law in laws),
         pytest.param(Stable(alpha=1.4, scale=0.7), id="stable"),
         pytest.param(_distributional_drift(), id="distributional-drift"),
