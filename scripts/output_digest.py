@@ -6,8 +6,9 @@ and the shipped configs.
 
 Runs `pseudopde.cli.run` from this checkout's `src/` on the three benchmark
 workloads (configs built by `perfbench/workloads.make_config` at the
-benchmark's sizes, seed 1) and on every `scripts/configs/*.json` (its own
-seed), then prints one line per output file: run, file name, sha256.
+benchmark's sizes, seed 1), on every `scripts/configs/*.json` (its own seed)
+and on one 2-d heat config (`HEAT_2D`, seed 4711), then prints one line per
+output file: run, file name, sha256.
 `manifest.json` is hashed without `timings_seconds` and `peak_rss_mb`, the
 parts of the output that depend on the host. Each CSV gets a second line,
 `<name>:values`, hashed without its first line, `# config_hash=...`, so a
@@ -31,6 +32,30 @@ import workloads  # noqa: E402
 
 WORKLOAD_SEED = 1
 
+# The config of tests/test_cli.py::test_two_dimensional_heat_run_matches_closed_form,
+# the one run here with d > 1: its cache is 2-d, and the sweeps and the
+# crosscheck read fields at the corners of 2-d cells.
+HEAT_2D = {
+    "schema": 1,
+    "seed": 4711,
+    "problem": {
+        "generator": {"kind": "diffusion", "mu": "0", "sigma": "1"},
+        "driver": {"expr": "0.5*y", "K_Y": 0.5, "K_Z": 0.0},
+        "terminal_g": {"expr": "x1^2 + x2^2"},
+        "horizon_T": 1.0,
+        "clock": {"kind": "identity"},
+    },
+    "grid": {
+        "dimension": 2, "time_steps": 10,
+        "space_min": [-3.0, -3.0], "space_max": [3.0, 3.0], "space_nodes": [11, 9],
+    },
+    "mild": {"cache_paths": 300, "max_iterations": 6, "tolerance": 0.001},
+    "fbsde": {"paths": 3000, "basis": {"kind": "polynomial", "degree": 2},
+              "origins": [[0.0, 0.0, 0.0]]},
+    "operators": {"martingale_paths": 3000, "test_functions": 2},
+    "phases": ["cache", "mild", "fbsde", "crosscheck"],
+}
+
 
 def digests(path: Path):
     """(name, sha256) of the file and, for a CSV, of the lines below its hash line."""
@@ -53,6 +78,9 @@ def runs(tmp: Path):
         yield name, path, WORKLOAD_SEED
     for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
         yield path.stem, path, None
+    path = tmp / "heat-2d.json"
+    path.write_text(json.dumps(HEAT_2D))
+    yield "heat-2d", path, None
 
 
 def main(argv=None):

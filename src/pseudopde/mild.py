@@ -19,21 +19,25 @@ sweep and one v update.  A z-coupled driver reads v from the previous
 iterate, so it iterates, and its delta history shows the Picard map's
 contraction.
 
-Every sweep runs per origin block: the paths of all nodes started at one
-grid time are read together, so each step after the block's own time
-evaluates the driver once over n_nodes*M positions (a working set of
-n_nodes*M*d floats) and keeps one running sum per path.  At the block's own
-time every path sits at its start node, and the kernel at zero lag is the
-identity, so the origin term is pointwise: each sweep evaluates it at the
-n_nodes nodes, and the one path-sum kernel, ``_block_steps``, yields only the
-later steps.  At each of those the fields it reads (u; u and v; or u, v and
-w) are interpolated by one ``core._multilinear`` call, which reads every
-field row as it is stored, from the grid bracket the cache keeps beside each
-position.  The cached positions never change during a solve, so their
-brackets are found once, when the cache is built, and no sweep searches the
-grid.  Each path's sum is accumulated in step order, origin term first, so
-the estimates equal a per-cell loop exactly; the tests compare against the
-per-cell reference ``terminal_plus_running`` in ``tests/cell_reference.py``.
+Every sweep runs per origin block, the paths of all nodes started at one
+grid time, and walks the block in chunks of whole nodes (``core.node_chunks``,
+at most ``core._CHUNK_POINTS`` paths each).  Each step after the block's own
+time evaluates the driver once over a chunk's positions and keeps one
+running sum per path, so a sweep's temporaries are a few chunk-sized arrays
+however many paths the block holds, and each node's statistics are taken on
+its whole row of M paths.  At the block's own time every path sits at its
+start node, and the kernel at zero lag is the identity, so the origin term
+is pointwise: each sweep evaluates it at the n_nodes nodes, and the one
+path-sum kernel, ``_block_steps``, yields only the later steps of a chunk.
+At each of those the fields it reads (u; u and v; or u, v and w) are
+interpolated by one ``core._multilinear`` call, which reads every field row
+as it is stored, from the grid bracket the cache keeps beside each position.
+The cached positions never change during a solve, so their brackets are
+found once, when the cache is built, and no sweep searches the grid.  Each
+path's sum is accumulated in step order, origin term first, so the
+estimates equal a per-cell loop exactly, whatever the chunk size; the tests
+compare against the per-cell reference ``terminal_plus_running`` in
+``tests/cell_reference.py``.
 
 Two v-identification schemes are provided: ``volterra`` solves the second
 line backward in time for w = v^2 (left-endpoint quadrature makes the r = s
@@ -113,20 +117,20 @@ class MildSolution:
     out_of_bounds_fraction: float = 0.0
 
 
-def _block_positions(cache: EnsembleCache, i: int, j: int) -> core.Bracketed:
-    """Positions at grid time j > i of every path started at grid time i, as
-    one (n_nodes*M, d) array, node-major, with their kept brackets; zero-copy."""
-    return core.Bracketed(cache.blocks[i][j - i - 1], cache.index[i][j - i - 1])
+def _block_positions(cache: EnsembleCache, i: int, j: int, paths: slice) -> core.Bracketed:
+    """Positions at grid time j > i of the ``paths`` started at grid time i,
+    as an (n, d) array, node-major, with their kept brackets; zero-copy."""
+    return core.Bracketed(cache.blocks[i][j - i - 1][paths], cache.index[i][j - i - 1][paths])
 
 
-def _block_steps(cache: EnsembleCache, i: int, rows):
-    """The path-sum kernel: the steps j = i+1..N-1 of origin block i.
+def _block_steps(cache: EnsembleCache, i: int, paths: slice, rows):
+    """The path-sum kernel: the steps j = i+1..N-1 of one chunk of origin block i.
 
-    Yields (j, xs, vals): the (n_nodes*M, d) positions at t_j and, as a
-    (len(rows), n_nodes*M) array, row j of each field in ``rows`` read at
-    them by one ``core._multilinear`` call from the brackets the cache keeps,
-    so no step searches the grid.  The origin step j = i, where every path
-    sits at its node, is not yielded: callers evaluate it at the nodes.
+    Yields (j, xs, vals): the (n, d) positions of the chunk's ``paths`` at
+    t_j and, as a (len(rows), n) array, row j of each field in ``rows`` read
+    at them by one ``core._multilinear`` call from the brackets the cache
+    keeps, so no step searches the grid.  The origin step j = i, where every
+    path sits at its node, is not yielded: callers evaluate it at the nodes.
     Steps with dV_j = 0 are skipped; they add nothing to a left-endpoint sum.
     """
     grid = cache.grid
@@ -134,7 +138,7 @@ def _block_steps(cache: EnsembleCache, i: int, rows):
         if cache.dvs[j] == 0.0:
             continue
         fields = np.stack([r[j] for r in rows])
-        xs = _block_positions(cache, i, j)
+        xs = _block_positions(cache, i, j, paths)
         yield j, xs.points, core._multilinear(grid.axes, fields, xs)
 
 
@@ -145,9 +149,9 @@ def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.n
     return problem.g(cache.blocks[i][-1])
 
 
-def _node_stats(vals: np.ndarray, n_nodes: int):
-    """Per-node sample mean and stderr of node-major per-path values."""
-    return core.mean_and_stderr(vals.reshape(n_nodes, -1))
+def _node_stats(vals: np.ndarray, M: int):
+    """Per-node sample mean and stderr of node-major values, M paths per node."""
+    return core.mean_and_stderr(vals.reshape(-1, M))
 
 
 def _scalar_square(a: np.ndarray) -> np.ndarray:
@@ -183,11 +187,14 @@ def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
     # terminal row is exact: the running integral vanishes at s = T
     out[-1] = problem.g(cache.nodes)
     for i in range(n_t - 2, -1, -1):
-        acc = np.zeros(n_nodes * cache.M)
-        for j, xs, vals in _block_steps(cache, i, rows):
-            uu, vv = vals if z_coupled else (vals[0], v_rows[j])
-            acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
-        b_i, se[i] = _node_stats(_terminal_values(problem, cache, i) + acc, n_nodes)
+        g_vals = _terminal_values(problem, cache, i)
+        b_i = np.empty(n_nodes)
+        for nodes, paths in core.node_chunks(n_nodes, cache.M):
+            acc = np.zeros(paths.stop - paths.start)
+            for j, xs, vals in _block_steps(cache, i, paths, rows):
+                uu, vv = vals if z_coupled else (vals[0], v_rows[j])
+                acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
+            b_i[nodes], se[i, nodes] = _node_stats(g_vals[paths] + acc, cache.M)
         dv = cache.dvs[i]
         out[i] = steps.solve(i, grid.times[i], cache.nodes, b_i, v_rows[i], dv) if dv else b_i
         if not np.all(np.isfinite(out[i])):
@@ -258,13 +265,14 @@ def update_v_variance(
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
-        f_row = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
-        at_next = _block_positions(cache, i, i + 1)
-        u_then = core._multilinear(grid.axes, u_next[i + 1][None], at_next)[0]
-        incr = u_then.reshape(n_nodes, -1) - u_next[i][:, None] + (f_row * dv)[:, None]
-        mean_sq, se_sq = _node_stats(incr * incr, n_nodes)
-        w[i] = mean_sq / dv
-        se_w[i] = se_sq / dv
+        f_dv = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i]) * dv
+        for nodes, paths in core.node_chunks(n_nodes, cache.M):
+            at_next = _block_positions(cache, i, i + 1, paths)
+            u_then = core._multilinear(grid.axes, u_next[i + 1][None], at_next)[0]
+            incr = u_then.reshape(-1, cache.M) - u_next[i][nodes, None] + f_dv[nodes, None]
+            mean_sq, se_sq = _node_stats(incr * incr, cache.M)
+            w[i, nodes] = mean_sq / dv
+            se_w[i, nodes] = se_sq / dv
         computed[i] = True
     return _finish_v(w, se_w, computed, telemetry)
 
@@ -291,6 +299,7 @@ def update_v_volterra(
     computed = np.zeros(n_t, dtype=bool)
     telemetry = ClampTelemetry()
     row_mean_se = np.zeros(n_t)
+    est, se_path = np.empty(n_nodes), np.empty(n_nodes)
 
     for i in range(n_t - 2, -1, -1):
         dv = cache.dvs[i]
@@ -299,11 +308,13 @@ def update_v_volterra(
             continue
         f_here = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
         sys_var = float(np.sum((cache.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
-        vals = _terminal_values(problem, cache, i) ** 2
-        for j, xs, (uu, vv, ww) in _block_steps(cache, i, (u_next, v_prev, w)):
-            ff = problem.driver(grid.times[j], xs, uu, vv)
-            vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
-        est, se_path = _node_stats(vals, n_nodes)
+        g_vals = _terminal_values(problem, cache, i)
+        for nodes, paths in core.node_chunks(n_nodes, cache.M):
+            vals = g_vals[paths] ** 2
+            for j, xs, (uu, vv, ww) in _block_steps(cache, i, paths, (u_next, v_prev, w)):
+                ff = problem.driver(grid.times[j], xs, uu, vv)
+                vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
+            est[nodes], se_path[nodes] = _node_stats(vals, cache.M)
         w[i] = (est - _scalar_square(u_next[i])) / dv + 2.0 * u_next[i] * f_here
         se_w[i] = np.sqrt(_scalar_square(se_path) + sys_var) / dv
         # clamp this row before later (earlier-time) rows consume it
@@ -318,7 +329,8 @@ def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: En
 
     Each path's sums start with the origin term r = t_i, evaluated at the
     nodes and repeated over each node's M paths (none at i = N-1, nor where
-    dV_i = 0), then add the later steps of ``_block_steps``.
+    dV_i = 0), then add the later steps of ``_block_steps``, one chunk of
+    the block at a time.
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
@@ -326,21 +338,26 @@ def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: En
     res2 = np.zeros((n_t, n_nodes))
     floor1 = np.zeros((n_t, n_nodes))
     floor2 = np.zeros((n_t, n_nodes))
+    mean1, mean2 = np.empty(n_nodes), np.empty(n_nodes)
     for i in range(n_t):
         g_vals = _terminal_values(problem, cache, i)
-        vals1 = g_vals.copy()
-        vals2 = g_vals**2
-        if i < n_t - 1 and cache.dvs[i] != 0.0:
+        origin = i < n_t - 1 and cache.dvs[i] != 0.0
+        if origin:
             dv = cache.dvs[i]
             f_i = problem.driver(grid.times[i], cache.nodes, u[i], v[i])
-            vals1 += np.repeat(f_i * dv, cache.M)
-            vals2 -= np.repeat((v[i] ** 2 - 2.0 * u[i] * f_i) * dv, cache.M)
-        for j, xs, (uu, vv) in _block_steps(cache, i, (u, v)):
-            ff = problem.driver(grid.times[j], xs, uu, vv)
-            vals1 += ff * cache.dvs[j]
-            vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]
-        mean1, floor1[i] = _node_stats(vals1, n_nodes)
-        mean2, floor2[i] = _node_stats(vals2, n_nodes)
+            origin1, origin2 = f_i * dv, (v[i] ** 2 - 2.0 * u[i] * f_i) * dv
+        for nodes, paths in core.node_chunks(n_nodes, cache.M):
+            vals1 = g_vals[paths].copy()
+            vals2 = g_vals[paths] ** 2
+            if origin:
+                vals1 += np.repeat(origin1[nodes], cache.M)
+                vals2 -= np.repeat(origin2[nodes], cache.M)
+            for j, xs, (uu, vv) in _block_steps(cache, i, paths, (u, v)):
+                ff = problem.driver(grid.times[j], xs, uu, vv)
+                vals1 += ff * cache.dvs[j]
+                vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]
+            mean1[nodes], floor1[i, nodes] = _node_stats(vals1, cache.M)
+            mean2[nodes], floor2[i, nodes] = _node_stats(vals2, cache.M)
         res1[i] = np.abs(u[i] - mean1)
         res2[i] = np.abs(_scalar_square(u[i]) - mean2)
     return ResidualReport(

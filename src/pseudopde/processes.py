@@ -20,14 +20,16 @@ abscissa).
 Path generation is deterministic given (seed, path index): each cache cell
 (one origin time and node) draws from its own counter-based Philox stream with
 a fixed (path, step) layout, so results are independent of scheduling and of
-the worker count.  A cache block (one origin time, every node) is evolved in
-one call, in chunks of ``core._BLOCK_POINTS`` rows: each cell's rows in a
-chunk draw from the cell's own stream in row order, then the chunk steps over
-all times.  A Philox stream drawn in row pieces gives the numbers of one draw,
+the worker count.  A cache block (one origin time, every node) is evolved by
+one call per run of whole nodes (``semigroup.build_cache``), and each call
+works in chunks of ``core._BLOCK_POINTS`` rows: each cell's rows in a chunk
+draw from the cell's own stream in row order, then the chunk steps over all
+times.  A Philox stream drawn in row pieces gives the numbers of one draw,
 so only one chunk's random numbers are held and the paths do not depend on
 the chunk size.  ``Stable`` and jump draws stay whole per cell (or per
 ensemble): their layout draws one kind of variate for all of a cell's rows
-before the next, so there a chunk is whole cells (``evolve_paths``).
+before the next, so there a chunk is whole cells, and the ``Stable``
+transform maps a cell's draws a few rows at a time (``evolve_paths``).
 
 Each generator's ``time_homogeneous`` says whether its path law is free of
 t: always for ``Stable`` and ``DistributionalDrift``, and for ``Diffusion``
@@ -433,8 +435,13 @@ def _evolve_chunk(gen, times, dts, draws, starts: np.ndarray, out: np.ndarray) -
     if isinstance(gen, Stable):
         u, e = draws
         if dts.size:
-            incr = (gen.scale * dts) ** (1.0 / gen.alpha) * _cms_standard(gen.alpha, u, e)
-            out[:, :, 0] = (starts[:, 0:1] + np.cumsum(incr, axis=1)).T
+            # the transform's temporaries are a few (rows, n_steps) arrays
+            scale = (gen.scale * dts) ** (1.0 / gen.alpha)
+            rows = max(1, _BLOCK_POINTS // dts.size)
+            for a in range(0, starts.shape[0], rows):
+                b = a + rows
+                incr = scale * _cms_standard(gen.alpha, u[a:b], e[a:b])
+                out[:, a:b, 0] = (starts[a:b, 0:1] + np.cumsum(incr, axis=1)).T
     elif isinstance(gen, DistributionalDrift):
         tr = gen.transform
         (z,) = draws
@@ -481,7 +488,11 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     layout draws one kind of variate for all of a group's rows before the
     next kind; there a chunk is whole groups: one for ``Stable``, which has
     no step loop to share, and for jumps as many as fit in ``_BLOCK_POINTS``
-    rows (at least one).
+    rows (at least one).  A ``Stable`` group's draws are held whole, but the
+    Chambers-Mallows-Stuck transform maps them to increments and positions
+    ``max(1, _BLOCK_POINTS // n_steps)`` rows at a time, so its temporaries
+    stay near ``_BLOCK_POINTS`` values; the paths do not depend on that
+    row chunk either.
     """
     times = np.asarray(times, dtype=float)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))

@@ -3,10 +3,11 @@
 ``build_cache`` simulates an ``EnsembleCache`` holding one path ensemble per
 (grid time, grid node), so every fixed-point sweep sees identical noise
 (common random numbers) and the iteration is a deterministic map between
-fields.  The sweeps read the cache one origin block at a time through
-``mild._block_steps``.  A path of P^{s,x} sits at x at time s, so the cache
-stores each path from its first step on; each stored position's grid bracket
-is found once, when its block is built, and kept beside it.
+fields.  The sweeps read the cache one origin block at a time, in chunks
+of whole nodes, through ``mild._block_steps``.  A path of P^{s,x} sits at x
+at time s, so the cache stores each path from its first step on; each stored
+position's grid bracket is found once, when its block is built, and kept
+beside it.
 
 When the path law is time-homogeneous on the grid (``rows_per_path_set``),
 the law of P^{t_i,x} on [t_i, T] is that of P^{t_h,x} on [t_h, T - (t_i -
@@ -29,7 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClockV, SpaceTimeGrid, bracket, bracket_dtype, mean_and_stderr, v_increments
+from .core import (
+    ClockV, SpaceTimeGrid, bracket, bracket_dtype, mean_and_stderr, node_chunks, v_increments,
+)
 from .errors import ConfigurationError, ResourceError
 from .processes import check_dimension, evolve_paths, simulate, _rng
 
@@ -84,9 +87,12 @@ class EnsembleCache:
     ``dvs`` holds the clock increments over the whole grid and ``nodes`` the
     (n_nodes, d) start points; ``generator_fingerprint`` lets a solver check
     that the cache was built for its problem's generator.  The mild sweeps
-    read one origin block at a time: at each step they take the positions of
-    all its paths, with their brackets, as one contiguous slice.
-    ``memory_bytes`` counts the stored positions and brackets, each once.
+    read one origin block at a time, in chunks of whole nodes: at each step
+    they take the positions of a chunk's paths, with their brackets, as one
+    contiguous slice.  A head block's positions are one array, written in
+    place chunk by chunk as ``build_cache`` simulates them, and its brackets
+    one more; no other copy of either is held.  ``memory_bytes`` counts the
+    stored positions and brackets, each once.
     ``out_of_bounds_fraction`` is the share of path points, start points
     included, outside the grid's spatial bounds, over every cell's paths: a
     shared row counts once for each cell that reads it.  Read-only after
@@ -139,15 +145,18 @@ def build_cache(
     """One ensemble per (grid time, grid node), seeds derived per cell.
 
     Each head block h (every row when R = ``rows_per_path_set`` is 1) is
-    evolved in one ``evolve_paths`` call over the grid times from t_h: its
-    rows are the nodes repeated M times, node-major, and each node's rows
-    draw from that cell's own Philox stream, keyed by (master seed, h,
-    node).  The same worker keeps a copy of the steps after the start row,
-    brackets the kept positions and counts those outside the grid, each row
-    weighted by the number of origin rows that read it; the full paths are
-    freed when it returns.  The rows h+1..h+R-1 are prefixes of block h.
-    ``threads`` workers share the head blocks, and the contents are
-    independent of their number.
+    stored in one array, allocated whole, of its steps after the start row.
+    It is filled in chunks of whole nodes (``core.node_chunks``), each
+    evolved by one ``evolve_paths`` call over the grid times from t_h: its
+    rows are the chunk's nodes repeated M times, node-major, and each node's
+    rows draw from that cell's own Philox stream, keyed by (master seed, h,
+    node).  Each chunk's steps after its start row are copied into the block
+    and its paths freed, so a block is built with one chunk's paths beside
+    it.  The filled block is bracketed and its positions outside the grid
+    counted, each step weighted by the number of origin rows that read it.
+    The rows h+1..h+R-1 are prefixes of block h.  ``threads`` workers share
+    the head blocks, and the contents are independent of their number and
+    of the chunk size.
     """
     if M < 1:
         raise ConfigurationError("cache path count M must be >= 1")
@@ -164,14 +173,17 @@ def build_cache(
     nodes = grid.nodes()
     n_nodes, d = nodes.shape
     n_t = grid.n_times
-    starts = np.repeat(nodes, M, axis=0)
     lo, hi = grid.space_min, grid.space_max
     heads = range(0, n_t, per_set)
+    chunks = node_chunks(n_nodes, M)
 
     def block(h):
-        rngs = [_rng(derive_cell_seed(master_seed, h, j)) for j in range(n_nodes)]
-        paths = evolve_paths(gen, grid.times[h:], dvs[h:], starts, rngs)
-        steps = paths.transpose(1, 0, 2)[1:].copy()
+        steps = np.empty((n_t - h - 1, n_nodes * M, d))
+        for c, paths in chunks:
+            rngs = [_rng(derive_cell_seed(master_seed, h, j)) for j in range(c.start, c.stop)]
+            starts = np.repeat(nodes[c], M, axis=0)
+            steps[:, paths] = evolve_paths(
+                gen, grid.times[h:], dvs[h:], starts, rngs).transpose(1, 0, 2)[1:]
         index = bracket(grid.axes, steps.reshape(-1, d)).index.reshape(steps.shape)
         # stored row k is read by the origin rows h..h+R-1 that reach t_{h+k+1}
         readers = np.minimum(per_set, n_t - 1 - h - np.arange(len(steps)))

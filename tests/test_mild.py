@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -433,3 +434,57 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
     got, got_se = update_u(v, prob, cache)
     np.testing.assert_array_equal(got, back)
     np.testing.assert_array_equal(got_se, back_se)
+
+
+def _chunk_problem(coupling):
+    # z-free: update_u reads no v; z-coupled: it interpolates v beside u
+    if coupling == "z_free":
+        driver = LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + np.sin(x[:, 0]),
+                                 K_Y=0.5)
+    else:
+        driver = LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + 0.3 * z,
+                                 K_Y=0.5, K_Z=0.3)
+    return ProblemSpec(generator=brownian(), driver=driver,
+                       terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0)
+
+
+@pytest.mark.parametrize("coupling", ["z_free", "z_coupled"])
+def test_sweeps_are_independent_of_the_chunk_size(coupling, bm_cache, grid, monkeypatch):
+    # 9 nodes x 8,000 paths: the default chunk holds 4 nodes; a cap of 1 path
+    # gives one node per chunk, and a cap of every path one chunk per block
+    prob = _chunk_problem(coupling)
+    x = grid.nodes()[:, 0]
+    u = np.stack([x**2 + 1.0 - t for t in grid.times])
+    v = np.stack([0.5 + np.abs(x) + t for t in grid.times])
+
+    def outputs():
+        u_next, u_se = update_u(v, prob, bm_cache)
+        by_variance = update_v_variance(u, v, prob, bm_cache)
+        by_volterra = update_v_volterra(u, v, prob, bm_cache)
+        fields = [a.tobytes() for a in (u_next, u_se, *by_variance[:2], *by_volterra[:2])]
+        return fields, by_variance[2], by_volterra[2], mild_residuals(u, v, prob, bm_cache)
+
+    ref = outputs()
+    for cap in (1, bm_cache.n_nodes * bm_cache.M):
+        monkeypatch.setattr(core, "_CHUNK_POINTS", cap)
+        assert outputs() == ref
+
+
+def test_residual_sweep_holds_chunks_not_blocks():
+    # 21 nodes x 5,000 paths: 105,000 positions per step, read 6 nodes at a
+    # time; the block's terminal values (0.8 MiB) and a few chunk-sized
+    # arrays read 2.8 MiB, where whole-block temporaries read 6.8 MiB
+    grid = SpaceTimeGrid.regular(1.0, 4, -4.0, 4.0, 21)
+    cache = build_cache(brownian(), grid, 5000, master_seed=9)
+    prob = _chunk_problem("z_coupled")
+    x = grid.nodes()[:, 0]
+    u = np.stack([x**2 + 1.0 - t for t in grid.times])
+    v = np.stack([0.5 + np.abs(x) + t for t in grid.times])
+    mild_residuals(u, v, prob, cache)
+    tracemalloc.start()
+    try:
+        mild_residuals(u, v, prob, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20

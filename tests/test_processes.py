@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pseudopde import processes
+from pseudopde import core, processes
 from pseudopde.core import Abscissa, ClockV, SpaceTimeGrid
 from pseudopde.errors import ConfigurationError, InputError
 from pseudopde.processes import (
@@ -159,11 +159,15 @@ CHUNKED = {
     "state_dependent_2d": (_state_dependent_2d, 2),
     "distributional_drift": (_drift, 1),
     "jump_diffusion": (_jumps, 1),
+    "stable": (lambda: Stable(alpha=1.5, scale=0.5), 1),
 }
 
 
-@pytest.mark.parametrize("name", ["brownian", "state_dependent_2d", "distributional_drift"])
+@pytest.mark.parametrize("name",
+                         ["brownian", "state_dependent_2d", "distributional_drift", "stable"])
 def test_simulate_is_independent_of_the_chunk_size(name, monkeypatch):
+    # stable draws stay whole, and at sizes 1 and 7 the transform maps one
+    # of the 40 rows at a time over the 6 steps, all 40 at the default
     make, d = CHUNKED[name]
     grid = SpaceTimeGrid.regular(1.0, 6, [-3.0] * d, [3.0] * d, [5] * d)
     ref = simulate(make(), 0.0, [0.1] * d, grid, 40, 3).paths
@@ -172,10 +176,11 @@ def test_simulate_is_independent_of_the_chunk_size(name, monkeypatch):
         assert simulate(make(), 0.0, [0.1] * d, grid, 40, 3).paths.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("name", ["brownian", "state_dependent_2d", "jump_diffusion"])
+@pytest.mark.parametrize("name", ["brownian", "state_dependent_2d", "jump_diffusion", "stable"])
 def test_cache_is_independent_of_the_chunk_size(name, monkeypatch):
     # 5 paths per cell: chunks of 7 rows cut through the cells' groups; jump
-    # draws stay whole per cell: there a chunk is 1 cell at sizes 1 and 7, all 3 at the default
+    # draws stay whole per cell: there a chunk is 1 cell at sizes 1 and 7, all 3 at the default;
+    # the stable transform then takes 1 row at a time
     make, d = CHUNKED[name]
     grid = SpaceTimeGrid.regular(1.0, 4, [-2.0] * d, [2.0] * d, [3] * d)
 
@@ -186,6 +191,12 @@ def test_cache_is_independent_of_the_chunk_size(name, monkeypatch):
     ref = contents()
     for size in (1, 7):
         monkeypatch.setattr(processes, "_BLOCK_POINTS", size)
+        assert contents() == ref
+    monkeypatch.undo()
+    # the default node chunk holds every node; caps of 1 and 10 paths give
+    # chunks of 1 and 2 nodes, each node's paths from one evolve_paths call
+    for cap in (1, 10):
+        monkeypatch.setattr(core, "_CHUNK_POINTS", cap)
         assert contents() == ref
 
 
@@ -199,6 +210,20 @@ def test_simulate_holds_one_chunk_of_draws_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= paths.nbytes + 5 * 2**20
+
+
+def test_stable_simulate_transforms_a_few_rows_at_a_time():
+    # the uniform and exponential draws of 50,000 x 10 are held whole (7.6
+    # MiB), but the transform's temporaries are not: whole, they took 12 MiB more
+    grid = SpaceTimeGrid.regular(1.0, 10, -4.0, 4.0, 5)
+    tracemalloc.start()
+    try:
+        paths = simulate(Stable(alpha=1.5), 0.0, [0.0], grid, 50000, 3).paths
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draws = 2 * 50000 * 10 * 8
+    assert peak <= draws + paths.nbytes + 2 * 2**20
 
 
 def test_two_dimensional_diffusion_moments():

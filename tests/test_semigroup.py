@@ -78,6 +78,23 @@ def test_cache_memory_counts_positions_and_brackets(small_grid):
     assert cache.memory_bytes == cache_memory_estimate(small_grid, 30) == stored
 
 
+def test_cache_build_holds_one_chunk_beside_the_blocks():
+    # 21 nodes x 6,000 paths, built 5 nodes at a time, each chunk's steps
+    # written into its block in place: beside the stored blocks, the build
+    # holds one chunk's paths over every grid time and its stable draws, a
+    # uniform and an exponential per step (a whole block's copy held 6.4 MiB)
+    grid = SpaceTimeGrid.regular(1.0, 4, -4.0, 4.0, 21)
+    build_cache(Stable(alpha=1.5), grid, 10, master_seed=3)
+    tracemalloc.start()
+    try:
+        cache = build_cache(Stable(alpha=1.5), grid, 6000, master_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = core._CHUNK_POINTS * (grid.n_times + 2 * (grid.n_times - 1)) * 8
+    assert peak <= cache.memory_bytes + chunk
+
+
 def test_bracket_widens_past_256_nodes_per_axis():
     assert core.bracket_dtype((np.linspace(0.0, 1.0, 256),)) == np.uint8
     grid = SpaceTimeGrid.regular(1.0, 1, -1.0, 1.0, 257)
