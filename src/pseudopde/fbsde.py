@@ -85,9 +85,25 @@ def regression_design(samples_x: np.ndarray, basis: RegressionBasis) -> np.ndarr
     return _poly_design((x - center) / spread, basis.degree)
 
 
-def regress(design: np.ndarray, targets: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+def _ridge_gram(design: np.ndarray, ridge: float) -> Optional[np.ndarray]:
+    """The ridge-regularised Gram matrix of ``design``, which every fit on
+    that design can share (``regress``); None when ``ridge`` is 0, where each
+    fit solves the least-squares problem itself."""
+    if ridge > 0:
+        return design.T @ design + ridge * np.eye(design.shape[1])
+    return None
+
+
+def regress(
+    design: np.ndarray, targets: np.ndarray, ridge: float, gram: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, float]:
     """Least squares of targets on the columns of ``design`` (see
     ``regression_design``), with ``ridge`` regularizing the normal equations.
+
+    With ``ridge`` > 0 the fit solves the normal equations on ``gram``, the
+    design's ``_ridge_gram``, formed here when it is not passed, so several
+    targets on one design share one Gram matrix.  With ``ridge`` = 0 it
+    solves by SVD and raises ``NumericalError`` on a rank-deficient design.
 
     Returns the fitted values at the samples and their residual RMS; the
     backward solver needs the conditional expectation only along its own
@@ -101,7 +117,8 @@ def regress(design: np.ndarray, targets: np.ndarray, ridge: float) -> tuple[np.n
             f"{design.shape[0]} samples cannot identify {design.shape[1]} basis functions"
         )
     if ridge > 0:
-        gram = design.T @ design + ridge * np.eye(design.shape[1])
+        if gram is None:
+            gram = _ridge_gram(design, ridge)
         beta = np.linalg.solve(gram, design.T @ y)
     else:
         beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -112,6 +129,22 @@ def regress(design: np.ndarray, targets: np.ndarray, ridge: float) -> tuple[np.n
             )
     fitted = design @ beta
     return fitted, float(np.sqrt(np.mean((y - fitted) ** 2)))
+
+
+def _step_fits(xs: np.ndarray, y: np.ndarray, basis: RegressionBasis, dv: float, z_prev):
+    """C_i, its residual RMS and Z_i along the paths at one backward step
+    i > 0, from one design and one Gram matrix (see ``lsmc_solve``).
+
+    The design, its Gram matrix and the squared innovations are local here,
+    so they are freed before the next step builds its design.
+    """
+    design = regression_design(xs, basis)
+    gram = _ridge_gram(design, basis.ridge)
+    cx, c_rms = regress(design, y, basis.ridge, gram)
+    if dv > 0:
+        z2x, _ = regress(design, (y - cx) ** 2, basis.ridge, gram)
+        return cx, c_rms, np.sqrt(np.clip(z2x, 0.0, None) / dv)
+    return cx, c_rms, z_prev
 
 
 @dataclass
@@ -148,8 +181,13 @@ def lsmc_solve(
     and one warning names the worst such step; a step whose Y turns
     non-finite raises ``NumericalError`` naming it.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean,
-    and records a regression residual of 0.0.  Only the current step's
-    values along the paths are held; no per-step fit is stored.
+    and records a regression residual of 0.0.
+
+    Each step i > 0 builds one design and, with a ridge, one Gram matrix,
+    which both fits share (``_step_fits``).  Beside the ensemble only the
+    current step's values along the paths are held: the design, Gram matrix
+    and squared innovations of a step are freed before the next step builds
+    its own, and no per-step fit is stored.
     """
     steps = core.ImplicitSteps(problem.driver, v_increments(grid, problem.clock))
     ens = simulate(gen, s, x, grid, M, seed, problem.clock)
@@ -179,18 +217,12 @@ def lsmc_solve(
             rms.append(0.0)
         else:
             try:
-                design = regression_design(xs, basis)
-                cx, c_rms = regress(design, y, basis.ridge)
+                cx, c_rms, zx = _step_fits(xs, y, basis, dv, z_prev)
             except NumericalError as err:
                 raise NumericalError(f"regression failed at backward step {i}: {err}") from err
             rms.append(c_rms)
-            innov = (y - cx) ** 2
-            if dv > 0:
-                z2x, _ = regress(design, innov, basis.ridge)
-                zx = np.sqrt(np.clip(z2x, 0.0, None) / dv)
-            else:
+            if dv == 0:
                 warnings.warn(f"dV = 0 at backward step {i}: carrying Z from the later step")
-                zx = z_prev
 
         if dv > 0:
             y = steps.solve(i, t_i, xs, cx, zx, dv)

@@ -417,14 +417,48 @@ class MartingaleTestResult:
 
 def _bounded_basis(x: np.ndarray) -> np.ndarray:
     """Regression design [1, tanh(x_k/2), tanh(x_k/2)^2]: degree-2 in a bounded
-    coordinate map, so heavy-tailed positions cannot dominate the fit."""
-    w = np.tanh(x / 2.0)
-    cols = [np.ones(x.shape[0])]
-    for k in range(x.shape[1]):
-        cols.append(w[:, k])
-    for k in range(x.shape[1]):
-        cols.append(w[:, k] ** 2)
-    return np.stack(cols, axis=1)
+    coordinate map, so heavy-tailed positions cannot dominate the fit.
+
+    Column-major, like a subset ``design[:, keep]`` of its columns, so every
+    design the regression solves on has one layout and goes through the
+    same BLAS kernels."""
+    n, d = x.shape
+    design = np.empty((n, 1 + 2 * d), order="F")
+    design[:, 0] = 1.0
+    np.tanh(x / 2.0, out=design[:, 1 : 1 + d])
+    np.square(design[:, 1 : 1 + d], out=design[:, 1 + d :])
+    return design
+
+
+def _robust_z(design: np.ndarray, incr: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the z-scores of the least-squares coefficients of
+    ``incr`` on the columns of ``design`` that carry information, and 0 for
+    the others.
+
+    The coefficients are beta = (X^T X)^-1 X^T y, from the inverse that the
+    White (1980) heteroskedasticity-robust covariance
+    (X^T X)^-1 X^T diag(r^2) X (X^T X)^-1 needs anyway.  When only the
+    intercept is kept, beta is the mean and its variance sum(r^2) / n^2,
+    both summed by numpy: the same (1 x n) products through BLAS change
+    their last bits with its thread count.
+    """
+    # columns with no sample spread (e.g. the deterministic start point)
+    # carry no information beyond the intercept; a 1-d reduction per
+    # column is several times faster than a reduction over axis 0
+    spread = np.array([col.std() for col in design.T[1:]])
+    keep = np.concatenate([[True], spread > 1e-10 * (1.0 + np.abs(design[0, 1:]))])
+    if not keep[1:].any():
+        n = incr.size
+        beta = np.sum(incr) / n
+        var = np.sum((incr - beta) ** 2) / n**2
+        out[0] = beta / np.sqrt(max(var, 1e-300))
+        return
+    sub = design if keep.all() else design[:, keep]
+    xtx_inv = np.linalg.inv(sub.T @ sub)
+    beta = xtx_inv @ (sub.T @ incr)
+    resid = incr - sub @ beta
+    cov = xtx_inv @ (sub.T @ (sub * (resid**2)[:, None])) @ xtx_inv
+    out[keep] = beta / np.sqrt(np.clip(np.diag(cov), 1e-300, None))
 
 
 def martingale_test(
@@ -435,34 +469,24 @@ def martingale_test(
     ``ens`` is one sample of P^{s,x}; every test function can be run on the
     same ensemble, since the martingale property holds for each of them.
     Per step, the compensated increment is regressed on bounded basis
-    functions of X_{t_i}; all coefficient z-scores (heteroskedasticity-robust)
-    should be near zero when a_phi is the true generator action.
+    functions of X_{t_i}; all coefficient z-scores (heteroskedasticity-robust,
+    ``_robust_z``) should be near zero when a_phi is the true generator
+    action.  phi is read once per grid time.  Beside the ensemble one step's
+    work is held: its design, residuals and increment are freed before the
+    next step's increment is formed.  An intercept-only step (every path at
+    one point) uses no BLAS reduction, whose last bits vary with the thread
+    count (``_robust_z``).
     """
-    zs = []
-    n_coef = 1 + 2 * ens.paths.shape[2]
-    phi_now = phi(ens.times[0], ens.paths[:, 0, :])
+    paths = ens.paths
+    z = np.zeros((ens.dvs.size, 1 + 2 * paths.shape[2]))
+    phi_now = phi(ens.times[0], paths[:, 0, :])
     for j, dv in enumerate(ens.dvs):
-        xs = ens.paths[:, j, :]
-        phi_next = phi(ens.times[j + 1], ens.paths[:, j + 1, :])
+        xs = paths[:, j, :]
+        phi_next = phi(ens.times[j + 1], paths[:, j + 1, :])
         incr = phi_next - phi_now - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dv
         phi_now = phi_next
-        design = _bounded_basis(xs)
-        # columns with no sample spread (e.g. the deterministic start point)
-        # carry no information beyond the intercept; a 1-d reduction per
-        # column is several times faster than a reduction over axis 0
-        spread = np.array([col.std() for col in design.T[1:]])
-        keep = np.concatenate([[True], spread > 1e-10 * (1.0 + np.abs(design[0, 1:]))])
-        sub = design[:, keep]
-        beta, *_ = np.linalg.lstsq(sub, incr, rcond=None)
-        resid = incr - sub @ beta
-        xtx_inv = np.linalg.inv(sub.T @ sub)
-        meat = sub.T @ (sub * (resid**2)[:, None])
-        cov = xtx_inv @ meat @ xtx_inv
-        se = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-        row = np.zeros(n_coef)
-        row[keep] = beta / se
-        zs.append(row)
-    z = np.array(zs)
+        _robust_z(_bounded_basis(xs), incr, z[j])
+        del incr
     return MartingaleTestResult(z_scores=z, max_abs_z=float(np.max(np.abs(z))))
 
 

@@ -22,7 +22,7 @@ Path generation is deterministic given (seed, path index): each cache cell
 a fixed (path, step) layout, so results are independent of scheduling and of
 the worker count.  A cache block (one origin time, every node) is evolved by
 one call per run of whole nodes (``semigroup.build_cache``), and each call
-works in chunks of ``core._BLOCK_POINTS`` rows: each cell's rows in a chunk
+works in chunks of ``core._DRAW_ROWS`` rows: each cell's rows in a chunk
 draw from the cell's own stream in row order, then the chunk steps over all
 times.  A Philox stream drawn in row pieces gives the numbers of one draw,
 so only one chunk's random numbers are held and the paths do not depend on
@@ -56,7 +56,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _BLOCK_POINTS, Abscissa, ClockV, SpaceTimeGrid, interp_slopes, v_increments
+from .core import (_BLOCK_POINTS, _DRAW_ROWS, Abscissa, ClockV, SpaceTimeGrid, interp_slopes,
+                   v_increments)
 from .errors import ConfigurationError, InputError, InternalError
 
 _QUAD_NODES = 96
@@ -481,9 +482,10 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     of (its Generator's state, its index in its group).
 
     The rows are drawn and stepped over all times one chunk at a time, so
-    only one chunk's random numbers are held: a chunk is ``_BLOCK_POINTS``
-    consecutive rows, each group drawing its rows in the chunk from its own
-    Generator in row order, which gives the numbers of one whole-group draw.
+    only one chunk's random numbers are held: a chunk is ``_DRAW_ROWS``
+    (8,192) consecutive rows, each group drawing its rows in the chunk from
+    its own Generator in row order, which gives the numbers of one
+    whole-group draw.  At 40 steps a chunk's normals take 2.6 MB.
     Stable and jump (rate > 0) draws cannot be split by rows, since their
     layout draws one kind of variate for all of a group's rows before the
     next kind; there a chunk is whole groups: one for ``Stable``, which has
@@ -509,7 +511,7 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     elif isinstance(gen, Diffusion) and gen.jumps:
         size = max(1, _BLOCK_POINTS // m) * m
     else:
-        size = _BLOCK_POINTS
+        size = _DRAW_ROWS
     for a in range(0, n, size):
         b = min(a + size, n)
         chunk = steps[1:, a:b]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pseudopde import core
 from pseudopde.core import (
     ClockV,
+    ImplicitSteps,
     LipschitzDriver,
     ProblemSpec,
     SpaceTimeGrid,
@@ -257,6 +260,48 @@ def test_driver_lipschitz_check_passes_and_flags():
     lying = LipschitzDriver(fn=lambda t, x, y, z: 2.0 * np.asarray(y), K_Y=0.5)
     with pytest.warns(UserWarning):
         assert not lying.check_lipschitz((0.0, 1.0), ([-1.0], [1.0]))
+
+
+def _scan_first_solve(driver, t, x, c, z, dv):
+    """The implicit solve that scans each iterate for non-finite values
+    before taking its change: (y, driver calls, converged)."""
+    y, change = c.copy(), np.inf
+    for calls in range(1, ImplicitSteps.ITERATIONS + 1):
+        y_try = c + driver(t, x, y, z) * dv
+        if not np.all(np.isfinite(y_try)):
+            return y_try, calls, True
+        change = np.max(np.abs(y_try - y))
+        y = y_try
+        if change < ImplicitSteps.TOLERANCE:
+            return y, calls, True
+    return y, ImplicitSteps.ITERATIONS, False
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_implicit_step_matches_a_scan_of_every_iterate(bad):
+    # same iterate, stop and early return as a solve that scans each iterate;
+    # a NaN or an inf in c returns the first iterate, warning nothing
+    calls = []
+
+    def fn(t, x, y, z):
+        calls.append(t)
+        return 0.5 * np.asarray(y) + np.asarray(z)
+
+    driver = LipschitzDriver(fn=fn, K_Y=0.5, K_Z=1.0)
+    x, z = np.zeros((7, 1)), np.linspace(0.0, 1.0, 7)
+    c = np.linspace(-1.0, 1.0, 7)
+    if bad is not None:
+        c[3] = bad
+    ref, ref_calls, converged = _scan_first_solve(driver, 0.0, x, c, z, 0.1)
+    calls.clear()
+    steps = ImplicitSteps(driver, [0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = steps.solve(4, 0.0, x, c, z, 0.1)
+    assert y.tobytes() == ref.tobytes() and len(calls) == ref_calls and converged
+    assert steps.unconverged == []
+    if bad is not None:
+        assert ref_calls == 1 and not np.isfinite(y[3]) and np.all(np.isfinite(np.delete(y, 3)))
 
 
 def test_problem_spec_validation():

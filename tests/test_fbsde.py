@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from pseudopde.processes import Diffusion
 from pseudopde.semigroup import build_cache
 
 from cell_reference import terminal_expectation
+from test_processes import _drift
 
 
 def brownian():
@@ -148,18 +150,38 @@ def test_lsmc_builds_one_design_per_backward_step(square_problem, grid, monkeypa
         designs.append(real_design(x, basis))
         return designs[-1]
 
-    def recording_regress(design, y, ridge):
-        fitted_on.append(design)
-        return real_regress(design, y, ridge)
+    def recording_regress(design, y, ridge, gram=None):
+        fitted_on.append((design, gram))
+        return real_regress(design, y, ridge, gram)
 
     monkeypatch.setattr(fbsde, "regression_design", recording_design)
     monkeypatch.setattr(fbsde, "regress", recording_regress)
     basis = RegressionBasis(degree=2, ridge=1e-9)
     lsmc_solve(square_problem, brownian(), 0.0, [0.0], grid, 500, basis, 908)
     # the origin step is a plain mean; every other step fits Y and the
-    # squared innovation on one design
+    # squared innovation on one design and one Gram matrix
     assert len(designs) == 49 and len(fitted_on) == 98
-    assert all(a is d and b is d for a, b, d in zip(fitted_on[::2], fitted_on[1::2], designs))
+    pairs = list(zip(fitted_on[::2], fitted_on[1::2], designs))
+    assert all(a is d and b is d for (a, _), (b, _), d in pairs)
+    assert all(g is not None and h is g for (_, g), (_, h), _ in pairs)
+
+
+def test_lsmc_holds_its_ensemble_and_one_step_of_work():
+    # drift workload sizes: 30,000 paths over 40 steps (9.4 MiB), degree 4;
+    # with two Gram matrices a step and the previous step's design alive
+    # while the next was built, the solve took 6.5 MiB beside the paths
+    grid = SpaceTimeGrid.regular(1.0, 40, -2.5, 2.5, 11)
+    gen = _drift()
+    problem = ProblemSpec(generator=gen,
+                          driver=LipschitzDriver(fn=lambda t, x, y, z: 0.2 * y, K_Y=0.2),
+                          terminal_g=lambda p: np.tanh(p[:, 0]), horizon_T=1.0)
+    tracemalloc.start()
+    try:
+        lsmc_solve(problem, gen, 0.0, [0.4], grid, 30000, RegressionBasis(degree=4, ridge=1e-9), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30000 * 41 * 8 + 4 * 2**20
 
 
 def test_lsmc_contraction_precondition(grid):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +32,8 @@ from pseudopde.processes import (
     Stable,
     simulate,
 )
+
+from test_processes import _drift
 
 
 def brownian():
@@ -283,8 +291,14 @@ def test_martingale_test_detects_missing_compensator():
     assert res.max_abs_z > 10.0
 
 
-def _martingale_z_both_ends(ens, phi, a_phi):
-    """Reference z-scores: phi evaluated afresh at both ends of every step."""
+def _martingale_z_both_ends(ens, phi, a_phi, solve="normal"):
+    """Reference z-scores: phi evaluated afresh at both ends of every step.
+
+    ``solve="normal"`` takes beta from the normal equations, as the program
+    does, with the intercept-only step (every path at one point) as a plain
+    mean; ``solve="svd"`` takes it from an SVD least-squares solve on every
+    step, an oracle independent of that form.
+    """
     zs = []
     for j, dv in enumerate(ens.dvs):
         xs = ens.paths[:, j, :]
@@ -297,11 +311,20 @@ def _martingale_z_both_ends(ens, phi, a_phi):
         spread = design.std(axis=0)
         keep = np.concatenate([[True], spread[1:] > 1e-10 * (1.0 + np.abs(design[0, 1:]))])
         sub = design[:, keep]
-        beta, *_ = np.linalg.lstsq(sub, incr, rcond=None)
-        resid = incr - sub @ beta
-        xtx_inv = np.linalg.inv(sub.T @ sub)
-        cov = xtx_inv @ (sub.T @ (sub * (resid**2)[:, None])) @ xtx_inv
         row = np.zeros(design.shape[1])
+        if solve == "normal" and keep.sum() == 1:
+            n = incr.size
+            beta = np.sum(incr) / n
+            row[0] = beta / np.sqrt(max(np.sum((incr - beta) ** 2) / n**2, 1e-300))
+            zs.append(row)
+            continue
+        xtx_inv = np.linalg.inv(sub.T @ sub)
+        if solve == "normal":
+            beta = xtx_inv @ (sub.T @ incr)
+        else:
+            beta, *_ = np.linalg.lstsq(sub, incr, rcond=None)
+        resid = incr - sub @ beta
+        cov = xtx_inv @ (sub.T @ (sub * (resid**2)[:, None])) @ xtx_inv
         row[keep] = beta / np.sqrt(np.clip(np.diag(cov), 1e-300, None))
         zs.append(row)
     return np.array(zs)
@@ -320,6 +343,74 @@ def test_martingale_test_evaluates_phi_once_per_grid_time():
         ref = _martingale_z_both_ends(ens, fn, act(fn))
         assert np.array_equal(res.z_scores, ref)
         assert res.max_abs_z == float(np.max(np.abs(ref)))
+
+
+def test_martingale_z_scores_agree_with_an_svd_least_squares_solve():
+    # the normal equations against an independent SVD solve, on every step;
+    # the first step keeps only the intercept
+    grid = SpaceTimeGrid.regular(1.0, 12, -4.0, 4.0, 5)
+    gen = Diffusion(mu=lambda t, x: -0.5 * np.atleast_2d(x), sigma=lambda t, x: 1.0)
+    ens = simulate(gen, 0.0, [0.3], grid, 5000, seed=8)
+    act = generator_action(gen)
+    for fn in bounded_test_functions(1):
+        z = martingale_test(ens, fn, act(fn)).z_scores
+        assert np.count_nonzero(z[0]) == 1 and np.all(z[1:] != 0)
+        np.testing.assert_allclose(z, _martingale_z_both_ends(ens, fn, act(fn), solve="svd"),
+                                   rtol=1e-9, atol=0)
+
+
+THREADED_Z = """
+import hashlib
+import numpy as np
+from pseudopde.core import SpaceTimeGrid
+from pseudopde.operators import bounded_test_functions, generator_action, martingale_test
+from pseudopde.processes import Diffusion, simulate
+grid = SpaceTimeGrid.regular(1.0, 4, -4.0, 4.0, 5)
+gen = Diffusion(mu=lambda t, x: -np.atleast_2d(x), sigma=lambda t, x: 1.0)
+act = generator_action(gen)
+for seed in (1, 2):
+    ens = simulate(gen, 0.0, [0.0], grid, 30000, seed)
+    for fn in bounded_test_functions(1):
+        z = martingale_test(ens, fn, act(fn)).z_scores
+        print(seed, hashlib.sha256(z.tobytes()).hexdigest())
+"""
+
+
+def test_martingale_z_scores_do_not_depend_on_the_blas_thread_count():
+    # every path starts at 0, so the first step keeps only the intercept; a
+    # 30,000-path product of one column through OpenBLAS changed its last
+    # bits between 1 and 2 threads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", THREADED_Z], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    assert len(out[0]) == 10 and out[0] == out[1]
+
+
+def test_martingale_tests_hold_one_step_of_work_beside_the_ensemble():
+    # the drift workload's operators phase: three test functions on one
+    # 30,000 x 40 ensemble; with a second, SVD-based solve, a copied design
+    # and the previous step's work alive, they took 4.4 MiB above it
+    grid = SpaceTimeGrid.regular(1.0, 40, -2.5, 2.5, 11)
+    gen = _drift()
+    ens = simulate(gen, 0.0, [0.0], grid, 30000, 3)
+    act = generator_action(gen)
+    tracemalloc.start()
+    try:
+        for phi in bounded_test_functions(1)[:3]:
+            martingale_test(ens, phi, act(phi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_bracket_consistency_one_step():

@@ -166,12 +166,14 @@ CHUNKED = {
 @pytest.mark.parametrize("name",
                          ["brownian", "state_dependent_2d", "distributional_drift", "stable"])
 def test_simulate_is_independent_of_the_chunk_size(name, monkeypatch):
-    # stable draws stay whole, and at sizes 1 and 7 the transform maps one
-    # of the 40 rows at a time over the 6 steps, all 40 at the default
+    # sizes 1 and 7 set the draw chunk's rows; stable draws stay whole, and
+    # there the transform maps one of the 40 rows at a time over the 6
+    # steps, all 40 at the default
     make, d = CHUNKED[name]
     grid = SpaceTimeGrid.regular(1.0, 6, [-3.0] * d, [3.0] * d, [5] * d)
     ref = simulate(make(), 0.0, [0.1] * d, grid, 40, 3).paths
     for size in (1, 7):
+        monkeypatch.setattr(processes, "_DRAW_ROWS", size)
         monkeypatch.setattr(processes, "_BLOCK_POINTS", size)
         assert simulate(make(), 0.0, [0.1] * d, grid, 40, 3).paths.tobytes() == ref.tobytes()
 
@@ -190,6 +192,7 @@ def test_cache_is_independent_of_the_chunk_size(name, monkeypatch):
 
     ref = contents()
     for size in (1, 7):
+        monkeypatch.setattr(processes, "_DRAW_ROWS", size)
         monkeypatch.setattr(processes, "_BLOCK_POINTS", size)
         assert contents() == ref
     monkeypatch.undo()
@@ -210,6 +213,19 @@ def test_simulate_holds_one_chunk_of_draws_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= paths.nbytes + 5 * 2**20
+
+
+def test_drift_simulate_holds_a_half_size_draw_chunk():
+    # the drift workload's 30,000 x 40 ensemble: a 16,384-row chunk of normals
+    # took 7.1 MiB beside the paths, an 8,192-row one takes 4.0
+    grid = SpaceTimeGrid.regular(1.0, 40, -2.5, 2.5, 11)
+    tracemalloc.start()
+    try:
+        paths = simulate(_drift(), 0.0, [0.0], grid, 30000, 3).paths
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= paths.nbytes + 4.5 * 2**20
 
 
 def test_stable_simulate_transforms_a_few_rows_at_a_time():
