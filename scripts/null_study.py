@@ -36,8 +36,7 @@ def cell_z(plan, grid_cfg, exact, seed, threads):
     """z-scores of u on the checked cells, and whether the solve converged."""
     grid = plan.grid
     cache = semigroup.build_cache(plan.problem.generator, grid, plan.cache_paths, seed,
-                                  plan.problem.clock, memory_budget_mb=plan.memory_budget_mb,
-                                  threads=threads)
+                                  memory_budget_mb=plan.memory_budget_mb, threads=threads)
     sol = mild.picard_solve(plan.problem, cache, plan.picard)
     del cache
     x = grid.nodes()[:, 0]

@@ -6,9 +6,10 @@ and the shipped configs.
 
 Runs `pseudopde.cli.run` from this checkout's `src/` on the three benchmark
 workloads (configs built by `perfbench/workloads.make_config` at the
-benchmark's sizes, seed 1), on every `scripts/configs/*.json` (its own seed)
-and on one 2-d heat config (`HEAT_2D`, seed 4711), then prints one line per
-output file: run, file name, sha256.
+benchmark's sizes, seed 1), on every `scripts/configs/*.json` (its own seed),
+on one 2-d heat config (`HEAT_2D`, seed 4711) and on one heat config on the
+clock V(t) = t^2 (`HEAT_CLOCK`, seed 4711), then prints one line per output
+file: run, file name, sha256.
 `manifest.json` is hashed without `timings_seconds` and `peak_rss_mb`, the
 parts of the output that depend on the host. Each CSV gets a second line,
 `<name>:values`, hashed without its first line, `# config_hash=...`, so a
@@ -57,6 +58,30 @@ HEAT_2D = {
 }
 
 
+# The one run here on a clock other than V(t) = t: V(t) = t^2, tabulated, so
+# the paths step in dV != dt and the martingale compensator charges its
+# d_t phi term against dt.
+HEAT_CLOCK = {
+    "schema": 1,
+    "seed": 4711,
+    "problem": {
+        "generator": {"kind": "diffusion", "mu": "0", "sigma": "1"},
+        "driver": {"expr": "0.5*y", "K_Y": 0.5, "K_Z": 0.0},
+        "terminal_g": {"expr": "x1^2"},
+        "horizon_T": 1.0,
+        "clock": {"kind": "tabulated", "times": [k / 20 for k in range(21)],
+                  "values": [(k / 20) ** 2 for k in range(21)]},
+    },
+    "grid": {"dimension": 1, "time_steps": 10, "space_min": [-4.0], "space_max": [4.0],
+             "space_nodes": [11]},
+    "mild": {"cache_paths": 400},
+    "fbsde": {"paths": 3000, "basis": {"kind": "polynomial", "degree": 3},
+              "origins": [[0.0, 0.0]]},
+    "operators": {"martingale_paths": 3000, "test_functions": 3},
+    "phases": ["cache", "mild", "fbsde", "crosscheck", "operators"],
+}
+
+
 def digests(path: Path):
     """(name, sha256) of the file and, for a CSV, of the lines below its hash line."""
     data = path.read_bytes()
@@ -78,9 +103,10 @@ def runs(tmp: Path):
         yield name, path, WORKLOAD_SEED
     for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
         yield path.stem, path, None
-    path = tmp / "heat-2d.json"
-    path.write_text(json.dumps(HEAT_2D))
-    yield "heat-2d", path, None
+    for label, config in (("heat-2d", HEAT_2D), ("heat-clock", HEAT_CLOCK)):
+        path = tmp / f"{label}.json"
+        path.write_text(json.dumps(config))
+        yield label, path, None
 
 
 def main(argv=None):

@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, processes
-from .core import ClockV, LipschitzDriver, ProblemSpec, SpaceTimeGrid, v_increments
+from .core import ClockV, LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from .errors import ConfigurationError, PseudoPdeError
 from . import expressions as xp
-from .fbsde import RegressionBasis, crosscheck, lsmc_solve
+from .fbsde import RegressionBasis, crosscheck, lsmc_seed, lsmc_solve
 from .mild import PicardConfig, picard_solve
 from .operators import bounded_test_functions, generator_action, martingale_test
 from .processes import (
@@ -301,18 +301,6 @@ def validate_config(path) -> RunPlan:
     dimension = grid_cfg.count("dimension", 1, minimum=1)
     problem_cfg = top.section("problem", required=True)
     horizon = problem_cfg.number("horizon_T", 1.0, required=True, bound=_POSITIVE)
-    grid = None
-    try:
-        grid = SpaceTimeGrid.regular(
-            horizon=horizon,
-            time_steps=grid_cfg.count("time_steps", 50, minimum=1),
-            space_min=grid_cfg.numbers("space_min", [-4.0] * dimension, length=dimension),
-            space_max=grid_cfg.numbers("space_max", [4.0] * dimension, length=dimension),
-            space_nodes=grid_cfg.counts("space_nodes", [41] * dimension, length=dimension),
-        )
-    except PseudoPdeError as err:
-        grid_cfg.error(str(err))
-
     clock_cfg = problem_cfg.section("clock", {"kind": "identity"}, raw=True)
     clock = ClockV()
     if clock_cfg.choice("kind", ("identity", "tabulated"), "identity") == "tabulated":
@@ -326,6 +314,19 @@ def validate_config(path) -> RunPlan:
     if not clock.covers(0.0, horizon):
         clock_cfg.error("domain must cover [0, horizon_T]")
         clock = ClockV()
+
+    grid = None
+    try:
+        grid = SpaceTimeGrid.regular(
+            horizon=horizon,
+            time_steps=grid_cfg.count("time_steps", 50, minimum=1),
+            space_min=grid_cfg.numbers("space_min", [-4.0] * dimension, length=dimension),
+            space_max=grid_cfg.numbers("space_max", [4.0] * dimension, length=dimension),
+            space_nodes=grid_cfg.counts("space_nodes", [41] * dimension, length=dimension),
+            clock=clock,
+        )
+    except PseudoPdeError as err:
+        grid_cfg.error(str(err))
 
     terminal = _expr_function(
         problem_cfg.section("terminal_g", required=True), "expr", dimension, xp.as_function_of_x
@@ -403,7 +404,7 @@ def validate_config(path) -> RunPlan:
     # cross-field constraints
     # the mild sweep and the backward solver both solve y = c + f(t, x, y, z) dV
     if driver is not None and grid is not None and {"mild", "fbsde", "crosscheck"} & set(phases):
-        max_dv = float(np.max(v_increments(grid, clock)))
+        max_dv = float(np.max(grid.dvs))
         if driver.K_Y * max_dv >= 1.0:
             d_cfg.error(
                 f"K_Y * max dV = {driver.K_Y * max_dv:.3g} >= 1 violates the "
@@ -426,7 +427,6 @@ def validate_config(path) -> RunPlan:
         driver=driver,
         terminal_g=terminal,
         horizon_T=horizon,
-        clock=clock,
     )
     if verify_lipschitz:
         problem.driver.check_lipschitz(
@@ -513,7 +513,6 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
             grid,
             plan.cache_paths,
             plan.seed,
-            plan.problem.clock,
             memory_budget_mb=plan.memory_budget_mb,
             threads=threads,
         )
@@ -548,7 +547,7 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
     def do_fbsde():
         solutions = [
             lsmc_solve(plan.problem, plan.problem.generator, s, x, grid,
-                       plan.fbsde_paths, plan.basis, plan.seed + 104729 + 7919 * idx)
+                       plan.fbsde_paths, plan.basis, lsmc_seed(plan.seed, idx))
             for idx, (s, x) in enumerate(plan.origins)
         ]
         manifest["fbsde"] = [
@@ -562,7 +561,7 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         # fbsde.lsmc_solve_calls == 2, so dropping the repeat needs a benchmark change first
         rows = crosscheck(
             done["mild"], plan.problem, plan.problem.generator, grid,
-            plan.origins, plan.fbsde_paths, plan.basis, plan.seed + 104729,
+            plan.origins, plan.fbsde_paths, plan.basis, plan.seed,
         )
         _write_csv(out / "crosscheck.csv", config_hash,
                    ["s", *coords, "u", "y0", "v", "z0", "combined_stderr"],
@@ -576,8 +575,7 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         act = generator_action(gen)
         x0 = np.zeros(grid.dimension)
         # through the module, so a wrapper installed on processes.simulate sees the call
-        ens = processes.simulate(gen, grid.times[0], x0, grid, plan.operator_paths,
-                                 plan.seed, plan.problem.clock)
+        ens = processes.simulate(gen, grid.times[0], x0, grid, plan.operator_paths, plan.seed)
         checks = [
             (f"martingale_max_abs_z_fn{k}", martingale_test(ens, phi, act(phi)).max_abs_z, 4.0)
             for k, phi in enumerate(functions)
@@ -587,8 +585,7 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         mid = grid.times[grid.n_times // 2]
         z_ck = chapman_kolmogorov_test(
             gen, grid.times[0], mid, grid.times[-1], x0,
-            lambda xs: np.tanh(xs[:, 0]), plan.operator_paths,
-            plan.seed + 997, grid, plan.problem.clock,
+            lambda xs: np.tanh(xs[:, 0]), plan.operator_paths, plan.seed + 997, grid,
         )
         checks.append(("chapman_kolmogorov_z", abs(z_ck), 3.0))
         _write_csv(out / "operator_report.csv", config_hash,

@@ -1,4 +1,4 @@
-"""Grids, the clock V, the piecewise-linear table reader, and the problem data model.
+"""Grids with their clock V, the piecewise-linear table reader, and the problem data model.
 
 All types are immutable after construction and safe to share across workers.
 State space is R^d with d configurable; spatial evaluation off the grid clamps
@@ -71,12 +71,14 @@ class ClockV:
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Uniform container for the discretization of [t0, T] x product of intervals."""
+    """The discretization of [t0, T] x a product of intervals, with its clock V
+    (V(t) = t by default), whose increments ``dvs`` every layer steps in."""
 
     times: np.ndarray
     space_min: np.ndarray
     space_max: np.ndarray
     space_nodes: np.ndarray
+    clock: ClockV = field(default_factory=ClockV)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -97,6 +99,15 @@ class SpaceTimeGrid:
         object.__setattr__(self, "space_min", lo)
         object.__setattr__(self, "space_max", hi)
         object.__setattr__(self, "space_nodes", n)
+        if not self.clock.covers(t[0], t[-1]):
+            raise ConfigurationError(f"clock domain does not cover grid times [{t[0]}, {t[-1]}]")
+        dvs = np.diff(self.clock.value(t))
+        # interpolation of a non-decreasing table cannot produce negative steps,
+        # but guard against float dust
+        dust = np.abs(dvs) < 1e-15
+        dvs[dust] = np.abs(dvs[dust])
+        dvs.flags.writeable = False
+        object.__setattr__(self, "_dvs", dvs)
         axes = tuple(np.linspace(lo[k], hi[k], n[k]) for k in range(lo.size))
         for ax in axes:
             ax.flags.writeable = False
@@ -126,6 +137,11 @@ class SpaceTimeGrid:
         return i
 
     @property
+    def dvs(self) -> np.ndarray:
+        """Clock increments dV_i = V(t_{i+1}) - V(t_i) over the grid steps; read-only."""
+        return self._dvs
+
+    @property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Node coordinates per axis, built once; read-only."""
         return self._axes
@@ -136,28 +152,15 @@ class SpaceTimeGrid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     @classmethod
-    def regular(cls, horizon, time_steps, space_min, space_max, space_nodes):
+    def regular(cls, horizon, time_steps, space_min, space_max, space_nodes, clock=ClockV()):
         """``time_steps`` uniform steps over [0, horizon]."""
         return cls(
             times=np.linspace(0.0, horizon, time_steps + 1),
             space_min=np.atleast_1d(space_min),
             space_max=np.atleast_1d(space_max),
             space_nodes=np.atleast_1d(space_nodes),
+            clock=clock,
         )
-
-
-def v_increments(grid: SpaceTimeGrid, clock: ClockV) -> np.ndarray:
-    """Quadrature weights dV_i = V(t_{i+1}) - V(t_i) over the grid times."""
-    if not clock.covers(grid.times[0], grid.times[-1]):
-        raise ConfigurationError(
-            f"clock domain does not cover grid times [{grid.times[0]}, {grid.times[-1]}]"
-        )
-    vals = clock.value(grid.times)
-    inc = np.diff(vals)
-    # interpolation of a non-decreasing table cannot produce negative steps,
-    # but guard against float dust
-    inc[np.abs(inc) < 1e-15] = np.abs(inc[np.abs(inc) < 1e-15])
-    return inc
 
 
 def mean_and_stderr(vals: np.ndarray):
@@ -479,7 +482,7 @@ class ImplicitSteps:
 
 @dataclass
 class ProblemSpec:
-    """One full problem instance: generator + driver + terminal condition + clock.
+    """One full problem instance: generator + driver + terminal condition.
 
     ``terminal_g`` is vectorized over points (n, d) -> (n,).
     """
@@ -488,13 +491,10 @@ class ProblemSpec:
     driver: LipschitzDriver
     terminal_g: Callable
     horizon_T: float
-    clock: ClockV = field(default_factory=ClockV)
 
     def __post_init__(self):
         if self.horizon_T <= 0:
             raise ConfigurationError("horizon_T must be positive")
-        if not self.clock.covers(0.0, self.horizon_T):
-            raise ConfigurationError("clock domain does not cover [0, horizon_T]")
 
     def g(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

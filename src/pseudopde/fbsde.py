@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import core
-from .core import ProblemSpec, SpaceTimeGrid, mean_and_stderr, v_increments
+from .core import ProblemSpec, SpaceTimeGrid, mean_and_stderr
 from .errors import ConfigurationError, InputError, NumericalError
 from .mild import MildSolution
 from .processes import simulate
@@ -149,13 +149,12 @@ def _step_fits(xs: np.ndarray, y: np.ndarray, basis: RegressionBasis, dv: float,
 
 @dataclass
 class BsdeSolution:
-    """Backward solve output: y0 = Y_s and z0 = Z_s at the origin with their
-    stderrs, the residual RMS of each step's Y regression, and g(X_T)."""
+    """Backward solve output: y0 = Y_s and z0 = Z_s at the origin, y0's
+    stderr, the residual RMS of each step's Y regression, and g(X_T)."""
 
     y0: float
     z0: float
     y0_stderr: float
-    z0_stderr: float
     regression_residuals: list
     terminal_values: np.ndarray
 
@@ -189,8 +188,8 @@ def lsmc_solve(
     and squared innovations of a step are freed before the next step builds
     its own, and no per-step fit is stored.
     """
-    steps = core.ImplicitSteps(problem.driver, v_increments(grid, problem.clock))
-    ens = simulate(gen, s, x, grid, M, seed, problem.clock)
+    steps = core.ImplicitSteps(problem.driver, grid.dvs)
+    ens = simulate(gen, s, x, grid, M, seed)
 
     y = problem.g(ens.paths[:, -1, :])
     terminal = y.copy()
@@ -199,7 +198,6 @@ def lsmc_solve(
     z_prev = np.zeros(M)
     y0 = float(np.mean(y))
     z0 = 0.0
-    z0_se = 0.0
 
     for i in range(ens.dvs.size - 1, -1, -1):
         dv = float(ens.dvs[i])
@@ -208,12 +206,9 @@ def lsmc_solve(
         if i == 0:
             c_val = float(np.mean(y))
             cx = np.full(M, c_val)
-            innov = (y - c_val) ** 2
-            innov_mean, innov_se = mean_and_stderr(innov)
-            z2 = max(float(innov_mean) / dv, 0.0) if dv > 0 else 0.0
+            innov_mean = float(np.mean((y - c_val) ** 2))
+            z2 = max(innov_mean / dv, 0.0) if dv > 0 else 0.0
             zx = np.full(M, np.sqrt(z2))
-            if dv > 0 and z2 > 0:
-                z0_se = float(innov_se / dv / (2.0 * np.sqrt(z2)))
             rms.append(0.0)
         else:
             try:
@@ -245,7 +240,6 @@ def lsmc_solve(
         y0=y0,
         z0=z0,
         y0_stderr=float(y0_se),
-        z0_stderr=z0_se,
         regression_residuals=rms,
         terminal_values=terminal,
     )
@@ -261,7 +255,6 @@ class CrosscheckRow:
     y0_stderr: float
     v_value: float
     z0: float
-    z0_stderr: float
     combined_stderr: float
 
     @property
@@ -271,6 +264,11 @@ class CrosscheckRow:
     @property
     def v_gap(self) -> float:
         return abs(self.v_value - self.z0)
+
+
+def lsmc_seed(seed: int, idx: int) -> int:
+    """Seed of the backward solve at origin ``idx`` of a run seeded ``seed``."""
+    return seed + 104729 + 7919 * idx
 
 
 def crosscheck(
@@ -283,13 +281,13 @@ def crosscheck(
     basis: RegressionBasis,
     seed: int,
 ) -> list[CrosscheckRow]:
-    """Backward solves at each origin (seed ``seed + 7919 * idx``) against the mild
-    fields; the CLI passes its fbsde phase's seed, so they repeat that phase bit for bit."""
+    """Backward solves at each origin against the mild fields, on the seeds
+    ``lsmc_seed`` gives the CLI's fbsde phase, which they repeat bit for bit."""
     rows = []
     for idx, (s, x) in enumerate(origins):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         i_s = grid.time_index(s)
-        sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, seed + 7919 * idx)
+        sol = lsmc_solve(problem, gen, s, x_arr, grid, M, basis, lsmc_seed(seed, idx))
         tables = np.stack((mild.u[i_s], mild.v[i_s], mild.u_stderr[i_s]))
         at_x = core.bracket(grid.axes, x_arr[None, :])
         u_val, v_val, u_se = map(float, core._multilinear(grid.axes, tables, at_x)[:, 0])
@@ -303,7 +301,6 @@ def crosscheck(
                 y0_stderr=sol.y0_stderr,
                 v_value=v_val,
                 z0=sol.z0,
-                z0_stderr=sol.z0_stderr,
                 combined_stderr=float(np.hypot(u_se, sol.y0_stderr)),
             )
         )

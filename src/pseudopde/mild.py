@@ -135,7 +135,7 @@ def _block_steps(cache: EnsembleCache, i: int, paths: slice, rows):
     """
     grid = cache.grid
     for j in range(i + 1, grid.n_times - 1):
-        if cache.dvs[j] == 0.0:
+        if grid.dvs[j] == 0.0:
             continue
         fields = np.stack([r[j] for r in rows])
         xs = _block_positions(cache, i, j, paths)
@@ -178,7 +178,7 @@ def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    steps = core.ImplicitSteps(problem.driver, cache.dvs)
+    steps = core.ImplicitSteps(problem.driver, grid.dvs)
     z_coupled = problem.driver.K_Z > 0
     out = np.empty((n_t, n_nodes))
     se = np.zeros((n_t, n_nodes))
@@ -193,9 +193,9 @@ def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
             acc = np.zeros(paths.stop - paths.start)
             for j, xs, vals in _block_steps(cache, i, paths, rows):
                 uu, vv = vals if z_coupled else (vals[0], v_rows[j])
-                acc += problem.driver(grid.times[j], xs, uu, vv) * cache.dvs[j]
+                acc += problem.driver(grid.times[j], xs, uu, vv) * grid.dvs[j]
             b_i[nodes], se[i, nodes] = _node_stats(g_vals[paths] + acc, cache.M)
-        dv = cache.dvs[i]
+        dv = grid.dvs[i]
         out[i] = steps.solve(i, grid.times[i], cache.nodes, b_i, v_rows[i], dv) if dv else b_i
         if not np.all(np.isfinite(out[i])):
             raise NumericalError(f"u update produced non-finite values in row {i}")
@@ -261,7 +261,7 @@ def update_v_variance(
     computed = np.zeros(n_t, dtype=bool)
     telemetry = ClampTelemetry()
     for i in range(n_t - 1):
-        dv = cache.dvs[i]
+        dv = grid.dvs[i]
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
@@ -302,18 +302,18 @@ def update_v_volterra(
     est, se_path = np.empty(n_nodes), np.empty(n_nodes)
 
     for i in range(n_t - 2, -1, -1):
-        dv = cache.dvs[i]
+        dv = grid.dvs[i]
         if dv <= 0.0:
             warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
             continue
         f_here = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
-        sys_var = float(np.sum((cache.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
+        sys_var = float(np.sum((grid.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
         g_vals = _terminal_values(problem, cache, i)
         for nodes, paths in core.node_chunks(n_nodes, cache.M):
             vals = g_vals[paths] ** 2
             for j, xs, (uu, vv, ww) in _block_steps(cache, i, paths, (u_next, v_prev, w)):
                 ff = problem.driver(grid.times[j], xs, uu, vv)
-                vals = vals - (ww - 2.0 * uu * ff) * cache.dvs[j]
+                vals = vals - (ww - 2.0 * uu * ff) * grid.dvs[j]
             est[nodes], se_path[nodes] = _node_stats(vals, cache.M)
         w[i] = (est - _scalar_square(u_next[i])) / dv + 2.0 * u_next[i] * f_here
         se_w[i] = np.sqrt(_scalar_square(se_path) + sys_var) / dv
@@ -341,9 +341,9 @@ def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: En
     mean1, mean2 = np.empty(n_nodes), np.empty(n_nodes)
     for i in range(n_t):
         g_vals = _terminal_values(problem, cache, i)
-        origin = i < n_t - 1 and cache.dvs[i] != 0.0
+        origin = i < n_t - 1 and grid.dvs[i] != 0.0
         if origin:
-            dv = cache.dvs[i]
+            dv = grid.dvs[i]
             f_i = problem.driver(grid.times[i], cache.nodes, u[i], v[i])
             origin1, origin2 = f_i * dv, (v[i] ** 2 - 2.0 * u[i] * f_i) * dv
         for nodes, paths in core.node_chunks(n_nodes, cache.M):
@@ -354,8 +354,8 @@ def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: En
                 vals2 -= np.repeat(origin2[nodes], cache.M)
             for j, xs, (uu, vv) in _block_steps(cache, i, paths, (u, v)):
                 ff = problem.driver(grid.times[j], xs, uu, vv)
-                vals1 += ff * cache.dvs[j]
-                vals2 -= (vv**2 - 2.0 * uu * ff) * cache.dvs[j]
+                vals1 += ff * grid.dvs[j]
+                vals2 -= (vv**2 - 2.0 * uu * ff) * grid.dvs[j]
             mean1[nodes], floor1[i, nodes] = _node_stats(vals1, cache.M)
             mean2[nodes], floor2[i, nodes] = _node_stats(vals2, cache.M)
         res1[i] = np.abs(u[i] - mean1)

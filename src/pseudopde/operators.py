@@ -278,9 +278,9 @@ class SpectralFractional:
 def generator_action(gen) -> Callable:
     """Map a SmoothTestFunction to its generator action a(phi)(t, x).
 
-    The action is taken per unit model time (the clock V enters through the
-    compensator integral, not here).  Jump parts use the uncompensated
-    finite-activity form rate * E[phi(. + Y) - phi].
+    a(phi) = d_t phi + L phi: the spatial generator L acts per unit of the
+    clock V, and d_t phi per unit t (``martingale_test``).  Jump parts use
+    the uncompensated finite-activity form rate * E[phi(. + Y) - phi].
     """
     if isinstance(gen, Stable):
         spectral = SpectralFractional(gen.alpha, gen.scale)
@@ -464,7 +464,9 @@ def _robust_z(design: np.ndarray, incr: np.ndarray, out: np.ndarray) -> None:
 def martingale_test(
     ens: PathEnsemble, phi: SmoothTestFunction, a_phi: Callable
 ) -> MartingaleTestResult:
-    """Test that phi(t, X_t) - int a(phi)(r, X_r) dV_r has centered increments.
+    """Test that phi(t, X_t) - int a(phi)(r, X_r) dV_r, its d_t phi part taken
+    against dt, has centered increments: a step subtracts a(phi) dV and
+    d_t phi (dt - dV), exactly 0 under V(t) = t.
 
     ``ens`` is one sample of P^{s,x}; every test function can be run on the
     same ensemble, since the martingale property holds for each of them.
@@ -482,8 +484,12 @@ def martingale_test(
     phi_now = phi(ens.times[0], paths[:, 0, :])
     for j, dv in enumerate(ens.dvs):
         xs = paths[:, j, :]
+        t_j = ens.times[j]
         phi_next = phi(ens.times[j + 1], paths[:, j + 1, :])
-        incr = phi_next - phi_now - np.asarray(a_phi(ens.times[j], xs), dtype=float) * dv
+        incr = phi_next - phi_now - np.asarray(a_phi(t_j, xs), dtype=float) * dv
+        lag = ens.times[j + 1] - t_j - dv
+        if lag:
+            incr -= phi.dt_at(t_j, xs) * lag
         phi_now = phi_next
         _robust_z(_bounded_basis(xs), incr, z[j])
         del incr

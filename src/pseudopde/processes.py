@@ -2,7 +2,7 @@
 
 Three generator families are supported:
 
-* ``Diffusion``        dX = mu dt + sigma dW            (Euler-Maruyama),
+* ``Diffusion``        dX = mu dV + sigma dW_V          (Euler-Maruyama),
                        plus, with a ``levy`` kernel, compound-Poisson jumps of
                        finite activity, jump count per step ~ Poisson(rate * dV)
 * ``Stable``           symmetric alpha-stable, symbol c*|xi|^alpha, exact
@@ -10,8 +10,12 @@ Three generator families are supported:
 * ``DistributionalDrift``  1-d SDE whose drift is the distributional
                        derivative of a continuous b; simulated through the
                        harmonic transform h (h' = exp(-Sigma)) as the
-                       driftless SDE dY = sigma0(Y) dW, mapped back via h^-1
-                       at every grid time.
+                       driftless SDE dY = sigma0(Y) dW_V, mapped back via
+                       h^-1 at every grid time.
+
+Every family steps in the grid's clock increments dV (``SpaceTimeGrid.dvs``),
+so a generator acts per unit of V, W_V has variance V(t), and a step with
+dV = 0 leaves every path where it is.
 
 The h-transform's tables are read as ``np.interp`` reads them, bit for bit,
 through ``core.Abscissa`` (one bracket per point for every table on an
@@ -56,8 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (_BLOCK_POINTS, _DRAW_ROWS, Abscissa, ClockV, SpaceTimeGrid, interp_slopes,
-                   v_increments)
+from .core import _BLOCK_POINTS, _DRAW_ROWS, Abscissa, SpaceTimeGrid, interp_slopes
 from .errors import ConfigurationError, InputError, InternalError
 
 _QUAD_NODES = 96
@@ -183,7 +186,7 @@ def _reads_t(fn) -> bool:
 
 @dataclass(frozen=True)
 class Diffusion:
-    """dX = mu(t,X) dt + sigma(t,X) dW on R^d, plus, with a ``levy`` kernel,
+    """dX = mu(t,X) dV + sigma(t,X) dW_V on R^d, plus, with a ``levy`` kernel,
     state-independent compound-Poisson jumps (1-d only)."""
 
     mu: Callable
@@ -334,7 +337,7 @@ def build_h_transform(b_x, b_values, sigma_fn: Callable) -> HTransform:
 
 @dataclass(frozen=True)
 class DistributionalDrift:
-    """1-d SDE dX = b'(X) dt + sigma(X) dW with b' a distribution.
+    """1-d SDE dX = b'(X) dV + sigma(X) dW_V with b' a distribution.
 
     ``b`` enters as a dense sample table (its derivative is never needed);
     the transform is built eagerly so any table defect fails fast.
@@ -401,14 +404,14 @@ def check_dimension(gen, dimension: int) -> None:
         raise ConfigurationError(f"{type(gen).__name__} requires dimension 1")
 
 
-def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -> tuple:
+def _draw(gen, rng: np.random.Generator, n: int, dvs: np.ndarray, d: int) -> tuple:
     """The random numbers of the next ``n`` paths of one stream, in the fixed layout.
 
     Stable: uniform angles, then unit exponentials (n, n_steps); distributional
     drift: normals (n, n_steps); otherwise normals (n, n_steps, d), then, for
     jumps, Poisson counts (n, n_steps) and their jump sums.
     """
-    n_steps = dts.size
+    n_steps = dvs.size
     if isinstance(gen, Stable):
         u = rng.uniform(-np.pi / 2, np.pi / 2, (n, n_steps))
         e = rng.exponential(1.0, (n, n_steps))
@@ -422,23 +425,23 @@ def _draw(gen, rng: np.random.Generator, n: int, dts: np.ndarray, dvs, d: int) -
     return (z,)
 
 
-def _draw_rows(gen, rng: list, m: int, a: int, b: int, dts, dvs, d: int) -> tuple:
+def _draw_rows(gen, rng: list, m: int, a: int, b: int, dvs, d: int) -> tuple:
     """The draws of rows a..b-1, whose groups of ``m`` rows each draw from
     their own Generator in ``rng``, in row order."""
-    parts = [_draw(gen, rng[g], min(b, (g + 1) * m) - max(a, g * m), dts, dvs, d)
+    parts = [_draw(gen, rng[g], min(b, (g + 1) * m) - max(a, g * m), dvs, d)
              for g in range(a // m, (b - 1) // m + 1)]
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _evolve_chunk(gen, times, dts, draws, starts: np.ndarray, out: np.ndarray) -> None:
-    """Step the rows ``starts`` (n, d) over ``times`` with their ``draws``,
-    writing positions 1.. into ``out`` (n_times - 1, n, d)."""
+def _evolve_chunk(gen, times, dvs, draws, starts: np.ndarray, out: np.ndarray) -> None:
+    """Step the rows ``starts`` (n, d) over ``times`` by ``dvs`` with their
+    ``draws``, writing positions 1.. into ``out`` (n_times - 1, n, d)."""
     if isinstance(gen, Stable):
         u, e = draws
-        if dts.size:
+        if dvs.size:
             # the transform's temporaries are a few (rows, n_steps) arrays
-            scale = (gen.scale * dts) ** (1.0 / gen.alpha)
-            rows = max(1, _BLOCK_POINTS // dts.size)
+            scale = (gen.scale * dvs) ** (1.0 / gen.alpha)
+            rows = max(1, _BLOCK_POINTS // dvs.size)
             for a in range(0, starts.shape[0], rows):
                 b = a + rows
                 incr = scale * _cms_standard(gen.alpha, u[a:b], e[a:b])
@@ -448,19 +451,19 @@ def _evolve_chunk(gen, times, dts, draws, starts: np.ndarray, out: np.ndarray) -
         (z,) = draws
         y = np.asarray(tr.h(starts[:, 0]), dtype=float)
         s0 = tr.sigma0(y)
-        for k in range(dts.size):
-            y = y + s0 * np.sqrt(dts[k]) * z[:, k]
+        for k in range(dvs.size):
+            y = y + s0 * np.sqrt(dvs[k]) * z[:, k]
             out[k, :, 0], s0 = tr.h_inv_and_sigma0(y)
     else:
         z = draws[0]
         jumps = draws[1] if len(draws) > 1 else None
         cur = starts.copy()
         d = cur.shape[1]
-        for k in range(dts.size):
+        for k in range(dvs.size):
             t_k = times[k]
             drift = _drift_array(gen.mu, t_k, cur, d)
             vol = _vol_matrix(gen.sigma, t_k, cur, d)
-            step = drift * dts[k] + np.sqrt(dts[k]) * np.einsum("nij,nj->ni", vol, z[:, k, :])
+            step = drift * dvs[k] + np.sqrt(dvs[k]) * np.einsum("nij,nj->ni", vol, z[:, k, :])
             cur = cur + step
             if jumps is not None:
                 cur = cur + jumps[:, k, None]
@@ -474,12 +477,12 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     ``paths[:, k]`` are contiguous, and ``paths.transpose(1, 0, 2)`` is a
     C-contiguous (n_times, n, d) array.
 
-    ``dvs`` are the clock increments over the steps of ``times`` (used by the
-    jump intensity). ``rng`` is a list of Generators: the rows split into
-    equal consecutive groups, one per Generator, and each group draws exactly
-    what a one-Generator call on that group alone would. The random draw
-    layout per (path, step) is fixed, so each row is a deterministic function
-    of (its Generator's state, its index in its group).
+    Every family steps in ``dvs``, the clock increments over the steps of
+    ``times``. ``rng`` is a list of Generators: the rows split into equal
+    consecutive groups, one per Generator, and each group draws exactly what
+    a one-Generator call on that group alone would. The random draw layout
+    per (path, step) is fixed, so each row is a deterministic function of
+    (its Generator's state, its index in its group).
 
     The rows are drawn and stepped over all times one chunk at a time, so
     only one chunk's random numbers are held: a chunk is ``_DRAW_ROWS``
@@ -502,7 +505,6 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
     if not rng or n % len(rng):
         raise InputError(f"{n} paths do not split into {len(rng)} equal groups")
     m = n // len(rng)
-    dts = np.diff(times)
     steps = np.empty((times.size, n, d))
     steps[0] = starts
 
@@ -516,8 +518,7 @@ def evolve_paths(gen, times, dvs, starts: np.ndarray, rng: list) -> np.ndarray:
         b = min(a + size, n)
         chunk = steps[1:, a:b]
         # the draws are bound to no name here, so they are freed before the next chunk's
-        _evolve_chunk(gen, times, dts, _draw_rows(gen, rng, m, a, b, dts, dvs, d),
-                      starts[a:b], chunk)
+        _evolve_chunk(gen, times, dvs, _draw_rows(gen, rng, m, a, b, dvs, d), starts[a:b], chunk)
         if not np.all(np.isfinite(chunk)):
             raise InternalError("simulation produced non-finite path values")
     return steps.transpose(1, 0, 2)
@@ -530,13 +531,12 @@ def simulate(
     grid: SpaceTimeGrid,
     M: int,
     seed: int,
-    clock: Optional[ClockV] = None,
 ) -> PathEnsemble:
     """Simulate M paths of the generator's process from (s, x) on grid times >= s.
 
-    ``s`` must be a grid time (``SpaceTimeGrid.time_index``); ``clock``
-    defaults to V(t) = t.  All paths draw from one Philox stream keyed by
-    ``seed``, so path j depends only on (seed, j).
+    ``s`` must be a grid time (``SpaceTimeGrid.time_index``).  All paths draw
+    from one Philox stream keyed by ``seed``, so path j depends only on
+    (seed, j).
     """
     if M < 1:
         raise ConfigurationError("path count M must be >= 1")
@@ -548,6 +548,6 @@ def simulate(
     i0 = grid.time_index(s)
 
     times = grid.times[i0:]
-    dvs = v_increments(grid, clock if clock is not None else ClockV())[i0:]
+    dvs = grid.dvs[i0:]
     starts = np.repeat(x[None, :], M, axis=0)
     return PathEnsemble(times, dvs, evolve_paths(gen, times, dvs, starts, [_rng(seed)]))

@@ -9,9 +9,10 @@ at time s, so the cache stores each path from its first step on; each stored
 position's grid bracket is found once, when its block is built, and kept
 beside it.
 
-When the path law is time-homogeneous on the grid (``rows_per_path_set``),
-the law of P^{t_i,x} on [t_i, T] is that of P^{t_h,x} on [t_h, T - (t_i -
-t_h)], shifted in time.  Only the head blocks h = 0, R, 2R, ... are then
+When the path law does not read t and the clock increments dV are uniform
+(``rows_per_path_set``), P^{t_i,x} at the grid times t_i, t_{i+1}, ... has
+the law of P^{t_h,x} at t_h, t_{h+1}, ...: the paths step in dV alone, and
+every step is the same.  Only the head blocks h = 0, R, 2R, ... are then
 simulated, R = ``ROWS_PER_PATH_SET``, and the rows h+1..h+R-1 read prefixes
 of their head block as views.  R stays small because the cells of one node
 that share a path set share its noise: sharing one set across every row let
@@ -26,13 +27,11 @@ import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import (
-    ClockV, SpaceTimeGrid, bracket, bracket_dtype, mean_and_stderr, node_chunks, v_increments,
-)
+from .core import SpaceTimeGrid, bracket, bracket_dtype, mean_and_stderr, node_chunks
 from .errors import ConfigurationError, ResourceError
 from .processes import check_dimension, evolve_paths, simulate, _rng
 
@@ -41,9 +40,9 @@ from .processes import check_dimension, evolve_paths, simulate, _rng
 # time-homogeneous; see the module docstring for why it is not larger.
 ROWS_PER_PATH_SET = 4
 
-# Grid steps, and clock increments, count as uniform when their spread is
-# within this share of the largest: the steps of ``np.linspace`` differ in
-# their last bits (up to 6e-15 relative at 50 steps).
+# Clock increments count as uniform when their spread is within this share
+# of the largest: the steps of ``np.linspace`` differ in their last bits (up
+# to 6e-15 relative at 50 steps).
 UNIFORM_RTOL = 1e-12
 
 
@@ -53,15 +52,11 @@ def derive_cell_seed(master_seed: int, s_index: int, node_index: int) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-def _uniform(steps: np.ndarray) -> bool:
-    return np.ptp(steps) <= UNIFORM_RTOL * np.max(np.abs(steps))
-
-
-def rows_per_path_set(gen, grid: SpaceTimeGrid, dvs: np.ndarray) -> int:
+def rows_per_path_set(gen, grid: SpaceTimeGrid) -> int:
     """``ROWS_PER_PATH_SET`` when the generator's path law does not depend
-    on t (``gen.time_homogeneous``) and both the grid steps and the clock
-    increments ``dvs`` are uniform within ``UNIFORM_RTOL``; otherwise 1."""
-    if gen.time_homogeneous and _uniform(np.diff(grid.times)) and _uniform(dvs):
+    on t (``gen.time_homogeneous``) and the clock increments ``grid.dvs``
+    it steps in are uniform within ``UNIFORM_RTOL``; otherwise 1."""
+    if gen.time_homogeneous and np.ptp(grid.dvs) <= UNIFORM_RTOL * grid.dvs.max():
         return ROWS_PER_PATH_SET
     return 1
 
@@ -84,8 +79,8 @@ class EnsembleCache:
     ``blocks[h][:n_times - h - r - 1]``, and ``index`` likewise.  R is 1
     unless the path law is time-homogeneous on the grid.
 
-    ``dvs`` holds the clock increments over the whole grid and ``nodes`` the
-    (n_nodes, d) start points; ``generator_fingerprint`` lets a solver check
+    ``nodes`` holds the (n_nodes, d) start points, and the clock increments
+    are the grid's, ``grid.dvs``; ``generator_fingerprint`` lets a solver check
     that the cache was built for its problem's generator.  The mild sweeps
     read one origin block at a time, in chunks of whole nodes: at each step
     they take the positions of a chunk's paths, with their brackets, as one
@@ -104,7 +99,6 @@ class EnsembleCache:
     M: int
     blocks: dict = field(repr=False)
     index: dict = field(repr=False)
-    dvs: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     rows_per_path_set: int = 1
     memory_bytes: int = 0
@@ -138,7 +132,6 @@ def build_cache(
     grid: SpaceTimeGrid,
     M: int,
     master_seed: int,
-    clock: Optional[ClockV] = None,
     memory_budget_mb: float = 4096.0,
     threads: int = 1,
 ) -> EnsembleCache:
@@ -161,9 +154,7 @@ def build_cache(
     if M < 1:
         raise ConfigurationError("cache path count M must be >= 1")
     check_dimension(gen, grid.dimension)
-    clock = clock if clock is not None else ClockV()
-    dvs = v_increments(grid, clock)
-    per_set = rows_per_path_set(gen, grid, dvs)
+    per_set = rows_per_path_set(gen, grid)
     need = cache_memory_estimate(grid, M, per_set)
     if need > memory_budget_mb * 2**20:
         raise ResourceError(
@@ -183,7 +174,7 @@ def build_cache(
             rngs = [_rng(derive_cell_seed(master_seed, h, j)) for j in range(c.start, c.stop)]
             starts = np.repeat(nodes[c], M, axis=0)
             steps[:, paths] = evolve_paths(
-                gen, grid.times[h:], dvs[h:], starts, rngs).transpose(1, 0, 2)[1:]
+                gen, grid.times[h:], grid.dvs[h:], starts, rngs).transpose(1, 0, 2)[1:]
         index = bracket(grid.axes, steps.reshape(-1, d)).index.reshape(steps.shape)
         # stored row k is read by the origin rows h..h+R-1 that reach t_{h+k+1}
         readers = np.minimum(per_set, n_t - 1 - h - np.arange(len(steps)))
@@ -211,7 +202,6 @@ def build_cache(
         M=int(M),
         blocks=blocks,
         index=index,
-        dvs=dvs,
         nodes=nodes,
         rows_per_path_set=per_set,
         memory_bytes=need,
@@ -229,7 +219,6 @@ def chapman_kolmogorov_test(
     M: int,
     seed: int,
     grid: SpaceTimeGrid,
-    clock: Optional[ClockV] = None,
     inner_gen=None,
 ) -> float:
     """z-statistic comparing E^{s,x}[phi(X_u)] direct vs composed through time t.
@@ -248,12 +237,12 @@ def chapman_kolmogorov_test(
     it, iu = grid.time_index(t) - i_s, grid.time_index(u) - i_s
     inner_gen = inner_gen if inner_gen is not None else gen
 
-    direct = simulate(gen, s, x, grid, M, seed, clock)
+    direct = simulate(gen, s, x, grid, M, seed)
     # a copy, so that a phi returning a view of X_u does not keep the ensemble
     vals_d = np.array(phi(direct.paths[:, iu, :]), dtype=float)
     del direct
 
-    outer = simulate(gen, s, x, grid, M, seed + 1, clock)
+    outer = simulate(gen, s, x, grid, M, seed + 1)
     times, dvs, x_t = outer.times[it : iu + 1], outer.dvs[it:iu], outer.paths[:, it, :].copy()
     del outer
     inner_paths = evolve_paths(inner_gen, times, dvs, x_t, [_rng(seed + 2)])

@@ -60,7 +60,7 @@ def running_path_sums(cache: EnsembleCache, s_index: int, node_index: int, psi: 
             lambda xs: psi(s_index + j, xs), paths[:, j, :],
             "running integrand", (s_index, node_index),
         )
-        acc += vals * cache.dvs[s_index + j]
+        acc += vals * cache.grid.dvs[s_index + j]
     return acc
 
 

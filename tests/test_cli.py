@@ -358,8 +358,8 @@ def test_operator_rows_share_one_ensemble(tmp_path, monkeypatch):
     simulated, received = [], []
     real_simulate, real_test = processes.simulate, cli.martingale_test
 
-    def recording_simulate(gen, s, x, grid, M, seed, clock=None):
-        ens = real_simulate(gen, s, x, grid, M, seed, clock)
+    def recording_simulate(gen, s, x, grid, M, seed):
+        ens = real_simulate(gen, s, x, grid, M, seed)
         simulated.append((seed, ens))
         return ens
 
@@ -385,7 +385,7 @@ def test_operator_fn0_row_matches_a_standalone_test(tmp_path):
     plan = validate_config(path)
     gen, grid = plan.problem.generator, plan.grid
     ens = processes.simulate(gen, grid.times[0], np.zeros(1), grid, plan.operator_paths,
-                             plan.seed, plan.problem.clock)
+                             plan.seed)
     fn0 = bounded_test_functions(1)[0]
     z = martingale_test(ens, fn0, generator_action(gen)(fn0)).max_abs_z
     assert _operator_rows(tmp_path / "out")["martingale_max_abs_z_fn0"] == cli._fmt(z)
@@ -530,6 +530,26 @@ def test_two_dimensional_heat_run_matches_closed_form(tmp_path):
     exact = np.exp((1.0 - t) / 2.0) * (x1**2 + x2**2 + 2.0 * (1.0 - t))
     z = (u - exact)[inner] / se[inner]
     assert z.size == 10 * 5 * 5
+    assert np.sqrt(np.mean(z * z)) <= 1.5 and np.max(np.abs(z)) <= 6.0
+
+
+def test_heat_run_on_a_quadratic_clock_matches_closed_form(tmp_path):
+    # the paths step in dV: under V(t) = t^2 Brownian paths are W_V, so with
+    # g = x^2 and f = y/2, u = e^{(V(T)-V(t))/2} (x^2 + V(T) - V(t))
+    ts = np.linspace(0.0, 1.0, 201)
+    cfg = smoke_config(phases=["cache", "mild"])
+    cfg["problem"]["clock"] = {"kind": "tabulated", "times": ts.tolist(),
+                               "values": (ts**2).tolist()}
+    cfg["problem"]["driver"] = {"expr": "0.5*y", "K_Y": 0.5, "K_Z": 0.0}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), out_dir=out) == 0
+    lines = (out / "u.csv").read_text().splitlines()
+    t, x, u, se = np.array([ln.split(",") for ln in lines[2:]], dtype=float).T
+    # the benchmark's many-cell rule, on the cells before T in the middle half of the box
+    inner = (t < 1.0) & (np.abs(x) <= 2.0)
+    left = 1.0 - t**2
+    z = (u - np.exp(left / 2.0) * (x**2 + left))[inner] / se[inner]
+    assert z.size == 10 * 5
     assert np.sqrt(np.mean(z * z)) <= 1.5 and np.max(np.abs(z)) <= 6.0
 
 

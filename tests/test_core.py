@@ -11,32 +11,40 @@ from pseudopde.core import (
     LipschitzDriver,
     ProblemSpec,
     SpaceTimeGrid,
-    v_increments,
 )
 from pseudopde.errors import ConfigurationError
 
 from test_processes import _drift_config_table, _oscillating_table, _strained_table
 
 
+def _grid_1d(clock=ClockV()):
+    return SpaceTimeGrid.regular(1.0, 2, -1.0, 1.0, 3, clock=clock)
+
+
 @pytest.fixture
 def grid_1d():
-    return SpaceTimeGrid.regular(1.0, 2, -1.0, 1.0, 3)
+    return _grid_1d()
 
 
 def test_identity_clock_increments(grid_1d):
-    np.testing.assert_allclose(v_increments(grid_1d, ClockV()), [0.5, 0.5])
+    np.testing.assert_allclose(grid_1d.dvs, [0.5, 0.5])
 
 
-def test_tabulated_quadratic_clock(grid_1d):
+def test_tabulated_quadratic_clock():
     ts = np.linspace(0.0, 1.0, 2001)
     clock = ClockV(kind="tabulated", times=ts, values=ts**2)
-    inc = v_increments(grid_1d, clock)
+    inc = _grid_1d(clock).dvs
     np.testing.assert_allclose(inc, [0.25, 0.75], atol=1e-6)
 
 
-def test_constant_zero_clock(grid_1d):
+def test_constant_zero_clock():
     clock = ClockV(kind="tabulated", times=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]))
-    np.testing.assert_array_equal(v_increments(grid_1d, clock), [0.0, 0.0])
+    np.testing.assert_array_equal(_grid_1d(clock).dvs, [0.0, 0.0])
+
+
+def test_grid_increments_are_read_only(grid_1d):
+    with pytest.raises(ValueError):
+        grid_1d.dvs[0] = 1.0
 
 
 def test_clock_invariants():
@@ -48,21 +56,20 @@ def test_clock_invariants():
         ClockV(kind="weird")
 
 
-def test_clock_not_covering_grid_is_configuration_error(grid_1d):
+def test_clock_not_covering_grid_is_configuration_error():
     clock = ClockV(kind="tabulated", times=np.array([0.0, 0.5]), values=np.array([0.0, 0.5]))
     with pytest.raises(ConfigurationError):
-        v_increments(grid_1d, clock)
+        _grid_1d(clock)
 
 
 @given(n_steps=st.integers(2, 12), seed=st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_increments_telescope(n_steps, seed):
     rng = np.random.default_rng(seed)
-    grid = SpaceTimeGrid.regular(2.0, n_steps, -1.0, 1.0, 2)
     ts = np.linspace(0.0, 2.0, 301)
     vals = np.concatenate([[0.0], np.cumsum(rng.uniform(0, 0.1, 300))])
     clock = ClockV(kind="tabulated", times=ts, values=vals)
-    inc = v_increments(grid, clock)
+    inc = SpaceTimeGrid.regular(2.0, n_steps, -1.0, 1.0, 2, clock=clock).dvs
     assert np.all(inc >= 0)
     assert np.isclose(inc.sum(), clock.value(2.0) - clock.value(0.0), rtol=0, atol=1e-12)
 
@@ -308,8 +315,3 @@ def test_problem_spec_validation():
     drv = LipschitzDriver(fn=lambda t, x, y, z: np.zeros(np.atleast_2d(x).shape[0]))
     with pytest.raises(ConfigurationError):
         ProblemSpec(generator=None, driver=drv, terminal_g=lambda p: p[:, 0], horizon_T=-1.0)
-    short = ClockV(kind="tabulated", times=np.array([0.0, 0.5]), values=np.array([0.0, 0.5]))
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(
-            generator=None, driver=drv, terminal_g=lambda p: p[:, 0], horizon_T=1.0, clock=short
-        )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudopde.core import LipschitzDriver, ProblemSpec, SpaceTimeGrid
+from pseudopde.core import ClockV, LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from pseudopde.errors import NumericalError, UnsupportedFeatureError
 from pseudopde.operators import (
     SmoothTestFunction,
@@ -289,6 +289,20 @@ def test_martingale_test_detects_missing_compensator():
         phi_square(), lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
     )
     assert res.max_abs_z > 10.0
+
+
+def test_martingale_rows_hold_on_a_quadratic_clock():
+    # under V(t) = t^2 the paths step in dV, and the compensator charges the
+    # spatial generator against dV and d_t phi against dt: the time-free fn0
+    # and the time-dependent fn2 stay centred
+    ts = np.linspace(0.0, 1.0, 201)
+    clock = ClockV(kind="tabulated", times=ts, values=ts**2)
+    grid = SpaceTimeGrid.regular(1.0, 25, -4.0, 4.0, 5, clock=clock)
+    ens = simulate(brownian(), 0.0, [0.0], grid, 30000, seed=5)
+    functions = bounded_test_functions(1)
+    act = generator_action(brownian())
+    for k in (0, 2):
+        assert martingale_test(ens, functions[k], act(functions[k])).max_abs_z < 4.0
 
 
 def _martingale_z_both_ends(ens, phi, a_phi, solve="normal"):

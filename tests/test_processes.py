@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,16 +276,43 @@ def test_jump_diffusion_moments(grid):
 def test_jump_intensity_follows_clock(grid):
     # pure-jump process with deterministic unit jumps counts Poisson(rate * V(T))
     ts = np.linspace(0.0, 1.0, 101)
-    clock = ClockV(kind="tabulated", times=ts, values=2.0 * ts)
+    grid = replace(grid, clock=ClockV(kind="tabulated", times=ts, values=2.0 * ts))
     gen = Diffusion(
         mu=lambda t, x: 0.0,
         sigma=lambda t, x: 0.0,
         levy=LevyKernel(rate=1.5, law=JumpLaw(kind="atoms", atoms=((1.0, 1.0),))),
     )
-    ens = simulate(gen, 0.0, [0.0], grid, 60000, 3, clock)
+    ens = simulate(gen, 0.0, [0.0], grid, 60000, 3)
     counts = ens.paths[:, -1, 0]
     assert counts.mean() == pytest.approx(3.0, rel=0.03)  # rate * V(1) = 1.5 * 2
     assert counts.var() == pytest.approx(3.0, rel=0.05)
+
+
+def test_brownian_paths_have_the_clock_as_variance():
+    # the paths step in dV: under V(t) = t^2, W_V has variance V(t_i), not t_i
+    ts = np.linspace(0.0, 1.0, 201)
+    clock = ClockV(kind="tabulated", times=ts, values=ts**2)
+    grid = SpaceTimeGrid.regular(1.0, 10, -4.0, 4.0, 5, clock=clock)
+    M = 20000
+    ens = simulate(brownian(), 0.0, [0.0], grid, M, 5)
+    want = grid.clock.value(grid.times[1:])
+    # the sample variance of M normals has stderr sqrt(2 / M) times their variance
+    z = (ens.paths[:, 1:, 0].var(axis=0) - want) / (want * np.sqrt(2.0 / M))
+    assert np.max(np.abs(z)) < 4.0
+
+
+@pytest.mark.parametrize("name", list(CHUNKED))
+def test_flat_clock_stretch_freezes_the_paths(name):
+    # dV = 0 on steps 2 and 3: every family stands still there, and moves elsewhere
+    make, d = CHUNKED[name]
+    times = np.linspace(0.0, 1.0, 7)
+    clock = ClockV(kind="tabulated", times=times, values=[0.0, 0.2, 0.4, 0.4, 0.4, 0.7, 1.0])
+    grid = SpaceTimeGrid.regular(1.0, 6, [-3.0] * d, [3.0] * d, [5] * d, clock=clock)
+    paths = simulate(make(), 0.0, [0.1] * d, grid, 200, 7).paths
+    np.testing.assert_array_equal(paths[:, 3], paths[:, 2])
+    np.testing.assert_array_equal(paths[:, 4], paths[:, 3])
+    for k in (1, 2, 5, 6):
+        assert np.any(paths[:, k] != paths[:, k - 1])
 
 
 def test_h_transform_zero_drift_is_identity():

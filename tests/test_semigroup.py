@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,7 +142,8 @@ def test_cache_preconditions(small_grid):
 
 def _flat_step_clock(grid):
     # one flat step: dV = 0 between the second and third of the five grid times
-    return ClockV(kind="tabulated", times=grid.times, values=np.array([0.0, 0.3, 0.3, 0.7, 1.2]))
+    return replace(grid, clock=ClockV(kind="tabulated", times=grid.times,
+                                      values=np.array([0.0, 0.3, 0.3, 0.7, 1.2])))
 
 
 def _distributional_drift():
@@ -185,14 +187,14 @@ def test_cache_cells_equal_per_cell_simulation(gen, threads):
         grid = SpaceTimeGrid.regular(1.0, 4, [-1.0, -0.5], [1.0, 0.5], [3, 2])
     else:
         grid = SpaceTimeGrid.regular(1.0, 4, -1.5, 1.5, 4)
-    clock = _flat_step_clock(grid)
+    grid = _flat_step_clock(grid)
     seed, M = 23, 16
-    cache = build_cache(gen, grid, M, master_seed=seed, clock=clock, threads=threads)
-    assert cache.dvs[1] == 0.0
+    cache = build_cache(gen, grid, M, master_seed=seed, threads=threads)
+    assert grid.dvs[1] == 0.0
     for i in range(grid.n_times):
         for j in range(cache.n_nodes):
             ref = simulate(gen, grid.times[i], cache.nodes[j], grid, M,
-                           derive_cell_seed(seed, i, j), clock)
+                           derive_cell_seed(seed, i, j))
             np.testing.assert_array_equal(cell(cache, i, j), ref.paths)
 
 
@@ -204,7 +206,7 @@ def _generator_from_config(kind="diffusion", **section):
     return gen
 
 
-def _assert_cells_are_simulated(cache, gen, seed, clock=None):
+def _assert_cells_are_simulated(cache, gen, seed):
     """Cell (i, node) holds the first n_t - i positions of the ensemble that
     ``simulate`` draws from (t_h, node) with key (seed, h, node), h the head
     row of i; each position's kept bracket is the one ``core.Abscissa`` finds."""
@@ -214,7 +216,7 @@ def _assert_cells_are_simulated(cache, gen, seed, clock=None):
         h = i - i % per_set
         for j in range(cache.n_nodes):
             ref = simulate(gen, grid.times[h], cache.nodes[j], grid, cache.M,
-                           derive_cell_seed(seed, h, j), clock)
+                           derive_cell_seed(seed, h, j))
             np.testing.assert_array_equal(cell(cache, i, j), ref.paths[:, : grid.n_times - i])
         for k, ax in enumerate(grid.axes):
             want = core.Abscissa(ax).bracket(cache.blocks[i][..., k])[0]
@@ -226,22 +228,22 @@ def _one_row_per_path_set_cases():
     uneven = SpaceTimeGrid(times=np.array([0.0, 0.1, 0.3, 0.35, 0.7, 1.0]),
                            space_min=[-1.5], space_max=[1.5], space_nodes=[4])
     ts = np.linspace(0.0, 1.0, 11)
-    curved = ClockV(kind="tabulated", times=ts, values=ts**2)
+    curved = replace(regular, clock=ClockV(kind="tabulated", times=ts, values=ts**2))
     homogeneous = _generator_from_config(mu="-0.5*x1", sigma="0.8")
     return [
-        pytest.param(_generator_from_config(mu="0.1*t"), regular, None, id="mu-reads-t"),
-        pytest.param(brownian(), regular, None, id="bare-callable"),
-        pytest.param(homogeneous, regular, curved, id="curved-clock"),
-        pytest.param(homogeneous, uneven, None, id="uneven-grid"),
+        pytest.param(_generator_from_config(mu="0.1*t"), regular, id="mu-reads-t"),
+        pytest.param(brownian(), regular, id="bare-callable"),
+        pytest.param(homogeneous, curved, id="curved-clock"),
+        pytest.param(homogeneous, uneven, id="uneven-grid"),
     ]
 
 
-@pytest.mark.parametrize("gen, grid, clock", _one_row_per_path_set_cases())
-def test_inhomogeneous_problems_simulate_every_row(gen, grid, clock):
-    cache = build_cache(gen, grid, 12, master_seed=29, clock=clock)
+@pytest.mark.parametrize("gen, grid", _one_row_per_path_set_cases())
+def test_inhomogeneous_problems_simulate_every_row(gen, grid):
+    cache = build_cache(gen, grid, 12, master_seed=29)
     assert cache.rows_per_path_set == 1
     assert cache.stored_rows == grid.n_times * (grid.n_times - 1) // 2
-    _assert_cells_are_simulated(cache, gen, 29, clock)
+    _assert_cells_are_simulated(cache, gen, 29)
     blocks = [cache.blocks[i] for i in range(grid.n_times)]
     assert not any(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
 
@@ -261,15 +263,19 @@ def test_time_homogeneity_is_read_from_the_generator():
 def test_uniform_steps_are_read_within_a_tolerance():
     gen = Stable(alpha=1.5)
     grid = SpaceTimeGrid.regular(1.0, 50, -1.0, 1.0, 3)
-    dvs = core.v_increments(grid, ClockV())
-    assert np.unique(np.diff(grid.times)).size > 1  # linspace steps differ in their last bits
-    assert rows_per_path_set(gen, grid, dvs) == ROWS_PER_PATH_SET == 4
-    assert rows_per_path_set(gen, grid, dvs * (1.0 + 1e-9 * (np.arange(50) == 7))) == 1
+    assert np.unique(grid.dvs).size > 1  # linspace steps differ in their last bits
+    assert rows_per_path_set(gen, grid) == ROWS_PER_PATH_SET == 4
+    longer = grid.dvs * (1.0 + 1e-9 * (np.arange(50) == 7))
+    bent_clock = ClockV(kind="tabulated", times=grid.times, values=np.append(0.0, np.cumsum(longer)))
+    assert rows_per_path_set(gen, replace(grid, clock=bent_clock)) == 1
     bent = grid.times.copy()
     bent[20] += 1e-9
     uneven = SpaceTimeGrid(times=bent, space_min=[-1.0], space_max=[1.0], space_nodes=[3])
-    assert rows_per_path_set(gen, uneven, dvs) == 1
-    assert rows_per_path_set(brownian(), grid, dvs) == 1
+    assert rows_per_path_set(gen, uneven) == 1
+    # the paths step in dV alone: uneven grid steps on a clock with even dV share path sets
+    even_clock = ClockV(kind="tabulated", times=bent, values=np.linspace(0.0, 1.0, 51))
+    assert rows_per_path_set(gen, replace(uneven, clock=even_clock)) == 4
+    assert rows_per_path_set(brownian(), grid) == 1
 
 
 @pytest.mark.parametrize("gen", [Stable(alpha=1.4, scale=0.7),
@@ -363,8 +369,8 @@ def test_running_expectation_martingale_mean(bm_cache):
 def test_running_expectation_tabulated_clock_exact():
     ts = np.linspace(0.0, 1.0, 2001)
     clock = ClockV(kind="tabulated", times=ts, values=ts**2)
-    grid = SpaceTimeGrid.regular(1.0, 10, -1.0, 1.0, 3)
-    cache = build_cache(brownian(), grid, 200, master_seed=9, clock=clock)
+    grid = SpaceTimeGrid.regular(1.0, 10, -1.0, 1.0, 3, clock=clock)
+    cache = build_cache(brownian(), grid, 200, master_seed=9)
     est, se = running_expectation(cache, 0, 1, lambda j, xs: np.ones(xs.shape[0]))
     assert est == pytest.approx(clock.value(1.0) - clock.value(0.0), abs=1e-9)
     assert se == pytest.approx(0.0, abs=1e-9)
