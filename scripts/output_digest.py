@@ -7,9 +7,10 @@ and the shipped configs.
 Runs `pseudopde.cli.run` from this checkout's `src/` on the three benchmark
 workloads (configs built by `perfbench/workloads.make_config` at the
 benchmark's sizes, seed 1), on every `scripts/configs/*.json` (its own seed),
-on one 2-d heat config (`HEAT_2D`, seed 4711) and on one heat config on the
-clock V(t) = t^2 (`HEAT_CLOCK`, seed 4711), then prints one line per output
-file: run, file name, sha256.
+on one 2-d heat config (`HEAT_2D`, seed 4711), on one heat config on the
+clock V(t) = t^2 (`HEAT_CLOCK`, seed 4711) and on one stable and one
+jump-diffusion config with the operators phase (`STABLE_OPS`, `JUMP_OPS`,
+seed 4711), then prints one line per output file: run, file name, sha256.
 `manifest.json` is hashed without `timings_seconds` and `peak_rss_mb`, the
 parts of the output that depend on the host. Each CSV gets a second line,
 `<name>:values`, hashed without its first line, `# config_hash=...`, so a
@@ -82,6 +83,35 @@ HEAT_CLOCK = {
 }
 
 
+def _small_1d(generator):
+    """HEAT_CLOCK's sizes, identity clock, on ``generator``, every phase run."""
+    return {
+        "schema": 1,
+        "seed": 4711,
+        "problem": {
+            "generator": generator,
+            "driver": {"expr": "0.3*y", "K_Y": 0.3, "K_Z": 0.0},
+            "terminal_g": {"expr": "tanh(x1)"},
+            "horizon_T": 1.0,
+        },
+        "grid": {"dimension": 1, "time_steps": 10, "space_min": [-4.0], "space_max": [4.0],
+                 "space_nodes": [11]},
+        "mild": {"cache_paths": 300},
+        "fbsde": {"paths": 3000, "basis": {"kind": "polynomial", "degree": 3},
+                  "origins": [[0.0, 0.0]]},
+        "operators": {"martingale_paths": 3000, "test_functions": 3},
+        "phases": ["cache", "mild", "fbsde", "crosscheck", "operators"],
+    }
+
+
+# With HEAT_CLOCK and the drift workload, these two take every branch of
+# operators.generator_action through the operators phase: the spectral stable
+# action and the jump sum of a diffusion.
+STABLE_OPS = _small_1d({"kind": "stable", "alpha": 1.5})
+JUMP_OPS = _small_1d({"kind": "jump_diffusion", "mu": "0", "sigma": "0.5",
+                      "levy": {"rate": 1.0, "jump_law": {"kind": "two_point", "param": 0.5}}})
+
+
 def digests(path: Path):
     """(name, sha256) of the file and, for a CSV, of the lines below its hash line."""
     data = path.read_bytes()
@@ -103,7 +133,8 @@ def runs(tmp: Path):
         yield name, path, WORKLOAD_SEED
     for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
         yield path.stem, path, None
-    for label, config in (("heat-2d", HEAT_2D), ("heat-clock", HEAT_CLOCK)):
+    for label, config in (("heat-2d", HEAT_2D), ("heat-clock", HEAT_CLOCK),
+                          ("stable-ops", STABLE_OPS), ("jump-ops", JUMP_OPS)):
         path = tmp / f"{label}.json"
         path.write_text(json.dumps(config))
         yield label, path, None

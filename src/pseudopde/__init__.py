@@ -8,8 +8,8 @@ system
 
 for a configurable generator (diffusion, jump diffusion, symmetric stable,
 1-d SDE with distributional drift), by Picard iteration over a frozen path
-cache, cross-checked against a backward least-squares Monte Carlo solver and
-a carre-du-champ / martingale-problem test toolkit.
+cache, cross-checked against a backward least-squares Monte Carlo solver, with
+a martingale-problem test of each generator.
 """
 
 __version__ = "0.1.0"

@@ -279,11 +279,13 @@ def _build_generator(kind, gen, dimension, grid_bounds):
     return Diffusion(mu=mu, sigma=sigma, dimension=dimension, levy=kernel)
 
 
-def validate_config(path) -> RunPlan:
+def validate_config(path, phases=None) -> RunPlan:
     """Parse, check every cross-field constraint, and normalize with defaults.
 
     All violations are collected and reported at once.  The normalized config
-    is the echo of every key read, with its default when absent.
+    is the echo of every key read, with its default when absent.  ``phases``,
+    a ``--phases`` list, replaces the config's ``phases``, so the checks that
+    depend on which phases run see the ones that will.
     """
     errors = []
     try:
@@ -393,6 +395,9 @@ def validate_config(path) -> RunPlan:
     for p in listed:
         if p not in PHASE_ORDER:
             top.error(f"unknown phase {p!r}", "phases")
+    if phases:
+        errors.extend(f"--phases: unknown phase {p!r}" for p in phases if p not in PHASE_ORDER)
+        listed = phases
     phases = top.echo["phases"] = [p for p in PHASE_ORDER if p in listed]  # in run order
 
     ops_cfg = top.section("operators")
@@ -411,6 +416,10 @@ def validate_config(path) -> RunPlan:
                 f"implicit-step contraction requirement; refine {grid_cfg.path('time_steps')}",
                 "K_Y",
             )
+    # the Chapman-Kolmogorov check restarts at grid.times[n_times // 2], inside (0, T)
+    if grid is not None and "operators" in phases and grid.n_times < 3:
+        grid_cfg.error(f"must be >= 2 when the operators phase runs (got {grid.n_times - 1})",
+                       "time_steps")
     growth_zeta = problem_cfg.number("growth_zeta", 0.0)
     if isinstance(generator, Stable) and growth_zeta and growth_zeta >= generator.alpha:
         problem_cfg.error(
@@ -470,13 +479,10 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
         "converged": None,
     }
     try:
-        plan = validate_config(config_path)
-        problems = [f"--phases: unknown phase {p!r}"
-                    for p in phases_override or () if p not in PHASE_ORDER]
+        plan = validate_config(config_path, phases_override)
         if threads < 1:
-            problems.append(f"--threads: must be >= 1, got {threads}")
-        if problems:
-            raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(problems))
+            raise ConfigurationError(
+                f"invalid configuration:\n  --threads: must be >= 1, got {threads}")
     except PseudoPdeError as err:
         manifest["errors"]["validate"] = str(err)
         manifest["exit_code"] = 1
@@ -487,9 +493,6 @@ def run(config_path, out_dir=None, threads=1, seed_override=None, phases_overrid
     if seed_override is not None:
         plan.seed = int(seed_override)
         plan.normalized["seed"] = plan.seed
-    if phases_override:
-        plan.phases = [p for p in PHASE_ORDER if p in phases_override]
-        plan.normalized["phases"] = plan.phases
 
     config_bytes = (json.dumps(plan.normalized, indent=2, sort_keys=True) + "\n").encode()
     config_hash = hashlib.sha256(config_bytes).hexdigest()

@@ -18,13 +18,7 @@ from pseudopde.core import LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from pseudopde.fbsde import RegressionBasis, crosscheck
 from pseudopde.mild import PicardConfig, mild_residuals, picard_solve, update_u, update_v_volterra
 from pseudopde.operators import (
-    SmoothTestFunction,
-    SpectralFractional,
-    bounded_test_functions,
-    decaying_test_functions,
-    gamma_fractional,
-    gamma_from_generator,
-    generator_action,
+    SpectralFractional, bounded_test_functions, decaying_test_functions, generator_action,
     martingale_test,
 )
 from pseudopde.processes import (
@@ -37,6 +31,8 @@ from pseudopde.processes import (
     simulate,
 )
 from pseudopde.semigroup import build_cache, chapman_kolmogorov_test
+
+from operator_reference import FiniteDifferenceFunction, gamma_fractional, gamma_from_generator
 
 TIMINGS = {}
 
@@ -262,7 +258,7 @@ def test_criterion_07_martingale_problem_tests():
         ok = ok and worst < 4.0
         details.append(f"{name}: max|z|={worst:.2f}")
     # negative control: missing compensator for phi = x^2 must be flagged
-    phi_sq = SmoothTestFunction(value=lambda t, x: x[:, 0] ** 2)
+    phi_sq = FiniteDifferenceFunction(value=lambda t, x: x[:, 0] ** 2)
     control = martingale_test(
         simulate(brownian(), 0.0, [0.3], grid, 100000, 99),
         phi_sq, lambda t, x: np.zeros(np.atleast_2d(x).shape[0]),
@@ -283,7 +279,7 @@ def test_criterion_08_chapman_kolmogorov():
 
 def test_criterion_09_fractional_gamma_route_agreement():
     t0 = time.perf_counter()
-    bump = SmoothTestFunction(value=lambda t, x: np.exp(-x[:, 0] ** 2))
+    bump = FiniteDifferenceFunction(value=lambda t, x: np.exp(-x[:, 0] ** 2))
     pts = np.array([[0.0], [0.5], [1.0]])
     worst = 0.0
     for alpha in (0.5, 1.0, 1.5):

@@ -328,8 +328,8 @@ print(json.dumps([after_validate, code, scipy_loaded()]))
       "levy": {"rate": 1.0, "jump_law": {"kind": "gaussian", "param": 0.3}}}, True),
 ], ids=["diffusion", "stable", "distributional_drift", "jump_gaussian"])
 def test_run_imports_scipy_only_where_used(tmp_path, generator, loads_scipy):
-    # scipy takes most of a run's start-up; only the gaussian/laplace jump
-    # quadrature and the fractional Gamma route load it, on first use
+    # scipy takes most of a run's start-up; in a run only the gaussian/laplace
+    # jump quadrature loads it, on first use
     cfg = smoke_config()
     cfg["problem"]["generator"] = generator
     cfg["problem"]["terminal_g"] = {"expr": "cos(x1)"}
@@ -406,6 +406,51 @@ def test_validate_contraction_rule_when_only_mild_runs(tmp_path):
     cfg["grid"]["time_steps"] = 2  # max dV = 0.5, K_Y dV = 1
     with pytest.raises(ConfigurationError, match=r"problem\.driver\.K_Y: K_Y \* max dV = 1 >= 1"):
         validate_config(write_config(tmp_path, cfg))
+
+
+def _refused_before_any_phase(out, message):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert message in manifest["errors"]["validate"]
+    assert manifest["exit_code"] == 1 and manifest["phases_completed"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("phases, override", [(["operators"], None), (["cache"], ["operators"])],
+                         ids=["config", "override"])
+def test_operators_phase_needs_a_grid_time_inside_the_horizon(tmp_path, phases, override):
+    # the Chapman-Kolmogorov check restarts at a grid time inside (0, T); with
+    # one step there is none, which validation finds before any phase runs
+    cfg = smoke_config(phases=phases)
+    cfg["grid"]["time_steps"] = 1
+    path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    assert run(path, out_dir=out, phases_override=override) == 1
+    _refused_before_any_phase(
+        out, "grid.time_steps: must be >= 2 when the operators phase runs (got 1)")
+    if override is None:
+        assert main(["validate", str(path)]) == 1
+    else:
+        validate_config(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o"),
+                     "--phases", ",".join(override)]) == 1
+
+
+@pytest.mark.parametrize("override", [["mild"], ["fbsde"], ["crosscheck"]])
+def test_contraction_rule_sees_the_phases_override(tmp_path, override):
+    # the config runs only the operators phase, where K_Y is not read; the
+    # override runs a phase that solves y = c + f(t, x, y, z) dV
+    cfg = smoke_config(phases=["operators"])
+    cfg["problem"]["driver"] = {"expr": "2*y", "K_Y": 2.0}
+    cfg["grid"]["time_steps"] = 2  # max dV = 0.5, K_Y dV = 1
+    path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    assert validate_config(path).phases == ["operators"]
+    assert run(path, out_dir=out, phases_override=override) == 1
+    _refused_before_any_phase(out, "problem.driver.K_Y: K_Y * max dV = 1 >= 1")
+    # and the other way round: a config whose phases need the rule, run without them
+    cfg["phases"] = override
+    path = write_config(tmp_path, cfg, "solving.json")
+    with pytest.raises(ConfigurationError, match="K_Y"):
+        validate_config(path)
+    assert validate_config(path, ["operators"]).normalized["phases"] == ["operators"]
 
 
 def test_validate_stable_needs_dimension_one(tmp_path):

@@ -10,19 +10,8 @@ import pytest
 from pseudopde.core import ClockV, LipschitzDriver, ProblemSpec, SpaceTimeGrid
 from pseudopde.errors import NumericalError, UnsupportedFeatureError
 from pseudopde.operators import (
-    SmoothTestFunction,
-    SpectralFractional,
-    bounded_test_functions,
-    classical_residual,
-    decaying_test_functions,
-    gamma_for_generator,
-    gamma_fractional,
-    gamma_from_generator,
-    gamma_local,
-    generator_action,
-    martingale_test,
-    stable_intensity,
-    _bounded_basis,
+    SmoothTestFunction, SpectralFractional, bounded_test_functions, decaying_test_functions,
+    generator_action, martingale_test, _bounded_basis,
 )
 from pseudopde.processes import (
     Diffusion,
@@ -33,6 +22,10 @@ from pseudopde.processes import (
     simulate,
 )
 
+from operator_reference import (
+    FiniteDifferenceFunction, classical_residual, gamma_for_generator, gamma_fractional,
+    gamma_from_generator, gamma_local, product, stable_intensity,
+)
 from test_processes import _drift
 
 
@@ -59,7 +52,7 @@ def phi_square():
 
 
 def gaussian_bump():
-    return SmoothTestFunction(value=lambda t, x: np.exp(-x[:, 0] ** 2))
+    return FiniteDifferenceFunction(value=lambda t, x: np.exp(-x[:, 0] ** 2))
 
 
 def test_finite_difference_partials_are_second_order():
@@ -68,7 +61,7 @@ def test_finite_difference_partials_are_second_order():
     pts = np.array([[0.3], [1.1], [-0.7]])
     errs = []
     for h in (1e-3, 5e-4):
-        fd = SmoothTestFunction(value=exact.value, h_fd=h)
+        fd = FiniteDifferenceFunction(value=exact.value, h_fd=h)
         errs.append(
             max(
                 np.max(np.abs(fd.grad_at(0.0, pts) - exact.grad_at(0.0, pts))),
@@ -80,9 +73,9 @@ def test_finite_difference_partials_are_second_order():
 
 def test_product_rule_partials():
     p, q = phi_square(), decaying_test_functions(1)[0]
-    prod = p.product(q)
+    prod = product(p, q)
     pts = np.array([[0.4], [-1.2]])
-    ref = SmoothTestFunction(value=lambda t, x: p.value(t, x) * q.value(t, x), h_fd=1e-5)
+    ref = FiniteDifferenceFunction(value=lambda t, x: p.value(t, x) * q.value(t, x), h_fd=1e-5)
     np.testing.assert_allclose(prod.grad_at(0.0, pts), ref.grad_at(0.0, pts), atol=1e-6)
     np.testing.assert_allclose(prod.hess_at(0.0, pts), ref.hess_at(0.0, pts), atol=1e-4)
 
@@ -144,7 +137,7 @@ def test_gamma_from_generator_constants_vanish():
 
 
 def test_gamma_fractional_constant_vanishes():
-    const = SmoothTestFunction(value=lambda t, x: np.full(x.shape[0], 3.0))
+    const = FiniteDifferenceFunction(value=lambda t, x: np.full(x.shape[0], 3.0))
     g = gamma_fractional(const, 1.2)
     # the closed tail of phi(x)^2 is offset exactly by zero differences only
     # for genuinely decaying phi; a constant has zero differences everywhere
@@ -172,7 +165,7 @@ def test_gamma_routes_agree_on_bump(alpha):
 
 
 def test_gamma_routes_agree_on_windowed_linear():
-    ramp = SmoothTestFunction(value=lambda t, x: x[:, 0] * np.exp(-((x[:, 0] / 6.0) ** 4)))
+    ramp = FiniteDifferenceFunction(value=lambda t, x: x[:, 0] * np.exp(-((x[:, 0] / 6.0) ** 4)))
     quad_route = gamma_fractional(ramp, 1.0)
     spec = SpectralFractional(1.0)
 
@@ -351,7 +344,7 @@ def test_martingale_test_evaluates_phi_once_per_grid_time():
     act = generator_action(gen)
     for fn in bounded_test_functions(1):
         times = []
-        counted = SmoothTestFunction(value=lambda t, x, f=fn: times.append(t) or f(t, x))
+        counted = FiniteDifferenceFunction(value=lambda t, x, f=fn: times.append(t) or f(t, x))
         res = martingale_test(ens, counted, act(fn))
         assert times == list(ens.times)
         ref = _martingale_z_both_ends(ens, fn, act(fn))
@@ -496,6 +489,7 @@ def test_bounded_test_set_has_closed_partials():
     for phi in bounded_test_functions(1) + decaying_test_functions(1):
         pts = np.array([[0.2], [-1.4]])
         assert phi.grad is not None and phi.hess is not None and phi.dt is not None
-        fd = SmoothTestFunction(value=phi.value, h_fd=1e-4)
+        fd = FiniteDifferenceFunction(value=phi.value, h_fd=1e-4)
         np.testing.assert_allclose(phi.grad_at(0.5, pts), fd.grad_at(0.5, pts), atol=1e-6)
         np.testing.assert_allclose(phi.dt_at(0.5, pts), fd.dt_at(0.5, pts), atol=1e-6)
+        np.testing.assert_allclose(phi.hess_at(0.5, pts), fd.hess_at(0.5, pts), atol=1e-6)

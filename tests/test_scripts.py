@@ -1,5 +1,5 @@
 """Each experiment script in scripts/ runs to completion at a small size, so an
-API change that breaks one fails here.  scripts/output_digest.py runs eight full
+API change that breaks one fails here.  scripts/output_digest.py runs ten full
 configs and is left out."""
 
 import os
