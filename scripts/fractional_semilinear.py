@@ -29,7 +29,7 @@ def main():
     grid = SpaceTimeGrid.regular(1.0, 40, -4.0, 4.0, 21)
     driver = LipschitzDriver(fn=lambda t, x, y, z: 0.3 * np.asarray(y), K_Y=0.3)
     problem = ProblemSpec(
-        generator=gen, driver=driver, terminal_g=lambda p: np.tanh(p[:, 0]), horizon_T=1.0
+        generator=gen, driver=driver, terminal_g=lambda p: np.tanh(p[:, 0])
     )
 
     t0 = time.perf_counter()

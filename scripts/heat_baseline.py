@@ -32,7 +32,7 @@ def main():
     c = args.driver_slope
     driver = LipschitzDriver(fn=lambda t, x, y, z: c * np.asarray(y), K_Y=abs(c))
     problem = ProblemSpec(
-        generator=gen, driver=driver, terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0
+        generator=gen, driver=driver, terminal_g=lambda p: p[:, 0] ** 2
     )
 
     t0 = time.perf_counter()

@@ -8,9 +8,11 @@ Runs `pseudopde.cli.run` from this checkout's `src/` on the three benchmark
 workloads (configs built by `perfbench/workloads.make_config` at the
 benchmark's sizes, seed 1), on every `scripts/configs/*.json` (its own seed),
 on one 2-d heat config (`HEAT_2D`, seed 4711), on one heat config on the
-clock V(t) = t^2 (`HEAT_CLOCK`, seed 4711) and on one stable and one
+clock V(t) = t^2 (`HEAT_CLOCK`, seed 4711), on one stable and one
 jump-diffusion config with the operators phase (`STABLE_OPS`, `JUMP_OPS`,
-seed 4711), then prints one line per output file: run, file name, sha256.
+seed 4711) and on one heat config on a clock flat on its first and last steps
+(`HEAT_FLAT`, seed 4711), then prints one line per output file: run, file
+name, sha256.
 `manifest.json` is hashed without `timings_seconds` and `peak_rss_mb`, the
 parts of the output that depend on the host. Each CSV gets a second line,
 `<name>:values`, hashed without its first line, `# config_hash=...`, so a
@@ -83,6 +85,28 @@ HEAT_CLOCK = {
 }
 
 
+# The one run here on a clock with flat steps (dV = 0), the first and the
+# last, so both solvers' flat-step rule (README, clock paragraph) is hashed.
+HEAT_FLAT = {
+    "schema": 1,
+    "seed": 4711,
+    "problem": {
+        "generator": {"kind": "diffusion", "mu": "0", "sigma": "1"},
+        "driver": {"expr": "0.5*y", "K_Y": 0.5, "K_Z": 0.0},
+        "terminal_g": {"expr": "x1^2"},
+        "horizon_T": 1.0,
+        "clock": {"kind": "tabulated", "times": [0.0, 0.1, 0.9, 1.0],
+                  "values": [0.0, 0.0, 0.8, 0.8]},
+    },
+    "grid": {"dimension": 1, "time_steps": 10, "space_min": [-4.0], "space_max": [4.0],
+             "space_nodes": [11]},
+    "mild": {"cache_paths": 300},
+    "fbsde": {"paths": 3000, "basis": {"kind": "polynomial", "degree": 3},
+              "origins": [[0.0, 0.0]]},
+    "phases": ["cache", "mild", "fbsde", "crosscheck"],
+}
+
+
 def _small_1d(generator):
     """HEAT_CLOCK's sizes, identity clock, on ``generator``, every phase run."""
     return {
@@ -134,7 +158,8 @@ def runs(tmp: Path):
     for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
         yield path.stem, path, None
     for label, config in (("heat-2d", HEAT_2D), ("heat-clock", HEAT_CLOCK),
-                          ("stable-ops", STABLE_OPS), ("jump-ops", JUMP_OPS)):
+                          ("stable-ops", STABLE_OPS), ("jump-ops", JUMP_OPS),
+                          ("heat-flat", HEAT_FLAT)):
         path = tmp / f"{label}.json"
         path.write_text(json.dumps(config))
         yield label, path, None

@@ -214,7 +214,8 @@ def _expr_function(section, key, dimension, compile_fn, default=None):
         section.error(str(err), key)
         return None
     fn.fingerprint_token = text
-    fn.reads_t = "t" in xp.variables(node)
+    fn.variables = xp.variables(node)
+    fn.reads_t = "t" in fn.variables
     return fn
 
 
@@ -338,6 +339,9 @@ def validate_config(path, phases=None) -> RunPlan:
     fn = _expr_function(d_cfg, "expr", dimension, xp.as_driver_fn)
     k_y = d_cfg.number("K_Y", 0.0, bound=_NONNEGATIVE)
     k_z = d_cfg.number("K_Z", 0.0, bound=_NONNEGATIVE)
+    # K_Z = 0 declares f constant in z, and the mild sweep then reads z as 0
+    if fn is not None and "z" in fn.variables and k_z == 0:
+        d_cfg.error(f"must be > 0 when the driver reads z (got {k_z})", "K_Z")
     verify_lipschitz = d_cfg.flag("verify_lipschitz", False)
     driver = None if fn is None else LipschitzDriver(fn=fn, K_Y=k_y, K_Z=k_z)
 
@@ -435,7 +439,6 @@ def validate_config(path, phases=None) -> RunPlan:
         generator=generator,
         driver=driver,
         terminal_g=terminal,
-        horizon_T=horizon,
     )
     if verify_lipschitz:
         problem.driver.check_lipschitz(

@@ -484,17 +484,13 @@ class ImplicitSteps:
 class ProblemSpec:
     """One full problem instance: generator + driver + terminal condition.
 
-    ``terminal_g`` is vectorized over points (n, d) -> (n,).
+    ``terminal_g`` is vectorized over points (n, d) -> (n,).  The horizon
+    is the grid's last time.
     """
 
     generator: object
     driver: LipschitzDriver
     terminal_g: Callable
-    horizon_T: float
-
-    def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise ConfigurationError("horizon_T must be positive")
 
     def g(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -180,7 +180,9 @@ def lsmc_solve(
     and one warning names the worst such step; a step whose Y turns
     non-finite raises ``NumericalError`` naming it.  The degenerate initial
     step regresses on the single-point support, i.e. a plain sample mean,
-    and records a regression residual of 0.0.
+    and records a regression residual of 0.0.  On a flat step (dV_i = 0),
+    the initial one included, Y_i = C_i and Z follows the flat-step rule of
+    the README's clock paragraph, as ``mild``'s v does; one warning names them.
 
     Each step i > 0 builds one design and, with a ridge, one Gram matrix,
     which both fits share (``_step_fits``).  Beside the ensemble only the
@@ -195,9 +197,11 @@ def lsmc_solve(
     terminal = y.copy()
     driver_sums = np.zeros(M)
     rms = []
-    z_prev = np.zeros(M)
+    z_prev = np.zeros(M)  # a flat last step carries Z = 0
     y0 = float(np.mean(y))
     z0 = 0.0
+    if np.any(flat := ens.dvs == 0.0):
+        warnings.warn(f"dV = 0 at backward steps {np.flatnonzero(flat).tolist()}: Z carried")
 
     for i in range(ens.dvs.size - 1, -1, -1):
         dv = float(ens.dvs[i])
@@ -206,9 +210,7 @@ def lsmc_solve(
         if i == 0:
             c_val = float(np.mean(y))
             cx = np.full(M, c_val)
-            innov_mean = float(np.mean((y - c_val) ** 2))
-            z2 = max(innov_mean / dv, 0.0) if dv > 0 else 0.0
-            zx = np.full(M, np.sqrt(z2))
+            zx = np.full(M, np.sqrt(float(np.mean((y - c_val) ** 2)) / dv)) if dv > 0 else z_prev
             rms.append(0.0)
         else:
             try:
@@ -216,8 +218,6 @@ def lsmc_solve(
             except NumericalError as err:
                 raise NumericalError(f"regression failed at backward step {i}: {err}") from err
             rms.append(c_rms)
-            if dv == 0:
-                warnings.warn(f"dV = 0 at backward step {i}: carrying Z from the later step")
 
         if dv > 0:
             y = steps.solve(i, t_i, xs, cx, zx, dv)

@@ -44,7 +44,9 @@ line backward in time for w = v^2 (left-endpoint quadrature makes the r = s
 term explicit); ``variance`` estimates w as the conditional variance rate of
 one-step increments of u along the cached paths.  The volterra route divides
 by dV per row, which amplifies Monte-Carlo noise by 1/dV; ``variance`` is the
-default for that reason.
+default for that reason.  Neither identifies v on a flat step of the clock
+(dV = 0); both fill those rows by the flat-step rule of the README's clock
+paragraph (``_finish_v``), the rule ``fbsde.lsmc_solve`` follows for Z.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ from . import core
 from .core import ProblemSpec
 from .errors import ConfigurationError, NumericalError
 from .semigroup import EnsembleCache
-
-_CARRY = np.nan  # sentinel for rows awaiting neighbor carry
 
 
 @dataclass
@@ -212,38 +212,36 @@ def _clamp_w(w: np.ndarray, telemetry: ClampTelemetry) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def _fill_carries(w: np.ndarray, se_w: np.ndarray, computed: np.ndarray):
-    """Rows without an identified value inherit the next (later) row; the
-    terminal row inherits its left neighbor.  On V-flat stretches the density
-    v^2 is not identified and continuity is one admissible representative."""
-    n_t = w.shape[0]
-    if not np.any(computed):
-        warnings.warn("clock is flat on the whole grid: v is not identified, set to 0")
-        w[:] = 0.0
-        se_w[:] = 0.0
-        return
-    for i in range(n_t - 2, -1, -1):
-        if not computed[i]:
-            w[i] = w[i + 1]
-            se_w[i] = se_w[i + 1]
-            computed[i] = True
-    last = np.where(computed)[0].max()
-    for i in range(last + 1, n_t):
-        w[i] = w[last]
-        se_w[i] = se_w[last]
+def _flat_step_sources(dvs: np.ndarray) -> np.ndarray:
+    """The flat-step rule of the README's clock paragraph, as a map from each
+    row to the row whose v it takes: row i < N takes that of the first step
+    j >= i with dV_j > 0, and the terminal row N that of row N-1.  -1 marks a
+    row that no step with dV > 0 follows; its v is 0 with stderr 0."""
+    src = np.full(dvs.size + 1, -1)
+    for i in range(dvs.size - 1, -1, -1):
+        src[i] = i if dvs[i] > 0.0 else src[i + 1]
+    src[-1] = src[-2]
+    return src
 
 
-def _finish_v(w, se_w, computed, telemetry: ClampTelemetry):
-    """Shared end of both v updates: carry unidentified rows, clamp w = v^2
-    at zero, and map (w, se_w) to (v, se_v) by the delta method."""
-    _fill_carries(w, se_w, computed)
-    w = _clamp_w(w, telemetry)
+def _finish_v(w, se_w, dvs):
+    """Shared end of both v updates: fill the rows of flat steps and the
+    terminal row by the flat-step rule (README, clock paragraph;
+    ``_flat_step_sources``), warning once with the flat steps, and map
+    (w, se_w) to (v, se_v) by the delta method.  On a flat step the density
+    v^2 = d<M>/dV is not identified; the rule picks one representative."""
+    if np.any(flat := dvs == 0.0):
+        warnings.warn(f"dV = 0 on steps {np.flatnonzero(flat).tolist()}: v by the flat-step rule")
+    src = _flat_step_sources(dvs)
+    known = (src >= 0)[:, None]
+    w = np.where(known, w[src], 0.0)
+    se_w = np.where(known, se_w[src], 0.0)
     v = np.sqrt(w)
     bad_rows = np.flatnonzero(~np.isfinite(v).all(axis=1))
     if bad_rows.size:
         raise NumericalError(f"v update produced non-finite values in row {bad_rows[0]}")
     se_v = np.where(v > 1e-8, se_w / (2.0 * np.maximum(v, 1e-8)), np.sqrt(se_w))
-    return v, se_v, telemetry
+    return v, se_v
 
 
 def update_v_variance(
@@ -256,14 +254,11 @@ def update_v_variance(
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    w = np.full((n_t, n_nodes), _CARRY)
+    w = np.zeros((n_t, n_nodes))
     se_w = np.zeros((n_t, n_nodes))
-    computed = np.zeros(n_t, dtype=bool)
-    telemetry = ClampTelemetry()
     for i in range(n_t - 1):
         dv = grid.dvs[i]
-        if dv <= 0.0:
-            warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
+        if dv == 0.0:
             continue
         f_dv = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i]) * dv
         for nodes, paths in core.node_chunks(n_nodes, cache.M):
@@ -273,8 +268,8 @@ def update_v_variance(
             mean_sq, se_sq = _node_stats(incr * incr, cache.M)
             w[i, nodes] = mean_sq / dv
             se_w[i, nodes] = se_sq / dv
-        computed[i] = True
-    return _finish_v(w, se_w, computed, telemetry)
+    # a mean of squares over dV > 0: nothing to clamp
+    return (*_finish_v(w, se_w, grid.dvs), ClampTelemetry())
 
 
 def update_v_volterra(
@@ -294,17 +289,15 @@ def update_v_volterra(
     """
     grid = cache.grid
     n_t, n_nodes = grid.n_times, cache.n_nodes
-    w = np.full((n_t, n_nodes), _CARRY)
+    w = np.zeros((n_t, n_nodes))
     se_w = np.zeros((n_t, n_nodes))
-    computed = np.zeros(n_t, dtype=bool)
     telemetry = ClampTelemetry()
     row_mean_se = np.zeros(n_t)
     est, se_path = np.empty(n_nodes), np.empty(n_nodes)
 
     for i in range(n_t - 2, -1, -1):
         dv = grid.dvs[i]
-        if dv <= 0.0:
-            warnings.warn(f"dV = 0 on step {i}: carrying the neighboring v value")
+        if dv == 0.0:
             continue
         f_here = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
         sys_var = float(np.sum((grid.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
@@ -320,8 +313,7 @@ def update_v_volterra(
         # clamp this row before later (earlier-time) rows consume it
         w[i] = _clamp_w(w[i], telemetry)
         row_mean_se[i] = float(np.mean(se_w[i]))
-        computed[i] = True
-    return _finish_v(w, se_w, computed, telemetry)
+    return (*_finish_v(w, se_w, grid.dvs), telemetry)
 
 
 def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):

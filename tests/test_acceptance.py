@@ -67,7 +67,6 @@ def heat_cache(grid):
 def problem1():
     return ProblemSpec(
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
 
 
@@ -85,7 +84,6 @@ def problem2():
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
 
 
@@ -103,7 +101,6 @@ def problem3():
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.3 * np.asarray(z), K_Z=0.3),
         terminal_g=lambda p: np.tanh(p[:, 0]),
-        horizon_T=1.0,
     )
 
 
@@ -342,7 +339,6 @@ def test_criterion_11_distributional_drift():
         generator=dd,
         driver=LipschitzDriver(fn=lambda t, x, y, z_: 0.2 * np.asarray(y), K_Y=0.2),
         terminal_g=lambda p: np.tanh(p[:, 0]),
-        horizon_T=1.0,
     )
     cache = build_cache(dd, grid, 1500, master_seed=5151)
     sol = picard_solve(prob, cache, PicardConfig(max_iterations=10, tolerance=0.002))
@@ -365,7 +361,6 @@ def test_criterion_12_fractional_semilinear():
         generator=gen,
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.3 * np.asarray(y), K_Y=0.3),
         terminal_g=lambda p: np.tanh(p[:, 0]),
-        horizon_T=1.0,
     )
     cache = build_cache(gen, grid, 6000, master_seed=2718, memory_budget_mb=2048)
     sol = picard_solve(prob, cache, PicardConfig(max_iterations=10, tolerance=0.002))

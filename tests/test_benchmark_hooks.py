@@ -35,8 +35,7 @@ grid = core.SpaceTimeGrid.regular(1.0, 3, -1.0, 1.0, 5)
 gen = processes.Diffusion(mu=lambda t, x: 0.0, sigma=lambda t, x: 1.0)
 cache = semigroup.build_cache(gen, grid, 4, master_seed=1)
 driver = core.LipschitzDriver(fn=lambda t, x, y, z: 0.5 * y + 0.1 * z, K_Y=0.5, K_Z=0.1)
-problem = core.ProblemSpec(generator=gen, driver=driver, terminal_g=lambda p: p[:, 0],
-                           horizon_T=1.0)
+problem = core.ProblemSpec(generator=gen, driver=driver, terminal_g=lambda p: p[:, 0])
 zero = np.zeros((grid.n_times, cache.n_nodes))
 mild.update_u(zero, problem, cache)
 m = tracer.metrics()

@@ -248,6 +248,8 @@ def _set(*keys_and_value):
     (_set("mild", "tolerence", 1e-9), "mild.tolerence: unknown key"),
     (_set("mild", "damping", 0.5), "mild.damping: unknown key"),
     (_set("problem", "driver", "C_prime", -3), "problem.driver.C_prime: unknown key"),
+    (_set("problem", "driver", {"expr": "0.5*y + 1.0*z", "K_Y": 0.5}),
+     "problem.driver.K_Z: must be > 0 when the driver reads z (got 0.0)"),
 ], ids=["top_level", "grid", "clock", "horizon_T", "mild", "memory_budget_mb",
         "fbsde", "basis", "origins", "origin", "operators", "phases", "jump_law",
         "driver_expr", "terminal_expr", "sigma_expr", "K_Y", "K_Z",
@@ -259,7 +261,7 @@ def _set(*keys_and_value):
         "K_Z_negative", "alpha_above_two", "scale_zero",
         "mu_reads_z", "sigma_reads_y", "jump_sigma_reads_y_z", "terminal_reads_t",
         "drift_b_reads_t", "drift_sigma_reads_t",
-        "tolerence_unknown", "damping_unknown", "C_prime_unknown"])
+        "tolerence_unknown", "damping_unknown", "C_prime_unknown", "K_Z_missing_reads_z"])
 def test_run_reports_malformed_sections_in_manifest(tmp_path, edit, line):
     cfg = smoke_config(seed="abc")
     cfg = edit(cfg)
@@ -596,6 +598,23 @@ def test_heat_run_on_a_quadratic_clock_matches_closed_form(tmp_path):
     z = (u - np.exp(left / 2.0) * (x**2 + left))[inner] / se[inner]
     assert z.size == 10 * 5
     assert np.sqrt(np.mean(z * z)) <= 1.5 and np.max(np.abs(z)) <= 6.0
+
+
+def test_run_on_a_clock_flat_on_the_last_step(tmp_path):
+    # no step with dV > 0 follows t = 0.9: v is 0 on the last two rows
+    cfg = smoke_config(phases=["cache", "mild", "fbsde", "crosscheck"])
+    cfg["problem"]["clock"] = {"kind": "tabulated", "times": [0.0, 0.9, 1.0],
+                               "values": [0.0, 0.9, 0.9]}
+    cfg["problem"]["driver"] = {"expr": "0.5*y", "K_Y": 0.5, "K_Z": 0.0}
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match=r"dV = 0 on steps \[9\]"):
+        assert run(write_config(tmp_path, cfg), out_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["phases_completed"] == ["cache", "mild", "fbsde", "crosscheck"]
+    lines = (out / "v.csv").read_text().splitlines()
+    t, _, v, se = np.array([ln.split(",") for ln in lines[2:]], dtype=float).T
+    assert np.all(v[t >= 0.9] == 0.0) and np.all(se[t >= 0.9] == 0.0)
+    assert np.any(v[t < 0.9] > 0.0)
 
 
 def test_cache_is_released_after_the_mild_phase(tmp_path, monkeypatch):

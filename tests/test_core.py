@@ -312,6 +312,7 @@ def test_implicit_step_matches_a_scan_of_every_iterate(bad):
 
 
 def test_problem_spec_validation():
+    # the horizon is the grid's: a spec takes none, so none can disagree with it
     drv = LipschitzDriver(fn=lambda t, x, y, z: np.zeros(np.atleast_2d(x).shape[0]))
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(generator=None, driver=drv, terminal_g=lambda p: p[:, 0], horizon_T=-1.0)
+    with pytest.raises(TypeError):
+        ProblemSpec(generator=None, driver=drv, terminal_g=lambda p: p[:, 0], horizon_T=1.0)

@@ -33,7 +33,6 @@ def grid():
 def square_problem():
     return ProblemSpec(
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
 
 
@@ -110,7 +109,6 @@ def test_lsmc_tower_degeneracy_single_bin(square_problem, grid):
 def test_lsmc_linear_terminal(grid):
     prob = ProblemSpec(
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0],
-        horizon_T=1.0,
     )
     basis = RegressionBasis(degree=3, ridge=1e-9)
     sol = lsmc_solve(prob, brownian(), 0.0, [0.5], grid, 30000, basis, 903)
@@ -118,12 +116,36 @@ def test_lsmc_linear_terminal(grid):
     assert sol.z0 == pytest.approx(1.0, rel=0.10)
 
 
+def test_lsmc_carries_z_over_a_flat_first_step():
+    # V flat on [0, 0.1]: Z_0 is not identified, so it carries Z_1, as mild's
+    # v(0, x) carries v(0.1, x); u = e^{(0.9 - V)/2} (x^2 + 0.9 - V), so
+    # both should read |d_x u|(0, 1.2) = 2.4 e^{0.45}
+    from pseudopde.core import ClockV
+
+    clock = ClockV(kind="tabulated", times=[0.0, 0.1, 1.0], values=[0.0, 0.0, 0.9])
+    grid = SpaceTimeGrid.regular(1.0, 10, -4.0, 4.0, 21, clock=clock)
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5),
+        terminal_g=lambda p: p[:, 0] ** 2,
+    )
+    basis = RegressionBasis(degree=3, ridge=1e-9)
+    with pytest.warns(UserWarning, match=r"dV = 0 at backward steps \[0\]"):
+        sol = lsmc_solve(prob, brownian(), 0.0, [1.2], grid, 20000, basis, 907)
+    with pytest.warns(UserWarning, match=r"dV = 0 on steps \[0\]"):
+        mild = picard_solve(prob, build_cache(brownian(), grid, 1000, master_seed=7),
+                            PicardConfig())
+    v0 = mild.v[0, 13]  # node 13 is x = 1.2
+    assert v0 == mild.v[1, 13]
+    assert sol.z0 > 0.0 and sol.z0 == pytest.approx(v0, rel=0.15)
+    assert sol.z0 == pytest.approx(2.4 * np.exp(0.45), rel=0.1)
+
+
 def test_lsmc_linear_driver_integrating_factor(grid):
     prob = ProblemSpec(
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     basis = RegressionBasis(degree=4, ridge=1e-9)
     sol = lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 50000, basis, 904)
@@ -174,7 +196,7 @@ def test_lsmc_holds_its_ensemble_and_one_step_of_work():
     gen = _drift()
     problem = ProblemSpec(generator=gen,
                           driver=LipschitzDriver(fn=lambda t, x, y, z: 0.2 * y, K_Y=0.2),
-                          terminal_g=lambda p: np.tanh(p[:, 0]), horizon_T=1.0)
+                          terminal_g=lambda p: np.tanh(p[:, 0]))
     tracemalloc.start()
     try:
         lsmc_solve(problem, gen, 0.0, [0.4], grid, 30000, RegressionBasis(degree=4, ridge=1e-9), 5)
@@ -189,7 +211,6 @@ def test_lsmc_contraction_precondition(grid):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 60.0 * np.asarray(y), K_Y=60.0),
         terminal_g=lambda p: p[:, 0],
-        horizon_T=1.0,
     )
     with pytest.raises(ConfigurationError, match="finer grid"):
         lsmc_solve(prob, brownian(), 0.0, [0.0], grid, 100, RegressionBasis(), 906)
@@ -201,7 +222,6 @@ def test_lsmc_warns_when_inner_fixed_point_does_not_converge(grid):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: -49.5 * y + np.cos(x[:, 0]), K_Y=49.5),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     basis = RegressionBasis(degree=2)
     with pytest.warns(UserWarning, match=r"within 50 iterations at 50 backward steps; "
@@ -216,7 +236,6 @@ def test_lsmc_infinite_driver_raises_naming_the_step():
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: np.full(np.atleast_2d(x).shape[0], np.inf)),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     small = SpaceTimeGrid.regular(1.0, 4, -2.0, 2.0, 5)
     with warnings.catch_warnings(), pytest.raises(

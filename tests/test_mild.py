@@ -44,7 +44,7 @@ def bm_cache(grid):
 def square_problem():
     return ProblemSpec(
         generator=brownian(), driver=zero_driver(),
-        terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0,
+        terminal_g=lambda p: p[:, 0] ** 2,
     )
 
 
@@ -99,13 +99,12 @@ def test_update_u_constant_driver_shift(bm_cache, grid):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: np.ones(np.atleast_2d(x).shape[0])),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     zero = np.zeros((grid.n_times, bm_cache.n_nodes))
     u1, _ = update_u(zero, prob, bm_cache)
     u0, _ = update_u(zero, ProblemSpec(
         generator=brownian(), driver=zero_driver(),
-        terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0,
+        terminal_g=lambda p: p[:, 0] ** 2,
     ), bm_cache)
     for i, t in enumerate(grid.times):
         np.testing.assert_allclose(u1[i] - u0[i], 1.0 - t, atol=1e-12)
@@ -116,7 +115,6 @@ def test_update_u_zero_dynamics_reproduces_terminal(grid):
     cache = build_cache(frozen, grid, 50, master_seed=3)
     prob = ProblemSpec(
         generator=frozen, driver=zero_driver(), terminal_g=lambda p: np.sin(p[:, 0]),
-        horizon_T=1.0,
     )
     zero = np.zeros((grid.n_times, cache.n_nodes))
     u1, _ = update_u(zero, prob, cache)
@@ -128,7 +126,6 @@ def test_update_u_zero_dynamics_reproduces_terminal(grid):
 def linear_terminal_problem():
     return ProblemSpec(
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0],
-        horizon_T=1.0,
     )
 
 
@@ -159,7 +156,7 @@ def test_v_schemes_agree_on_linear_terminal(linear_terminal_problem, bm_cache):
 def test_constant_terminal_gives_zero_v(bm_cache, grid):
     prob = ProblemSpec(
         generator=brownian(), driver=zero_driver(),
-        terminal_g=lambda p: np.full(p.shape[0], 2.0), horizon_T=1.0,
+        terminal_g=lambda p: np.full(p.shape[0], 2.0),
     )
     for scheme in ("volterra", "variance"):
         sol = picard_solve(prob, bm_cache, PicardConfig(tolerance=1e-9, v_scheme=scheme))
@@ -171,7 +168,6 @@ def test_zero_dynamics_gives_zero_v(grid):
     cache = build_cache(frozen, grid, 50, master_seed=4)
     prob = ProblemSpec(
         generator=frozen, driver=zero_driver(), terminal_g=lambda p: np.sin(p[:, 0]),
-        horizon_T=1.0,
     )
     for scheme in ("volterra", "variance"):
         sol = picard_solve(prob, cache, PicardConfig(tolerance=1e-9, v_scheme=scheme))
@@ -187,7 +183,6 @@ def test_variance_scheme_quadratic_bracket():
     cache = build_cache(brownian(), grid, 100000, master_seed=6)
     prob = ProblemSpec(
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=dt,
     )
     u_field = np.tile(grid.nodes()[:, 0] ** 2, (grid.n_times, 1))
     v_field, _, _ = update_v_variance(u_field, np.zeros_like(u_field), prob, cache)
@@ -208,7 +203,6 @@ def test_contraction_observable(bm_cache):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=8, tolerance=1e-3))
     _assert_one_sweep_fixed_point(sol, prob, bm_cache)
@@ -222,7 +216,6 @@ def test_z_coupled_solve_contracts(bm_cache):
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + 0.3 * z,
                                K_Y=0.5, K_Z=0.3),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=8, tolerance=1e-6))
     deltas = sol.deltas
@@ -248,7 +241,6 @@ def test_nonconvergence_is_flagged_not_raised(bm_cache):
         driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + 0.3 * z,
                                K_Y=0.5, K_Z=0.3),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     with pytest.warns(UserWarning, match="did not reach tolerance"):
         sol = picard_solve(prob, bm_cache, PicardConfig(max_iterations=1, tolerance=1e-9))
@@ -260,7 +252,6 @@ def test_nan_driver_raises_with_iteration(square_problem, bm_cache):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: np.full(np.atleast_2d(x).shape[0], np.nan)),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     with pytest.raises(NumericalError):
         picard_solve(bad, bm_cache, PicardConfig(tolerance=1e-9))
@@ -271,7 +262,6 @@ def _constant_driver_problem(value):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: np.full(np.atleast_2d(x).shape[0], value)),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
 
 
@@ -301,7 +291,6 @@ def test_residual_of_perturbed_solution(square_problem, bm_cache, grid):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: -0.5 * np.asarray(y), K_Y=0.5),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     sol = picard_solve(prob, bm_cache, PicardConfig(tolerance=1e-6, max_iterations=25))
     base = mild_residuals(sol.u, sol.v, prob, bm_cache)
@@ -334,7 +323,6 @@ def test_picard_solve_rejects_a_noncontracting_row_solve(bm_cache):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 10.0 * np.asarray(y), K_Y=10.0),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     with pytest.raises(ConfigurationError, match="finer grid"):
         picard_solve(prob, bm_cache, PicardConfig())
@@ -346,7 +334,6 @@ def test_row_solve_warns_once_when_it_hits_the_cap(bm_cache, grid):
         generator=brownian(),
         driver=LipschitzDriver(fn=lambda t, x, y, z: 9.9 * np.asarray(y), K_Y=9.9),
         terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     with pytest.warns(UserWarning, match=r"implicit row solve of u did not converge within 50 "
                       r"iterations at 10 rows; worst at row \d+: last change \d") as record:
@@ -362,11 +349,28 @@ def test_flat_clock_suffix_sets_v_zero_with_warning(grid):
     cache = build_cache(brownian(), replace(grid, clock=clock), 64, master_seed=8)
     prob = ProblemSpec(
         generator=brownian(), driver=zero_driver(), terminal_g=lambda p: p[:, 0],
-        horizon_T=1.0,
     )
     with pytest.warns(UserWarning):
         sol = picard_solve(prob, cache, PicardConfig(tolerance=1e-9))
     np.testing.assert_allclose(sol.v, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["variance", "volterra"])
+@pytest.mark.parametrize("flat_from", [0.9, 0.5])
+def test_flat_clock_suffix_sets_v_zero(grid, scheme, flat_from):
+    # V flat on [flat_from, 1]: no step with dV > 0 follows the rows from
+    # flat_from on, so v there and on the terminal row is 0 with stderr 0
+    from pseudopde.core import ClockV
+
+    clock = ClockV(kind="tabulated", times=[0.0, flat_from, 1.0],
+                   values=[0.0, flat_from, flat_from])
+    cache = build_cache(brownian(), replace(grid, clock=clock), 200, master_seed=12)
+    first = int(round(flat_from * 10))
+    assert np.all(cache.grid.dvs[first:] == 0.0) and np.all(cache.grid.dvs[:first] > 0.0)
+    with pytest.warns(UserWarning, match=r"dV = 0 on steps \[" + str(first)):
+        sol = picard_solve(_chunk_problem("z_coupled"), cache, PicardConfig(v_scheme=scheme))
+    assert np.all(sol.v[first:] == 0.0) and np.all(sol.v_stderr[first:] == 0.0)
+    assert np.all(np.isfinite(sol.v)) and np.any(sol.v[:first] > 0.0)
 
 
 def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
@@ -387,7 +391,6 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
             K_Y=0.3, K_Z=0.4,
         ),
         terminal_g=lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2,
-        horizon_T=1.0,
     )
     xy = grid.nodes()
     u = np.stack([xy[:, 0] * xy[:, 1] + t for t in grid.times])
@@ -435,6 +438,13 @@ def test_update_u_matches_per_cell_reference_on_2d_grid_with_flat_step():
     np.testing.assert_array_equal(got, back)
     np.testing.assert_array_equal(got_se, back_se)
 
+    # v is not identified on the flat step: its row takes the next row's
+    for update_v in (update_v_variance, update_v_volterra):
+        with pytest.warns(UserWarning, match=r"dV = 0 on steps \[1\]"):
+            v_new, v_se, _ = update_v(u, v, prob, cache)
+        assert v_new[1].tobytes() == v_new[2].tobytes()
+        assert v_se[1].tobytes() == v_se[2].tobytes()
+
 
 def _chunk_problem(coupling):
     # z-free: update_u reads no v; z-coupled: it interpolates v beside u
@@ -445,7 +455,7 @@ def _chunk_problem(coupling):
         driver = LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y) + 0.3 * z,
                                  K_Y=0.5, K_Z=0.3)
     return ProblemSpec(generator=brownian(), driver=driver,
-                       terminal_g=lambda p: p[:, 0] ** 2, horizon_T=1.0)
+                       terminal_g=lambda p: p[:, 0] ** 2)
 
 
 @pytest.mark.parametrize("coupling", ["z_free", "z_coupled"])

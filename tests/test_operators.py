@@ -207,7 +207,6 @@ def test_classical_residual_heat_polynomial():
     )
     prob = ProblemSpec(
         generator=brownian(), driver=_zero_driver(), terminal_g=lambda p: p[:, 0] ** 2,
-        horizon_T=1.0,
     )
     grid = SpaceTimeGrid.regular(1.0, 4, -2.0, 2.0, 9)
     res = classical_residual(u, prob, grid)
@@ -227,7 +226,7 @@ def test_classical_residual_manufactured_solution():
         fn=lambda t, x, y, z: -0.5 * np.sin(np.atleast_2d(x)[:, 0]) * np.exp(-(1.0 - t))
     )
     prob = ProblemSpec(
-        generator=brownian(), driver=forced, terminal_g=lambda p: np.sin(p[:, 0]), horizon_T=1.0
+        generator=brownian(), driver=forced, terminal_g=lambda p: np.sin(p[:, 0])
     )
     grid = SpaceTimeGrid.regular(1.0, 4, -2.0, 2.0, 9)
     res = classical_residual(u, prob, grid)
@@ -239,7 +238,7 @@ def test_classical_residual_manufactured_solution():
     )
     decay = LipschitzDriver(fn=lambda t, x, y, z: -np.asarray(y), K_Y=1.0)
     prob2 = ProblemSpec(
-        generator=brownian(), driver=decay, terminal_g=lambda p: np.sin(p[:, 0]), horizon_T=1.0
+        generator=brownian(), driver=decay, terminal_g=lambda p: np.sin(p[:, 0])
     )
     base = classical_residual(u, prob2, grid)
     moved = classical_residual(shifted, prob2, grid)
@@ -248,7 +247,7 @@ def test_classical_residual_manufactured_solution():
 
 def test_classical_residual_flags_broken_gamma():
     prob = ProblemSpec(
-        generator=brownian(), driver=_zero_driver(), terminal_g=lambda p: p[:, 0], horizon_T=1.0
+        generator=brownian(), driver=_zero_driver(), terminal_g=lambda p: p[:, 0]
     )
     grid = SpaceTimeGrid.regular(1.0, 2, -1.0, 1.0, 3)
     broken = lambda t, x: -np.ones(np.atleast_2d(x).shape[0])

@@ -1,6 +1,6 @@
 """Each experiment script in scripts/ runs to completion at a small size, so an
-API change that breaks one fails here.  scripts/output_digest.py runs ten full
-configs and is left out."""
+API change that breaks one fails here.  scripts/output_digest.py runs eleven
+full configs and is left out."""
 
 import os
 import subprocess
