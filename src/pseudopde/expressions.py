@@ -322,9 +322,14 @@ def _as_function(node: Node, dimension: int, allowed: tuple):
 
     def fn(points, **env):
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = points.shape[0]
         env.update({f"x{k + 1}": points[:, k] for k in range(dimension)})
         out = evaluate(node, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
+        # the caller owns the result: one the evaluation made is new already;
+        # a scalar, or an input returned as is ("x1", "y"), is copied
+        if np.shape(out) == (n,) and not any(np.may_share_memory(out, a) for a in env.values()):
+            return out
+        return np.broadcast_to(np.asarray(out, dtype=float), (n,)).copy()
 
     return fn
 

@@ -178,9 +178,10 @@ def lsmc_solve(
     ``core.ImplicitSteps`` (K_Y * dV_i < 1 is enforced up front); a step
     that does not converge within its iteration cap keeps its last iterate,
     and one warning names the worst such step; a step whose Y turns
-    non-finite raises ``NumericalError`` naming it.  The degenerate initial
-    step regresses on the single-point support, i.e. a plain sample mean,
-    and records a regression residual of 0.0.  On a flat step (dV_i = 0),
+    non-finite raises ``NumericalError`` naming it.  A step whose positions
+    all coincide (the initial step, and any step that a clock flat from s
+    leaves at x) regresses on the single-point support, i.e. a plain sample
+    mean, and records a regression residual of 0.0.  On a flat step (dV_i = 0),
     the initial one included, Y_i = C_i and Z follows the flat-step rule of
     the README's clock paragraph, as ``mild``'s v does; one warning names them.
 
@@ -207,7 +208,7 @@ def lsmc_solve(
         dv = float(ens.dvs[i])
         xs = ens.paths[:, i, :]
         t_i = ens.times[i]
-        if i == 0:
+        if np.all(xs == xs[0]):
             c_val = float(np.mean(y))
             cx = np.full(M, c_val)
             zx = np.full(M, np.sqrt(float(np.mean((y - c_val) ** 2)) / dv)) if dv > 0 else z_prev

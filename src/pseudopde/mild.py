@@ -21,17 +21,22 @@ contraction.
 
 Every sweep runs per origin block, the paths of all nodes started at one
 grid time, and walks the block in chunks of whole nodes (``core.node_chunks``,
-at most ``core._CHUNK_POINTS`` paths each).  Each step after the block's own
-time evaluates the driver once over a chunk's positions and keeps one
-running sum per path, so a sweep's temporaries are a few chunk-sized arrays
-however many paths the block holds, and each node's statistics are taken on
-its whole row of M paths.  At the block's own time every path sits at its
-start node, and the kernel at zero lag is the identity, so the origin term
-is pointwise: each sweep evaluates it at the n_nodes nodes, and the one
-path-sum kernel, ``_block_steps``, yields only the later steps of a chunk.
-At each of those the fields it reads (u; u and v; or u, v and w) are
-interpolated by one ``core._multilinear`` call, which reads every field row
-as it is stored, from the grid bracket the cache keeps beside each position.
+at most ``core._CHUNK_POINTS`` paths each).  A chunk's working set is all a
+sweep holds beside the cache: g(X_T) is evaluated on the chunk's paths, each
+step after the block's own time evaluates the driver once over the chunk's
+positions, and each path's running sum is accumulated in place in an array
+the chunk owns (never in one that ``problem.g`` or the driver returned,
+which may be a view of the read-only cache).  The fields interpolated at a
+step are dropped before the next, so however many paths the block holds, a
+sweep's temporaries are a few chunk-sized arrays, and each node's statistics
+are taken on its whole row of M paths.  At the block's own time every path
+sits at its start node, and the kernel at zero lag is the identity, so the
+origin term is pointwise: each sweep evaluates it at the n_nodes nodes,
+and the one path-sum kernel, ``_block_steps``, yields only the later steps
+of a chunk.  At each of those the fields it reads (u; u and v; or u, v and
+w) are interpolated by one ``core._multilinear`` call, which reads every
+field row as it is stored, from the grid bracket the cache keeps beside each
+position.
 The cached positions never change during a solve, so their brackets are
 found once, when the cache is built, and no sweep searches the grid.  Each
 path's sum is accumulated in step order, origin term first, so the
@@ -142,11 +147,15 @@ def _block_steps(cache: EnsembleCache, i: int, paths: slice, rows):
         yield j, xs.points, core._multilinear(grid.axes, fields, xs)
 
 
-def _terminal_values(problem: ProblemSpec, cache: EnsembleCache, i: int) -> np.ndarray:
-    """g(X_T) on every path of origin block i, node-major."""
+def _terminal_values(
+    problem: ProblemSpec, cache: EnsembleCache, i: int, nodes: slice, paths: slice
+) -> np.ndarray:
+    """g(X_T) on one chunk of origin block i, the ``paths`` of its ``nodes``,
+    node-major; at i = N-1 every path sits at its node.  ``problem.g`` may
+    return a view of the read-only cache, so callers never write into it."""
     if i == cache.grid.n_times - 1:
-        return np.repeat(problem.g(cache.nodes), cache.M)
-    return problem.g(cache.blocks[i][-1])
+        return np.repeat(problem.g(cache.nodes[nodes]), cache.M)
+    return problem.g(cache.blocks[i][-1][paths])
 
 
 def _node_stats(vals: np.ndarray, M: int):
@@ -162,6 +171,16 @@ def _scalar_square(a: np.ndarray) -> np.ndarray:
     v and residual outputs are kept bit-stable across versions.
     """
     return np.array([x**2 for x in a.tolist()])
+
+
+def _second_line_term(w: np.ndarray, u: np.ndarray, f: np.ndarray, dv: float) -> np.ndarray:
+    """(w - 2 u f) dV, built in one new array by the operations of that
+    expression in its order, so it equals the expression bit for bit."""
+    out = np.multiply(2.0, u)
+    out *= f
+    np.subtract(w, out, out=out)
+    out *= dv
+    return out
 
 
 def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
@@ -187,14 +206,15 @@ def update_u(v_k: np.ndarray, problem: ProblemSpec, cache: EnsembleCache):
     # terminal row is exact: the running integral vanishes at s = T
     out[-1] = problem.g(cache.nodes)
     for i in range(n_t - 2, -1, -1):
-        g_vals = _terminal_values(problem, cache, i)
         b_i = np.empty(n_nodes)
         for nodes, paths in core.node_chunks(n_nodes, cache.M):
             acc = np.zeros(paths.stop - paths.start)
             for j, xs, vals in _block_steps(cache, i, paths, rows):
                 uu, vv = vals if z_coupled else (vals[0], v_rows[j])
                 acc += problem.driver(grid.times[j], xs, uu, vv) * grid.dvs[j]
-            b_i[nodes], se[i, nodes] = _node_stats(g_vals[paths] + acc, cache.M)
+                del vals, uu, vv
+            acc += _terminal_values(problem, cache, i, nodes, paths)
+            b_i[nodes], se[i, nodes] = _node_stats(acc, cache.M)
         dv = grid.dvs[i]
         out[i] = steps.solve(i, grid.times[i], cache.nodes, b_i, v_rows[i], dv) if dv else b_i
         if not np.all(np.isfinite(out[i])):
@@ -301,13 +321,14 @@ def update_v_volterra(
             continue
         f_here = problem.driver(grid.times[i], cache.nodes, u_next[i], v_prev[i])
         sys_var = float(np.sum((grid.dvs[i + 1 : n_t - 1] * row_mean_se[i + 1 : n_t - 1]) ** 2))
-        g_vals = _terminal_values(problem, cache, i)
         for nodes, paths in core.node_chunks(n_nodes, cache.M):
-            vals = g_vals[paths] ** 2
-            for j, xs, (uu, vv, ww) in _block_steps(cache, i, paths, (u_next, v_prev, w)):
+            acc = _terminal_values(problem, cache, i, nodes, paths) ** 2
+            for j, xs, vals in _block_steps(cache, i, paths, (u_next, v_prev, w)):
+                uu, vv, ww = vals
                 ff = problem.driver(grid.times[j], xs, uu, vv)
-                vals = vals - (ww - 2.0 * uu * ff) * grid.dvs[j]
-            est[nodes], se_path[nodes] = _node_stats(vals, cache.M)
+                acc -= _second_line_term(ww, uu, ff, grid.dvs[j])
+                del vals, uu, vv, ww, ff
+            est[nodes], se_path[nodes] = _node_stats(acc, cache.M)
         w[i] = (est - _scalar_square(u_next[i])) / dv + 2.0 * u_next[i] * f_here
         se_w[i] = np.sqrt(_scalar_square(se_path) + sys_var) / dv
         # clamp this row before later (earlier-time) rows consume it
@@ -332,24 +353,25 @@ def mild_residuals(u: np.ndarray, v: np.ndarray, problem: ProblemSpec, cache: En
     floor2 = np.zeros((n_t, n_nodes))
     mean1, mean2 = np.empty(n_nodes), np.empty(n_nodes)
     for i in range(n_t):
-        g_vals = _terminal_values(problem, cache, i)
         origin = i < n_t - 1 and grid.dvs[i] != 0.0
         if origin:
             dv = grid.dvs[i]
             f_i = problem.driver(grid.times[i], cache.nodes, u[i], v[i])
             origin1, origin2 = f_i * dv, (v[i] ** 2 - 2.0 * u[i] * f_i) * dv
         for nodes, paths in core.node_chunks(n_nodes, cache.M):
-            vals1 = g_vals[paths].copy()
-            vals2 = g_vals[paths] ** 2
+            acc1 = np.array(_terminal_values(problem, cache, i, nodes, paths))
+            acc2 = acc1**2
             if origin:
-                vals1 += np.repeat(origin1[nodes], cache.M)
-                vals2 -= np.repeat(origin2[nodes], cache.M)
-            for j, xs, (uu, vv) in _block_steps(cache, i, paths, (u, v)):
+                acc1 += np.repeat(origin1[nodes], cache.M)
+                acc2 -= np.repeat(origin2[nodes], cache.M)
+            for j, xs, vals in _block_steps(cache, i, paths, (u, v)):
+                uu, vv = vals
                 ff = problem.driver(grid.times[j], xs, uu, vv)
-                vals1 += ff * grid.dvs[j]
-                vals2 -= (vv**2 - 2.0 * uu * ff) * grid.dvs[j]
-            mean1[nodes], floor1[i, nodes] = _node_stats(vals1, cache.M)
-            mean2[nodes], floor2[i, nodes] = _node_stats(vals2, cache.M)
+                acc1 += ff * grid.dvs[j]
+                acc2 -= _second_line_term(vv**2, uu, ff, grid.dvs[j])
+                del vals, uu, vv, ff
+            mean1[nodes], floor1[i, nodes] = _node_stats(acc1, cache.M)
+            mean2[nodes], floor2[i, nodes] = _node_stats(acc2, cache.M)
         res1[i] = np.abs(u[i] - mean1)
         res2[i] = np.abs(_scalar_square(u[i]) - mean2)
     return ResidualReport(

@@ -137,3 +137,35 @@ def test_driver_and_terminal_wrappers():
     np.testing.assert_allclose(g(np.array([[3.0]])), [9.0])
     with pytest.raises(InputError):
         xp.as_function_of_x(xp.parse("y", 1), 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["y", "z", "x1", "x2", "2.5", "t", "-x1", "0.5*y + z", "max(y, x2)"]
+)
+def test_wrapped_results_are_writable_and_own_their_memory(text):
+    # an input returned as is, or a scalar, comes back as a new array; a
+    # result the evaluation made comes back as it is; none aliases an input
+    f = xp.as_driver_fn(xp.parse(text, 2), 2)
+    x = np.arange(8.0).reshape(4, 2)
+    y, z = np.linspace(-1.0, 1.0, 4), np.full(4, 0.25)
+    for a in (x, y, z):
+        a.flags.writeable = False
+    out = f(0.5, x, y, z)
+    assert out.shape == (4,) and out.flags.writeable
+    assert not any(np.shares_memory(out, a) for a in (x, y, z))
+    expected = out.copy()
+    out += 1.0
+    np.testing.assert_array_equal(f(0.5, x, y, z), expected)
+
+
+def test_wrapped_results_made_by_the_evaluation_are_not_copied(monkeypatch):
+    made = []
+
+    def recording(node, env, evaluate=xp.evaluate):
+        made.append(evaluate(node, env))
+        return made[-1]
+
+    monkeypatch.setattr(xp, "evaluate", recording)
+    f = xp.as_driver_fn(xp.parse("0.5*y + z", 1), 1)
+    out = f(0.0, np.zeros((3, 1)), np.ones(3), np.ones(3))
+    assert out is made[0]

@@ -141,6 +141,28 @@ def test_lsmc_carries_z_over_a_flat_first_step():
     assert sol.z0 == pytest.approx(2.4 * np.exp(0.45), rel=0.1)
 
 
+def test_lsmc_takes_the_mean_where_positions_coincide():
+    # V flat on [0, 0.1]: every path still sits at x at step 1, where the
+    # ridge-free degree-3 design has rank 1, so that step takes the sample
+    # mean, as the origin step does; u = e^{(0.9 - V)/2} (x^2 + 0.9 - V)
+    from pseudopde.core import ClockV
+
+    clock = ClockV(kind="tabulated", times=[0.0, 0.1, 1.0], values=[0.0, 0.0, 0.9])
+    grid = SpaceTimeGrid.regular(1.0, 10, -4.0, 4.0, 21, clock=clock)
+    prob = ProblemSpec(
+        generator=brownian(),
+        driver=LipschitzDriver(fn=lambda t, x, y, z: 0.5 * np.asarray(y), K_Y=0.5),
+        terminal_g=lambda p: p[:, 0] ** 2,
+    )
+    with pytest.warns(UserWarning, match=r"dV = 0 at backward steps \[0\]"):
+        sol = lsmc_solve(prob, brownian(), 0.0, [1.2], grid, 5000, RegressionBasis(degree=3), 909)
+    assert sol.regression_residuals[:2] == [0.0, 0.0]
+    assert min(sol.regression_residuals[2:]) > 0.0
+    # 0.02: the left-endpoint rule's bias, (1 - 0.05)^-9 against e^0.45
+    assert abs(sol.y0 - np.exp(0.45) * 2.34) < 3 * sol.y0_stderr + 0.02 * np.exp(0.45) * 2.34
+    assert sol.z0 == pytest.approx(2.4 * np.exp(0.45), rel=0.1)
+
+
 def test_lsmc_linear_driver_integrating_factor(grid):
     prob = ProblemSpec(
         generator=brownian(),

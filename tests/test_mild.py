@@ -480,21 +480,36 @@ def test_sweeps_are_independent_of_the_chunk_size(coupling, bm_cache, grid, monk
         assert outputs() == ref
 
 
-def test_residual_sweep_holds_chunks_not_blocks():
-    # 21 nodes x 5,000 paths: 105,000 positions per step, read 6 nodes at a
-    # time; the block's terminal values (0.8 MiB) and a few chunk-sized
-    # arrays read 2.8 MiB, where whole-block temporaries read 6.8 MiB
+def _wide_block_fields():
+    # 21 nodes x 5,000 paths: 105,000 positions per step, read 6 nodes
+    # (30,000 paths, 0.23 MiB a field) at a time
     grid = SpaceTimeGrid.regular(1.0, 4, -4.0, 4.0, 21)
     cache = build_cache(brownian(), grid, 5000, master_seed=9)
-    prob = _chunk_problem("z_coupled")
     x = grid.nodes()[:, 0]
     u = np.stack([x**2 + 1.0 - t for t in grid.times])
     v = np.stack([0.5 + np.abs(x) + t for t in grid.times])
-    mild_residuals(u, v, prob, cache)
+    return cache, _chunk_problem("z_coupled"), u, v
+
+
+def _traced_peak(sweep):
+    sweep()
     tracemalloc.start()
     try:
-        mild_residuals(u, v, prob, cache)
-        _, peak = tracemalloc.get_traced_memory()
+        sweep()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+
+
+def test_u_sweep_holds_chunks_not_blocks():
+    # g on one chunk's paths and the interpolated fields dropped before each
+    # node's statistics: 1.4 MiB here, where g on the whole block read 2.3
+    cache, prob, _, v = _wide_block_fields()
+    assert _traced_peak(lambda: update_u(v, prob, cache)) <= 1.8 * 2**20
+
+
+def test_residual_sweep_holds_chunks_not_blocks():
+    # a few chunk-sized arrays read 1.6 MiB; g on the whole block beside them
+    # read 2.8 MiB, and whole-block temporaries 6.8 MiB
+    cache, prob, u, v = _wide_block_fields()
+    assert _traced_peak(lambda: mild_residuals(u, v, prob, cache)) <= 2 * 2**20
